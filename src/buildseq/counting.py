@@ -4,7 +4,7 @@ Several independent routes compute the same quantities so they can check
 one another:
 
 * a permutation-filter oracle that tries every ordering of the elements,
-* a subset dynamic program over (placed vertices, number of placed edges),
+* a dynamic program over the vertex subsets (which vertices are placed),
 * closed forms and recursions for paths, stars, and cycles,
 * composition laws for disjoint unions and wedges, and
 * the integer-sequence helpers behind the closed forms (zigzag numbers via
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -96,64 +95,72 @@ def count_bruteforce(g: Graph, *, element_limit: int = DEFAULT_ELEMENT_LIMIT) ->
     return count
 
 
-def _dp_completions(
-    g: Graph,
-    initial_vertices: int,
-    *,
-    vertex_limit: int,
-    max_states: int,
-) -> int:
-    """Number of ways to extend a partial build to a full sequence.
+def _subset_edge_counts(
+    g: Graph, *, vertex_limit: int, max_states: int, kernel: str
+) -> list[int]:
+    """e[S] for every vertex subset S (bit v-1 stands for vertex v): the
+    number of edge records with all endpoints in S, so loops and parallel
+    edges count with multiplicity.
 
-    State is (set of placed vertices, number of placed edges): which edges
-    are placed does not matter because every placeable-but-unplaced edge is
-    interchangeable from here on.
+    Both limits are checked before the table of 2^p entries is allocated;
+    ``kernel`` names the caller in the error messages.
     """
-    if g.p > vertex_limit:
-        raise ResourceLimitError(f"{g.p} vertices exceed the DP limit {vertex_limit}")
-    masks = _endpoint_masks(g)
-    edge_masks = masks[g.p :]
-    # vertex-set mask -> number of edge slots whose endpoints are all present
-    # (edge records count with multiplicity, so doubled edges and loops work)
-    avail_cache: dict[int, int] = {}
+    p = g.p
+    if p > vertex_limit:
+        raise ResourceLimitError(f"{p} vertices exceed the {kernel} limit {vertex_limit}")
+    if 1 << p > max_states:
+        raise ResourceLimitError(
+            f"{kernel} needs 2^{p} vertex-subset states, over the limit {max_states}; "
+            "raise max_states to continue"
+        )
+    # incident[v]: the endpoint masks of the edge records at vertex code v
+    incident: list[list[int]] = [[] for _ in range(p)]
+    for u, w in g.edges:
+        mask = (1 << (u - 1)) | (1 << (w - 1))
+        incident[u - 1].append(mask)
+        if u != w:
+            incident[w - 1].append(mask)
+    e = [0] * (1 << p)
+    for s in range(1, 1 << p):
+        low = s & -s
+        e[s] = e[s ^ low] + sum(1 for m in incident[low.bit_length() - 1] if not m & ~s)
+    return e
+
+
+def _completions(g: Graph, e: list[int], base: int) -> list[int]:
+    """C(S) for every vertex subset S containing the mask ``base``.
+
+    C(S) is the number of ways to finish a build that has placed the
+    vertices of S and the e(S) edges among them.  The h(S) = N - |S| - e(S)
+    elements left (N = p + q) must start with a vertex v outside S; the d =
+    e(S+v) - e(S) edges that v opens may then take any d of the other
+    h(S) - 1 positions, in any order, so
+    C(S) = sum over v of C(S+v) * (h(S)-1)(h(S)-2)...(h(S)-d),
+    with C(all vertices) = 1.  This is the hook-length formula for forests
+    (Knuth, TAOCP Vol. 3, 5.1.4) summed over vertex orders: once the
+    vertex order is fixed, the incidence poset is a forest.  Subsets are
+    filled in decreasing order, so every C(S+v) is ready when C(S) needs it.
+    """
+    n = g.element_count
     full = (1 << g.p) - 1
-    q = g.q
-    memo: dict[tuple[int, int], int] = {}
-    depth_needed = g.element_count + 100
-    if sys.getrecursionlimit() < depth_needed + 1000:
-        sys.setrecursionlimit(depth_needed + 1000)
-
-    def available_edges(placed: int) -> int:
-        cached = avail_cache.get(placed)
-        if cached is None:
-            cached = sum(1 for m in edge_masks if not m & ~placed)
-            avail_cache[placed] = cached
-        return cached
-
-    def completions(placed: int, edges_done: int) -> int:
-        if placed == full and edges_done == q:
-            return 1
-        key = (placed, edges_done)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    free_part = full ^ base
+    c = [0] * (full + 1)
+    c[full] = 1
+    sub = free_part
+    while sub:
+        sub = (sub - 1) & free_part
+        s = sub | base
+        es = e[s]
+        slots = n - s.bit_count() - es - 1  # h(S) - 1
         total = 0
-        available = available_edges(placed)
-        if edges_done < available:
-            total += (available - edges_done) * completions(placed, edges_done + 1)
-        remaining = full & ~placed
-        while remaining:
-            bit = remaining & -remaining
-            total += completions(placed | bit, edges_done)
-            remaining ^= bit
-        if len(memo) >= max_states:
-            raise ResourceLimitError(
-                f"count DP exceeded {max_states} states; raise max_states to continue"
-            )
-        memo[key] = total
-        return total
-
-    return completions(initial_vertices, 0)
+        free = full ^ s
+        while free:
+            bit = free & -free
+            free ^= bit
+            t = s | bit
+            total += c[t] * math.perm(slots, e[t] - es)
+        c[s] = total
+    return c
 
 
 def count_dp(
@@ -162,8 +169,10 @@ def count_dp(
     vertex_limit: int = DEFAULT_VERTEX_LIMIT,
     max_states: int = DEFAULT_STATE_LIMIT,
 ) -> int:
-    """Exact construction-sequence count by subset dynamic programming."""
-    return _dp_completions(g, 0, vertex_limit=vertex_limit, max_states=max_states)
+    """Exact construction-sequence count by a sweep over the 2^p vertex
+    subsets (``max_states`` bounds 2^p)."""
+    e = _subset_edge_counts(g, vertex_limit=vertex_limit, max_states=max_states, kernel="count DP")
+    return _completions(g, e, 0)[0]
 
 
 def count_based(
@@ -173,12 +182,16 @@ def count_based(
     vertex_limit: int = DEFAULT_VERTEX_LIMIT,
     max_states: int = DEFAULT_STATE_LIMIT,
 ) -> int:
-    """Count of sequences whose first element is the vertex ``base``."""
+    """Count of sequences whose first element is the vertex ``base``.
+
+    The elements after ``base``, other than its loops, follow in C({base})
+    orders, and the loops at ``base`` take any of the N - 1 later positions.
+    """
     if not 1 <= base <= g.p:
         raise ValueError(f"base vertex {base} outside 1..{g.p}")
-    return _dp_completions(
-        g, 1 << (base - 1), vertex_limit=vertex_limit, max_states=max_states
-    )
+    e = _subset_edge_counts(g, vertex_limit=vertex_limit, max_states=max_states, kernel="count DP")
+    bit = 1 << (base - 1)
+    return _completions(g, e, bit)[bit] * math.perm(g.element_count - 1, e[bit])
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,28 @@ class Element:
         return f"{self.kind}{self.index}"
 
 
+class _UnionFind:
+    """Union-find over vertices 1..p with path halving."""
+
+    def __init__(self, p: int) -> None:
+        self.parent = list(range(p + 1))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of a and b; False if already together."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
 @dataclass(frozen=True)
 class Graph:
     """Labeled graph with vertex set {1..p} and an ordered edge list.
@@ -193,21 +215,8 @@ class Graph:
         return len(seen) == self.p
 
     def component_count(self) -> int:
-        parent = list(range(self.p + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        count = self.p
-        for u, w in self.edges:
-            ru, rw = find(u), find(w)
-            if ru != rw:
-                parent[ru] = rw
-                count -= 1
-        return count
+        components = _UnionFind(self.p)
+        return self.p - sum(components.union(u, w) for u, w in self.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The total cost of a sequence is a position-weighted linear functional:
 every edge contributes +2 times its position and every vertex contributes
--degree times its position.  Minimizing therefore only needs the state
-(set of placed vertices, number of placed edges) - the remaining weights
-and remaining positions are determined - which gives an exact dynamic
-program far below full enumeration.
+-degree times its position.  Swapping a vertex with an already-available
+edge right after it saves 2 + deg(v), so every minimizer places each edge
+as soon as it becomes available.  A minimizer is thus a vertex order plus
+an order within each block of newly opened edges, and the exact minimum
+and its multiplicity come from one sweep over the 2^p vertex subsets.
 
 Also here: the greedy builder (emit an edge as soon as one is available,
 otherwise the next vertex of the input order), enumeration of all
@@ -15,19 +16,20 @@ checks whether greedy runs reach every minimum-cost sequence.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import Element, Graph, build_family
+from .graphs import Element, Graph, _UnionFind, build_family
 from .sequences import CSeq
 from .counting import (
     DEFAULT_ELEMENT_LIMIT,
     DEFAULT_STATE_LIMIT,
     _codes_to_cseq,
     _endpoint_masks,
+    _subset_edge_counts,
     count_dp,
 )
 
@@ -92,24 +94,6 @@ class ConjectureReport:
 # Greedy
 
 
-class _Components:
-    # Union-find over vertex labels, for the cycle-avoiding policy.
-    def __init__(self, p: int) -> None:
-        self.parent = list(range(p + 1))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def greedy(
     g: Graph,
     vertex_order: Sequence[int] | None = None,
@@ -127,7 +111,7 @@ def greedy(
     if sorted(order) != list(range(1, g.p + 1)):
         raise ValueError("vertex_order is not a permutation of 1..p")
     rng = random.Random(tie_break.seed)
-    components = _Components(g.p)
+    components = _UnionFind(g.p)
     placed_vertices: set[int] = set()
     unplaced_edges = set(range(1, g.q + 1))
     sequence: list[Element] = []
@@ -155,7 +139,7 @@ def _pick_edge(
     g: Graph,
     available: list[int],
     tie_break: TieBreak,
-    components: _Components,
+    components: _UnionFind,
     rng: random.Random,
 ) -> int:
     if tie_break.policy == "lexicographic":
@@ -193,8 +177,10 @@ def exhaustive_greedy_set(
 
     Ranging over all vertex orders and all tie resolutions, the reachable
     sequences are exactly the valid ones that never place a vertex while an
-    edge is available; enumerate those directly.  The whole set is
-    materialized, so keep the element limit modest.
+    edge is available; enumerate those directly.  Every minimum-cost
+    sequence is among them: a vertex placed while an edge is available could
+    swap with that edge for a saving of 2 + deg(v) (see :func:`min_cost`).
+    The whole set is materialized, so keep the element limit modest.
     """
     total_elements = g.element_count
     if total_elements > element_limit:
@@ -237,6 +223,12 @@ def _weights(g: Graph) -> list[int]:
     return [-degs[i] for i in range(g.p)] + [2] * g.q
 
 
+def _step_cost(pos: int, degree: int, d: int) -> int:
+    # A vertex of the given degree at position pos, then the d edges it opens
+    # at positions pos+1..pos+d.
+    return d * (2 * pos + d + 1) - degree * pos
+
+
 def min_cost(
     g: Graph,
     *,
@@ -246,115 +238,77 @@ def min_cost(
 ) -> OptResult:
     """Exact minimum total cost and the count of sequences attaining it.
 
-    Positions 1..p+q are assigned in order; placing element s at position t
-    adds weight(s)*t.  Branches with equal minima have their counts summed.
-    Witness extraction is optional and capped by ``max_witnesses``.
+    Placing element s at position t adds weight(s)*t: 2t for an edge and
+    -deg(v)*t for a vertex v.  If a vertex sits directly before an edge that
+    was already available, swapping the two lowers the cost by 2 + deg(v).
+    So every minimizer places each edge as soon as it becomes available: it
+    is a vertex order with the d edges each vertex opens right after it, in
+    any of d! orders.  One sweep over the 2^p vertex subsets (``max_states``
+    bounds 2^p) then finds the minimum: with the vertices of S and the e(S)
+    edges among them placed, placing v next at position pos adds
+    -deg(v)*pos + 2(d*pos + d(d+1)/2).  Witness extraction is optional and
+    capped by ``max_witnesses``; witnesses come in lexicographic order.
     """
-    if g.p > vertex_limit:
-        raise ResourceLimitError(f"{g.p} vertices exceed the optimizer limit {vertex_limit}")
-    masks = _endpoint_masks(g)
-    weights = _weights(g)
-    p, q = g.p, g.q
-    full = (1 << p) - 1
-    avail_cache: dict[int, int] = {}
-
-    def available(placed: int) -> int:
-        cached = avail_cache.get(placed)
-        if cached is None:
-            cached = sum(1 for m in masks[p:] if not m & ~placed)
-            avail_cache[placed] = cached
-        return cached
-
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
-    depth_needed = g.element_count + 100
-    if sys.getrecursionlimit() < depth_needed + 1000:
-        sys.setrecursionlimit(depth_needed + 1000)
-
-    def best(placed: int, edges_done: int) -> tuple[int, int]:
-        if placed == full and edges_done == q:
-            return (0, 1)
-        key = (placed, edges_done)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        position = placed.bit_count() + edges_done + 1
-        best_cost: int | None = None
+    e = _subset_edge_counts(g, vertex_limit=vertex_limit, max_states=max_states, kernel="optimizer")
+    degs = g.degrees()
+    full = (1 << g.p) - 1
+    best = [0] * (full + 1)
+    ways = [0] * (full + 1)
+    ways[full] = 1
+    for s in range(full - 1, -1, -1):
+        pos = s.bit_count() + e[s] + 1
+        least: int | None = None
         count = 0
-        open_edges = available(placed) - edges_done
-        if open_edges > 0:
-            tail_cost, tail_count = best(placed, edges_done + 1)
-            best_cost = 2 * position + tail_cost
-            count = open_edges * tail_count
-        remaining = full & ~placed
-        while remaining:
-            bit = remaining & -remaining
-            v_code = bit.bit_length() - 1
-            tail_cost, tail_count = best(placed | bit, edges_done)
-            branch = weights[v_code] * position + tail_cost
-            if best_cost is None or branch < best_cost:
-                best_cost, count = branch, tail_count
-            elif branch == best_cost:
-                count += tail_count
-            remaining ^= bit
-        if len(memo) >= max_states:
-            raise ResourceLimitError(
-                f"optimizer DP exceeded {max_states} states; raise max_states to continue"
-            )
-        result = (best_cost, count)  # type: ignore[arg-type]
-        memo[key] = result
-        return result
-
-    total_cost, num_optimal = best(0, 0)
+        free = full ^ s
+        while free:
+            bit = free & -free
+            free ^= bit
+            t = s | bit
+            d = e[t] - e[s]
+            branch = best[t] + _step_cost(pos, degs[bit.bit_length() - 1], d)
+            if least is None or branch < least:
+                least, count = branch, math.factorial(d) * ways[t]
+            elif branch == least:
+                count += math.factorial(d) * ways[t]
+        best[s], ways[s] = least, count  # type: ignore[assignment]
     witnesses: tuple[CSeq, ...] = ()
     if max_witnesses > 0:
-        witnesses = _collect_witnesses(g, masks, weights, best, max_witnesses)
-    return OptResult(total_cost, num_optimal, witnesses)
+        witnesses = _min_cost_witnesses(g, e, best, max_witnesses)
+    return OptResult(best[0], ways[0], witnesses)
 
 
-def _collect_witnesses(g, masks, weights, best, cap) -> tuple[CSeq, ...]:
-    # Follow every branch the DP scored as optimal, in lexicographic element
-    # order, tracking the actual placed-edge set; stop at the cap.
-    p, q = g.p, g.q
-    total_elements = g.element_count
+def _min_cost_witnesses(g: Graph, e: list[int], best: list[int], cap: int) -> tuple[CSeq, ...]:
+    # Depth-first over the optimal steps with an explicit stack: at each
+    # subset the optimal vertices in increasing order, each followed by every
+    # order of the edges it opens.  That is lexicographic element order.
+    p = g.p
     full = (1 << p) - 1
+    degs = g.degrees()
+    edge_masks = _endpoint_masks(g)[p:]
+
+    def steps(s: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+        pos = len(prefix) + 1
+        for v in range(p):
+            bit = 1 << v
+            if s & bit:
+                continue
+            t = s | bit
+            if best[t] + _step_cost(pos, degs[v], e[t] - e[s]) != best[s]:
+                continue
+            opened = [p + j for j, m in enumerate(edge_masks) if m & bit and not m & ~t]
+            for edges in itertools.permutations(opened):
+                yield t, prefix + (v,) + edges
+
     found: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def walk(placed_vertices: int, placed_edges: int, edges_done: int) -> None:
-        if len(found) >= cap:
-            return
-        if len(prefix) == total_elements:
-            found.append(tuple(prefix))
-            return
-        position = len(prefix) + 1
-        target, _ = best(placed_vertices, edges_done)
-        remaining = full & ~placed_vertices
-        while remaining:
-            bit = remaining & -remaining
-            code = bit.bit_length() - 1
-            tail, _ = best(placed_vertices | bit, edges_done)
-            if weights[code] * position + tail == target:
-                prefix.append(code)
-                walk(placed_vertices | bit, placed_edges, edges_done)
-                prefix.pop()
-                if len(found) >= cap:
-                    return
-            remaining ^= bit
-        open_edges = [
-            j
-            for j in range(q)
-            if not placed_edges & (1 << j) and not masks[p + j] & ~placed_vertices
-        ]
-        if open_edges and 2 * position + best(placed_vertices, edges_done + 1)[0] == target:
-            for j in open_edges:
-                prefix.append(p + j)
-                walk(placed_vertices, placed_edges | (1 << j), edges_done + 1)
-                prefix.pop()
-                if len(found) >= cap:
-                    return
-
-    walk(0, 0, 0)
-    found.sort()
+    stack = [iter([(0, ())])]
+    while stack and len(found) < cap:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        elif step[0] == full:
+            found.append(step[1])
+        else:
+            stack.append(steps(*step))
     return tuple(_codes_to_cseq(g, codes) for codes in found)
 
 
@@ -411,8 +365,11 @@ def check_conjecture(
     """Check that greedy runs produce every minimum-cost sequence.
 
     With ``tie_break="exhaustive"`` the greedy side ranges over every tie
-    resolution (the strongest reading); passing a :class:`TieBreak`
-    restricts it to that single policy over all vertex orders.
+    resolution (the strongest reading), and the check holds by theorem:
+    every minimizer places each edge as soon as it becomes available,
+    because swapping a vertex with an already-available edge right after it
+    saves 2 + deg(v).  Passing a :class:`TieBreak` restricts the greedy side
+    to that single policy over all vertex orders, where it can fail.
     """
     minimum = enumerate_min_cost(g, element_limit=element_limit)
     if isinstance(tie_break, TieBreak):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .errors import IsolatedVertexError
-from .graphs import Element, Graph, build_family
+from .graphs import Element, Graph, _UnionFind, build_family
 
 __all__ = [
     "CSeq",
@@ -140,28 +140,6 @@ class CSeq:
 
 # ---------------------------------------------------------------------------
 # Component profile
-
-
-class _UnionFind:
-    """Union-find over vertices 1..p with path halving."""
-
-    def __init__(self, p: int) -> None:
-        self.parent = list(range(p + 1))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the classes of a and b; False if already together."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
 
 
 @dataclass(frozen=True)

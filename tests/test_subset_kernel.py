@@ -1,0 +1,99 @@
+"""The vertex-subset kernel behind count_dp, count_based and min_cost.
+
+Property tests run on multigraphs with loops, parallel edges, isolated
+vertices and p = 0, which the seeded simple-graph corpus never produces, and
+compare the kernel with the routes that do not use it: the permutation
+oracle, the poset engine and full min-cost enumeration.
+"""
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import buildseq as b
+from buildseq.errors import ResourceLimitError
+
+MAX_ELEMENTS = 9
+WITNESSES = 7
+
+
+@st.composite
+def multigraphs(draw) -> b.Graph:
+    p = draw(st.integers(0, 6))
+    vertex = st.integers(1, max(p, 1))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=MAX_ELEMENTS - p)) if p else []
+    return b.Graph(p, tuple(edges), multigraph=True)
+
+
+def based_counts_by_walk(g: b.Graph) -> list[int]:
+    """Valid orderings by first vertex, walked one element at a time from
+    the definition: an edge may come once both endpoints have (element code
+    v-1 is vertex v, code p+j-1 is edge j)."""
+    full = (1 << g.element_count) - 1
+    need = [0] * g.p + [(1 << (u - 1)) | (1 << (w - 1)) for u, w in g.edges]
+
+    def completions(seen: int) -> int:
+        if seen == full:
+            return 1
+        return sum(
+            completions(seen | 1 << code)
+            for code, mask in enumerate(need)
+            if not seen >> code & 1 and not mask & ~seen
+        )
+
+    return [completions(1 << v) for v in range(g.p)]
+
+
+def test_kernels_leave_the_recursion_limit_alone():
+    saved = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        for spec in ("path:3", "star:4", "cycle:5"):
+            g = b.build_family(spec)
+            b.count_dp(g)
+            b.count_based(g, 1)
+            b.min_cost(g, max_witnesses=5)
+            assert sys.getrecursionlimit() == 1000, spec
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_state_limit_bounds_the_vertex_subsets_before_any_work():
+    g = b.build_family("path:10")  # 2^10 vertex subsets
+    for run in (
+        lambda limit: b.count_dp(g, max_states=limit),
+        lambda limit: b.count_based(g, 1, max_states=limit),
+        lambda limit: b.min_cost(g, max_states=limit),
+    ):
+        with pytest.raises(ResourceLimitError):
+            run(2**10 - 1)
+        run(2**10)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(multigraphs())
+def test_counts_agree_with_oracle_and_poset_engine(g):
+    count = b.count_dp(g)
+    assert count == b.count_bruteforce(g, element_limit=MAX_ELEMENTS)
+    assert count == b.count_linear_extensions(b.incidence_poset(g))
+    assert [b.count_based(g, v) for v in range(1, g.p + 1)] == based_counts_by_walk(g)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(multigraphs())
+def test_min_cost_agrees_with_enumeration(g):
+    minimizers = b.enumerate_min_cost(g, element_limit=MAX_ELEMENTS)
+    result = b.min_cost(g, max_witnesses=WITNESSES)
+    assert result.min_cost == b.total_cost(minimizers[0])
+    assert result.num_optimal == len(minimizers)
+    assert list(result.witnesses) == minimizers[:WITNESSES]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(multigraphs())
+def test_every_minimizer_places_each_edge_as_soon_as_available(g):
+    # Exchange theorem: a vertex directly before an already-available edge
+    # can swap with it for a saving of 2 + deg(v).
+    minimizers = set(b.enumerate_min_cost(g, element_limit=MAX_ELEMENTS))
+    assert minimizers <= b.exhaustive_greedy_set(g, element_limit=MAX_ELEMENTS)
