@@ -33,7 +33,6 @@ from .counting import (
     star_count_recursive,
     cycle_count_bernoulli,
     zigzag_numbers,
-    _iter_codes,
 )
 from .errors import IsolatedVertexError, ResourceLimitError
 from .families import Family
@@ -93,13 +92,72 @@ def _rational(value: Fraction) -> str:
 # Subcommands
 
 
+# Closed forms by (family kind, base) and recursions by family kind, the
+# count routes that exist only for plain path/star/cycle specs.
+_FORMULAS: dict[tuple[str, int | None], Callable[[int], int]] = {
+    ("path", None): path_count_bernoulli,
+    ("star", None): star_count,
+    ("cycle", None): cycle_count_bernoulli,
+    ("path", 1): lambda n: zigzag_numbers(n).secant[n - 1],
+    ("star", 1): lambda n: math.factorial(2 * n) // 2**n,
+}
+_RECURSIONS: dict[str, Callable[[int], int]] = {
+    "path": path_count_recursive,
+    "star": star_count_recursive,
+    "cycle": lambda n: n * path_count_recursive(n),
+}
+
+_ROUTE_SCOPE = {
+    "formula": "family:path/star/cycle graphs, with --base only to path or star --base 1",
+    "recursion": "family:path/star/cycle graphs without --base",
+}
+
+
+def _count_routes(
+    g: Graph,
+    family: tuple[str, int] | None,
+    base: int | None,
+    args: argparse.Namespace,
+) -> dict[str, Callable[[], int]]:
+    """The count routes to run for ``--route``: every applicable one for
+    "all", else the named one.
+
+    dp always applies, the oracle up to ``--limit-elements`` elements, the
+    formula and recursion only to a family spec with a base they cover.  A
+    named route that does not apply is a usage error, except the oracle
+    past its limit, which fails as a resource limit when it runs.
+    """
+    if base is not None and not 1 <= base <= g.p:
+        raise ValueError(f"base vertex {base} outside 1..{g.p}")
+    kind, n = family or ("", 0)
+    formula = _FORMULAS.get((kind, base))
+    recursion = _RECURSIONS.get(kind) if base is None else None
+    table: dict[str, tuple[bool, Callable[[], int]]] = {
+        "dp": (
+            True,
+            lambda: count_dp(g, max_states=args.limit_states)
+            if base is None
+            else count_based(g, base, max_states=args.limit_states),
+        ),
+        "oracle": (
+            g.element_count <= args.limit_elements,
+            lambda: count_bruteforce(g, base=base, element_limit=args.limit_elements),
+        ),
+        "formula": (formula is not None, lambda: formula(n)),
+        "recursion": (recursion is not None, lambda: recursion(n)),
+    }
+    if args.route == "all":
+        return {name: compute for name, (applies, compute) in table.items() if applies}
+    applies, compute = table[args.route]
+    if not applies and args.route != "oracle":
+        raise UsageError(f"route {args.route!r} applies only to {_ROUTE_SCOPE[args.route]}")
+    return {args.route: compute}
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    family = _family_kind(args.graph)
-    routes = _resolve_count_routes(args.route, family, g, args)
-    values: dict[str, int] = {}
-    for name, compute in routes.items():
-        values[name] = compute()
+    routes = _count_routes(g, _family_kind(args.graph), args.base, args)
+    values = {name: compute() for name, compute in routes.items()}
     agree = len(set(values.values())) == 1
     payload = {
         "graph": args.graph,
@@ -112,84 +170,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         return 1
     _emit(payload, args.format, str(next(iter(values.values()))))
     return 0
-
-
-def _resolve_count_routes(
-    route: str,
-    family: tuple[str, int] | None,
-    g: Graph,
-    args: argparse.Namespace,
-) -> dict[str, Callable[[], int]]:
-    base = args.base
-    routes: dict[str, Callable[[], int]] = {}
-
-    def dp() -> int:
-        if base is not None:
-            return count_based(g, base, max_states=args.limit_states)
-        return count_dp(g, max_states=args.limit_states)
-
-    def oracle() -> int:
-        if base is not None:
-            return sum(
-                1
-                for codes in _iter_codes(g, element_limit=args.limit_elements)
-                if codes[0] == base - 1
-            )
-        return count_bruteforce(g, element_limit=args.limit_elements)
-
-    def formula() -> int:
-        if family is None:
-            raise UsageError("--route formula needs a family:path/star/cycle graph")
-        kind, n = family
-        if base is not None:
-            return _based_formula(kind, n, base)
-        if kind == "path":
-            return path_count_bernoulli(n)
-        if kind == "star":
-            return star_count(n)
-        return cycle_count_bernoulli(n)
-
-    def recursion() -> int:
-        if family is None:
-            raise UsageError("--route recursion needs a family:path/star/cycle graph")
-        kind, n = family
-        if base is not None:
-            raise UsageError("--route recursion does not support --base")
-        if kind == "path":
-            return path_count_recursive(n)
-        if kind == "star":
-            return star_count_recursive(n)
-        return n * path_count_recursive(n)
-
-    formula_feasible = family is not None and (
-        base is None or (base == 1 and family[0] in ("path", "star"))
-    )
-    if route in ("dp", "all"):
-        routes["dp"] = dp
-    if route == "oracle" or (
-        route == "all" and g.element_count <= args.limit_elements
-    ):
-        routes["oracle"] = oracle
-    if route == "formula" or (route == "all" and formula_feasible):
-        routes["formula"] = formula
-    if route == "recursion" or (
-        route == "all" and family is not None and base is None
-    ):
-        routes["recursion"] = recursion
-    if not routes:
-        raise UsageError(f"no applicable route for {route!r}")
-    return routes
-
-
-def _based_formula(kind: str, n: int, base: int) -> int:
-    if kind == "path" and base == 1:
-        return zigzag_numbers(max(n, 1)).secant[n - 1]
-    if kind == "star" and base == 1:
-        return math.factorial(2 * n) // 2**n
-    raise UsageError(
-        "--route formula with --base supports family:path --base 1 (endpoint) "
-        "and family:star --base 1 (hub) only"
-    )
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -280,65 +260,22 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
 _TABLE_KINDS = ("path", "star", "cycle", "based-path", "based-star")
 
 
-def _table_routes(kind: str, n: int, limit_elements: int) -> dict[str, Callable[[], int]]:
-    if kind == "path":
-        g = build_family(f"path:{n}")
-        routes: dict[str, Callable[[], int]] = {
-            "dp": lambda: count_dp(g),
-            "formula": lambda: path_count_bernoulli(n),
-            "recursion": lambda: path_count_recursive(n),
-        }
-    elif kind == "star":
-        g = build_family(f"star:{n}")
-        routes = {
-            "dp": lambda: count_dp(g),
-            "formula": lambda: star_count(n),
-            "recursion": lambda: star_count_recursive(n),
-        }
-    elif kind == "cycle":
-        g = build_family(f"cycle:{n}")
-        routes = {
-            "dp": lambda: count_dp(g),
-            "formula": lambda: cycle_count_bernoulli(n),
-            "recursion": lambda: n * path_count_recursive(n),
-        }
-    elif kind == "based-path":
-        g = build_family(f"path:{n}")
-        routes = {
-            "dp": lambda: count_based(g, 1),
-            "formula": lambda: zigzag_numbers(max(n, 1)).secant[n - 1],
-        }
-    else:  # based-star
-        g = build_family(f"star:{n}")
-        routes = {
-            "dp": lambda: count_based(g, 1),
-            "formula": lambda: math.factorial(2 * n) // 2**n,
-        }
-    if g.element_count <= limit_elements:
-        if kind.startswith("based"):
-            routes["oracle"] = lambda: sum(
-                1 for codes in _iter_codes(g, element_limit=limit_elements) if codes[0] == 0
-            )
-        else:
-            routes["oracle"] = lambda: count_bruteforce(g, element_limit=limit_elements)
-    return routes
-
-
 def _cmd_family_table(args: argparse.Namespace) -> int:
     if args.kind not in _TABLE_KINDS:
         raise UsageError(f"kind must be one of {_TABLE_KINDS}, got {args.kind!r}")
+    kind = args.kind.split("-")[-1]
+    base = 1 if args.kind.startswith("based") else None
     rows = []
     for n in range(1, args.max + 1):
-        routes = _table_routes(args.kind, n, args.limit_elements)
-        if args.route != "all":
-            if args.route not in routes:
-                raise UsageError(f"route {args.route!r} not available for {args.kind}")
-            routes = {args.route: routes[args.route]}
+        g = build_family(f"{kind}:{n}")
+        routes = _count_routes(g, (kind, n), base, args)
         values = {name: compute() for name, compute in routes.items()}
+        # The oracle column, the only one that depends on size, comes last.
+        names = sorted(values, key="oracle".__eq__)
         rows.append(
             {
                 "n": n,
-                "counts": {name: str(v) for name, v in values.items()},
+                "counts": {name: str(values[name]) for name in names},
                 "agree": len(set(values.values())) == 1,
             }
         )
@@ -440,22 +377,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, fmt_default: str = "json") -> None:
-        p.add_argument("--format", choices=("json", "csv", "plain"), default=fmt_default)
-        p.add_argument("--limit-elements", type=int, default=DEFAULT_ELEMENT_LIMIT)
-        p.add_argument("--limit-states", type=int, default=DEFAULT_STATE_LIMIT)
-        p.add_argument("--seed", type=int, default=0)
+    shared = {
+        "--limit-elements": DEFAULT_ELEMENT_LIMIT,
+        "--limit-states": DEFAULT_STATE_LIMIT,
+        "--seed": 0,
+    }
+
+    def common(
+        p: argparse.ArgumentParser,
+        *flags: str,
+        fmt_default: str = "json",
+        formats: tuple[str, ...] = ("json", "plain"),
+    ) -> None:
+        """--format, plus those of the shared integer flags the command reads."""
+        p.add_argument("--format", choices=formats, default=fmt_default)
+        for flag in flags:
+            p.add_argument(flag, type=int, default=shared[flag])
 
     p_count = sub.add_parser("count", help="count construction sequences")
     p_count.add_argument("graph")
     p_count.add_argument("--route", choices=("dp", "oracle", "formula", "recursion", "all"), default="dp")
     p_count.add_argument("--base", type=int, default=None, help="count sequences starting at this vertex")
-    common(p_count, fmt_default="plain")
+    common(p_count, "--limit-elements", "--limit-states", fmt_default="plain")
     p_count.set_defaults(func=_cmd_count)
 
     p_enum = sub.add_parser("enumerate", help="list every construction sequence")
     p_enum.add_argument("graph")
-    common(p_enum, fmt_default="plain")
+    common(p_enum, "--limit-elements", fmt_default="plain")
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_val = sub.add_parser("validate", help="check a candidate sequence")
@@ -474,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="exact minimum cost and optimal count")
     p_opt.add_argument("graph")
     p_opt.add_argument("--witnesses", type=int, default=0, help="emit up to N minimum-cost sequences")
-    common(p_opt)
+    common(p_opt, "--limit-states")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_greedy = sub.add_parser("greedy", help="run the greedy builder")
@@ -482,14 +430,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_greedy.add_argument("--order", default=None, help="vertex order, e.g. 2,1,3")
     p_greedy.add_argument("--tie-break", choices=("lexicographic", "cycle-avoiding", "seeded-random"), default="lexicographic")
     p_greedy.add_argument("--hub-zero", action="store_true")
-    common(p_greedy)
+    common(p_greedy, "--seed")
     p_greedy.set_defaults(func=_cmd_greedy)
 
     p_table = sub.add_parser("family-table", help="counts per family size across routes")
     p_table.add_argument("kind", help="path | star | cycle | based-path | based-star")
     p_table.add_argument("--max", type=int, required=True)
     p_table.add_argument("--route", choices=("dp", "oracle", "formula", "recursion", "all"), default="all")
-    common(p_table, fmt_default="plain")
+    common(
+        p_table,
+        "--limit-elements",
+        "--limit-states",
+        fmt_default="plain",
+        formats=("json", "csv", "plain"),
+    )
     p_table.set_defaults(func=_cmd_family_table)
 
     p_xi = sub.add_parser("xi", help="constructability over a family")
@@ -500,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj = sub.add_parser("check-conjecture", help="do greedy runs reach every minimum-cost sequence?")
     p_conj.add_argument("graph")
     p_conj.add_argument("--tie-break", choices=("exhaustive", "lexicographic", "cycle-avoiding", "seeded-random"), default="exhaustive")
-    common(p_conj)
+    common(p_conj, "--limit-elements", "--seed")
     p_conj.set_defaults(func=_cmd_check_conjecture)
 
     return parser

@@ -18,11 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import Element, Graph
-from .sequences import CSeq
+from .graphs import Graph
+from .sequences import CSeq, _trusted_cseq
 
 __all__ = [
     "count_bruteforce",
@@ -62,30 +62,36 @@ def _endpoint_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _code_to_element(g: Graph, code: int) -> Element:
-    return Element.vertex(code + 1) if code < g.p else Element.edge(code - g.p + 1)
-
-
-def _codes_to_cseq(g: Graph, codes: Iterable[int]) -> CSeq:
-    return CSeq(g, tuple(_code_to_element(g, c) for c in codes))
+def _codes_to_cseqs(g: Graph, sequences: Iterable[Sequence[int]]) -> Iterator[CSeq]:
+    """Sequences of element codes as CSeqs, without re-validation: every
+    caller passes code sequences its kernel built valid."""
+    elements = g.elements()
+    for codes in sequences:
+        yield _trusted_cseq(g, tuple(map(elements.__getitem__, codes)))
 
 
 # ---------------------------------------------------------------------------
 # Oracle and dynamic program
 
 
-def count_bruteforce(g: Graph, *, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> int:
+def count_bruteforce(
+    g: Graph, *, base: int | None = None, element_limit: int = DEFAULT_ELEMENT_LIMIT
+) -> int:
     """Ground-truth oracle: run through all (p+q)! orderings of the elements
-    and count the ones where every edge follows both endpoints."""
+    and count the ones where every edge follows both endpoints.  With
+    ``base``, only the orderings that start with that vertex."""
+    if base is not None and not 1 <= base <= g.p:
+        raise ValueError(f"base vertex {base} outside 1..{g.p}")
     total_elements = g.element_count
     if total_elements > element_limit:
         raise ResourceLimitError(
             f"{total_elements} elements exceed the brute-force limit {element_limit}"
         )
     need = _endpoint_masks(g)
+    start = 0 if base is None else 1 << (base - 1)
     count = 0
-    for perm in itertools.permutations(range(total_elements)):
-        seen = 0
+    for perm in itertools.permutations(c for c in range(total_elements) if not start >> c & 1):
+        seen = start
         for code in perm:
             if need[code] & ~seen:
                 break
@@ -198,35 +204,55 @@ def count_based(
 # Enumeration
 
 
-def _iter_codes(g: Graph, *, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> Iterator[tuple[int, ...]]:
-    """All valid sequences as element-code tuples, in lexicographic order."""
-    total_elements = g.element_count
-    if total_elements > element_limit:
-        raise ResourceLimitError(
-            f"{total_elements} elements exceed the enumeration limit {element_limit}"
-        )
+def _iter_codes(
+    g: Graph, element_limit: int, *, edge_eager: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """All valid sequences as element-code tuples, in lexicographic order.
+
+    With ``edge_eager``, only those that place an edge whenever one is
+    available: the outputs of greedy under every vertex order and tie-break.
+    The depth-first walk keeps its own stack, one iterator of candidate
+    codes per placed element, so any element count works.
+    """
+    n = g.element_count
+    if n > element_limit:
+        raise ResourceLimitError(f"{n} elements exceed the enumeration limit {element_limit}")
+    if n < 2:
+        yield tuple(range(n))
+        return
+    p = g.p
     need = _endpoint_masks(g)
+    # Code c may come next iff it is unplaced and its endpoints are placed,
+    # that is iff (need[c] | bit c) & placed == need[c].
+    want = [mask | 1 << c for c, mask in enumerate(need)]
+    full = (1 << n) - 1
     prefix: list[int] = []
-
-    def extend(seen: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == total_elements:
-            yield tuple(prefix)
-            return
-        for code in range(total_elements):
-            if not seen & (1 << code) and not need[code] & ~seen:
-                prefix.append(code)
-                yield from extend(seen | (1 << code))
-                prefix.pop()
-
-    yield from extend(0)
+    placed = 0
+    stack = [iter(range(p))]  # every sequence starts with a vertex
+    while stack:
+        code = next(stack[-1], None)
+        if code is None:
+            stack.pop()
+            if prefix:
+                placed ^= 1 << prefix.pop()
+        elif len(prefix) == n - 2:
+            # The one element left is placeable after all the others.
+            last = (full ^ placed ^ 1 << code).bit_length() - 1
+            yield (*prefix, code, last)
+        else:
+            prefix.append(code)
+            placed |= 1 << code
+            free = [c for c in range(n) if want[c] & placed == need[c]]
+            if edge_eager and free[-1] >= p:
+                free = [c for c in free if c >= p]
+            stack.append(iter(free))
 
 
 def enumerate_csequences(
     g: Graph, *, element_limit: int = DEFAULT_ELEMENT_LIMIT
 ) -> Iterator[CSeq]:
     """Stream every construction sequence in lexicographic element order."""
-    for codes in _iter_codes(g, element_limit=element_limit):
-        yield _codes_to_cseq(g, codes)
+    return _codes_to_cseqs(g, _iter_codes(g, element_limit))
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import Element, Graph, _UnionFind, build_family
-from .sequences import CSeq
+from .sequences import CSeq, _trusted_cseq
 from .counting import (
     DEFAULT_ELEMENT_LIMIT,
     DEFAULT_STATE_LIMIT,
-    _codes_to_cseq,
+    _codes_to_cseqs,
     _endpoint_masks,
+    _iter_codes,
     _subset_edge_counts,
     count_dp,
 )
@@ -132,7 +134,7 @@ def greedy(
             v = next(next_vertex)
             placed_vertices.add(v)
             sequence.append(Element.vertex(v))
-    return CSeq(g, tuple(sequence))
+    return _trusted_cseq(g, tuple(sequence))
 
 
 def _pick_edge(
@@ -182,35 +184,7 @@ def exhaustive_greedy_set(
     swap with that edge for a saving of 2 + deg(v) (see :func:`min_cost`).
     The whole set is materialized, so keep the element limit modest.
     """
-    total_elements = g.element_count
-    if total_elements > element_limit:
-        raise ResourceLimitError(
-            f"{total_elements} elements exceed the enumeration limit {element_limit}"
-        )
-    need = _endpoint_masks(g)
-    p = g.p
-    out: set[CSeq] = set()
-    prefix: list[int] = []
-
-    def extend(seen: int) -> None:
-        if len(prefix) == total_elements:
-            out.add(_codes_to_cseq(g, prefix))
-            return
-        available = [
-            code
-            for code in range(p, total_elements)
-            if not seen & (1 << code) and not need[code] & ~seen
-        ]
-        candidates = available if available else [
-            code for code in range(p) if not seen & (1 << code)
-        ]
-        for code in candidates:
-            prefix.append(code)
-            extend(seen | (1 << code))
-            prefix.pop()
-
-    extend(0)
-    return out
+    return set(_codes_to_cseqs(g, _iter_codes(g, element_limit, edge_eager=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +283,7 @@ def _min_cost_witnesses(g: Graph, e: list[int], best: list[int], cap: int) -> tu
             found.append(step[1])
         else:
             stack.append(steps(*step))
-    return tuple(_codes_to_cseq(g, codes) for codes in found)
+    return tuple(_codes_to_cseqs(g, found))
 
 
 def enumerate_min_cost(
@@ -320,35 +294,17 @@ def enumerate_min_cost(
     Independent of the dynamic program: walks every valid sequence and keeps
     the cost minimizers, in lexicographic order.
     """
-    total_elements = g.element_count
-    if total_elements > element_limit:
-        raise ResourceLimitError(
-            f"{total_elements} elements exceed the enumeration limit {element_limit}"
-        )
-    need = _endpoint_masks(g)
     weights = _weights(g)
+    positions = range(1, g.element_count + 1)
     best_cost: int | None = None
     winners: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def extend(seen: int, cost: int) -> None:
-        nonlocal best_cost
-        if len(prefix) == total_elements:
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                winners.clear()
-            if cost == best_cost:
-                winners.append(tuple(prefix))
-            return
-        position = len(prefix) + 1
-        for code in range(total_elements):
-            if not seen & (1 << code) and not need[code] & ~seen:
-                prefix.append(code)
-                extend(seen | (1 << code), cost + weights[code] * position)
-                prefix.pop()
-
-    extend(0, 0)
-    return [_codes_to_cseq(g, codes) for codes in winners]
+    for codes in _iter_codes(g, element_limit):
+        cost = sum(map(operator.mul, map(weights.__getitem__, codes), positions))
+        if best_cost is None or cost < best_cost:
+            best_cost, winners = cost, []
+        if cost == best_cost:
+            winners.append(codes)
+    return list(_codes_to_cseqs(g, winners))
 
 
 # ---------------------------------------------------------------------------

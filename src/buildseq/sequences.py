@@ -138,6 +138,16 @@ class CSeq:
         return {el: i for i, el in enumerate(self.elements, start=1)}
 
 
+def _trusted_cseq(graph: Graph, elements: tuple[Element, ...]) -> CSeq:
+    """A CSeq built without :func:`validate`, for element tuples that a
+    kernel constructed valid.  Everything read from outside the package goes
+    through the validating ``CSeq(...)`` instead."""
+    x = object.__new__(CSeq)
+    object.__setattr__(x, "graph", graph)
+    object.__setattr__(x, "elements", elements)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Component profile
 

@@ -50,6 +50,13 @@ class TestCount:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("route", ["dp", "oracle", "formula", "recursion", "all"])
+    @pytest.mark.parametrize("base", ["9", "0", "-1"])
+    def test_out_of_range_base_is_a_domain_error_on_every_route(self, capsys, route, base):
+        code, out, err = run(capsys, "count", "family:path:3", "--route", route, "--base", base)
+        assert (code, out) == (1, "")
+        assert f"base vertex {base} outside 1..3" in err
+
 
 class TestEnumerate:
     def test_plain_lines(self, capsys):
@@ -189,6 +196,23 @@ class TestFamilyTable:
         assert code == 2
         assert "usage error" in err
 
+    def test_state_limit_reaches_the_dp_route(self, capsys):
+        code, out, err = run(capsys, "family-table", "path", "--max", "6", "--limit-states", "4")
+        assert (code, out) == (3, "")
+        assert "resource limit" in err
+
+    def test_oracle_past_the_element_limit_is_a_resource_limit(self, capsys):
+        code, out, err = run(
+            capsys, "family-table", "path", "--max", "3", "--route", "oracle", "--limit-elements", "3"
+        )
+        assert (code, out) == (3, "")
+        assert "resource limit" in err
+
+    def test_named_route_that_does_not_apply_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "family-table", "based-star", "--max", "2", "--route", "recursion")
+        assert code == 2
+        assert "usage error" in err
+
 
 class TestXi:
     def test_trees_five(self, capsys):
@@ -256,6 +280,25 @@ class TestDeterminism:
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "family:path:3", "--format", "csv"),
+            ("count", "family:path:3", "--seed", "1"),
+            ("enumerate", "family:path:2", "--limit-states", "9"),
+            ("validate", "family:path:2", "v1 v2 e1", "--limit-elements", "3"),
+            ("cost", "family:path:2", "v1 v2 e1", "--seed", "1"),
+            ("optimize", "family:path:3", "--limit-elements", "3"),
+            ("greedy", "family:path:3", "--limit-states", "9"),
+            ("xi", "trees:3", "--seed", "1"),
+            ("check-conjecture", "family:path:3", "--limit-states", "9"),
+        ],
+    )
+    def test_flags_a_subcommand_would_ignore_are_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "error:" in err
 
     def test_no_subcommand(self, capsys):
         assert run(capsys)[0] == 2

@@ -1,9 +1,11 @@
-"""The vertex-subset kernel behind count_dp, count_based and min_cost.
+"""The vertex-subset kernel behind count_dp, count_based and min_cost, and
+the sequence enumerator.
 
 Property tests run on multigraphs with loops, parallel edges, isolated
 vertices and p = 0, which the seeded simple-graph corpus never produces, and
 compare the kernel with the routes that do not use it: the permutation
-oracle, the poset engine and full min-cost enumeration.
+oracle, the poset engine and full min-cost enumeration.  Sequences built by
+the kernels skip validation, so the tests validate them instead.
 """
 import sys
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import buildseq as b
 from buildseq.errors import ResourceLimitError
+from buildseq.optimize import POLICIES
 
 MAX_ELEMENTS = 9
 WITNESSES = 7
@@ -78,6 +81,49 @@ def test_counts_agree_with_oracle_and_poset_engine(g):
     assert count == b.count_bruteforce(g, element_limit=MAX_ELEMENTS)
     assert count == b.count_linear_extensions(b.incidence_poset(g))
     assert [b.count_based(g, v) for v in range(1, g.p + 1)] == based_counts_by_walk(g)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(multigraphs())
+def test_based_oracle_counts_the_orderings_that_start_at_the_base(g):
+    based = [b.count_bruteforce(g, base=v, element_limit=MAX_ELEMENTS) for v in range(1, g.p + 1)]
+    assert based == based_counts_by_walk(g)
+    for bad in (0, g.p + 1):
+        with pytest.raises(ValueError):
+            b.count_bruteforce(g, base=bad)
+
+
+# 15 examples: validating every enumerated sequence costs about 40 us each.
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(multigraphs())
+def test_kernel_built_sequences_are_valid(g):
+    def check(sequences):
+        for x in sequences:
+            assert b.validate(g, x.elements) == []
+
+    everything = list(b.enumerate_csequences(g, element_limit=MAX_ELEMENTS))
+    check(everything)
+    keys = [tuple(el.sort_key() for el in x) for x in everything]
+    assert keys == sorted(set(keys))  # distinct, in lexicographic order
+    assert len(everything) == b.count_dp(g)
+    check(b.exhaustive_greedy_set(g, element_limit=MAX_ELEMENTS))
+    check(b.enumerate_min_cost(g, element_limit=MAX_ELEMENTS))
+    check(b.min_cost(g, max_witnesses=WITNESSES).witnesses)
+    for policy in POLICIES:
+        for order in (None, range(g.p, 0, -1)):
+            check([b.greedy(g, order, b.TieBreak(policy, seed=3))])
+
+
+def test_enumeration_needs_no_deep_recursion():
+    g = b.build_family("path:600")  # 1,199 elements
+    saved = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        first = next(b.enumerate_csequences(g, element_limit=2000))
+        assert first == b.vertices_first_sequence(g)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
