@@ -174,12 +174,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    sequences = [
+    sequences = (
         format_sequence(x.elements)
         for x in enumerate_csequences(g, element_limit=args.limit_elements)
-    ]
-    payload = {"graph": args.graph, "count": str(len(sequences)), "sequences": sequences}
-    _emit(payload, args.format, "\n".join(sequences))
+    )
+    if args.format == "plain":  # streamed; JSON needs the count first
+        sys.stdout.writelines(f"{line}\n" for line in sequences)
+        return 0
+    sequences = list(sequences)
+    print(json.dumps({"graph": args.graph, "count": str(len(sequences)), "sequences": sequences}))
     return 0
 
 

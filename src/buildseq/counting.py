@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ResourceLimitError
+from .errors import DEFAULT_STATE_LIMIT, ResourceLimitError
 from .graphs import Graph
 from .sequences import CSeq, _trusted_cseq
 
@@ -47,7 +47,6 @@ __all__ = [
 
 DEFAULT_ELEMENT_LIMIT = 11
 DEFAULT_VERTEX_LIMIT = 24
-DEFAULT_STATE_LIMIT = 1 << 26
 
 
 def _endpoint_masks(g: Graph) -> list[int]:

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the state budget they enforce."""
+
+DEFAULT_STATE_LIMIT = 1 << 26
 
 
 class ResourceLimitError(RuntimeError):

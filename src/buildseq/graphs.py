@@ -30,8 +30,8 @@ __all__ = [
     "MAX_FAMILY_SIZE",
 ]
 
-#: Guard against absurd family parameters; compute limits are enforced per
-#: operation, this only stops accidental gigantic allocations.
+#: Most elements (vertices plus edges) one family spec may build, summed
+#: over its base parts and checked before each part is built.
 MAX_FAMILY_SIZE = 1_000_000
 
 
@@ -243,6 +243,15 @@ def _complete(n: int) -> Graph:
     return Graph(n, tuple(itertools.combinations(range(1, n + 1), 2)))
 
 
+# Builder and element count (vertices plus edges) of each base family.
+_BASE_FAMILIES = {
+    "path": (_path, lambda n: 2 * n - 1),
+    "star": (_star, lambda n: 2 * n + 1),
+    "cycle": (_cycle, lambda n: 2 * n),
+    "complete": (_complete, lambda n: n + n * (n - 1) // 2),
+}
+
+
 def build_family(spec: str) -> Graph:
     """Build a graph from a textual constructor.
 
@@ -259,71 +268,60 @@ def build_family(spec: str) -> Graph:
     lexicographic endpoint order.  ``cycle:1`` and ``cycle:2`` come out as
     multigraphs (a loop, resp. a doubled edge).
     """
-    graph, rest = _parse_spec(spec.strip())
-    if rest:
-        raise ValueError(f"trailing text {rest!r} after family spec")
-    return graph
-
-
-def _parse_spec(text: str) -> tuple[Graph, str]:
-    text = text.lstrip()
-    for combiner in ("union", "wedge"):
-        if text.startswith(combiner + "("):
-            return _parse_combiner(combiner, text[len(combiner) + 1 :])
-    if ":" not in text:
-        raise ValueError(f"malformed family spec {text!r}")
-    name, _, arg = text.partition(":")
-    name = name.strip()
-    if name not in ("path", "star", "cycle", "complete"):
-        raise ValueError(f"unknown family {name!r}")
-    digits = ""
-    for ch in arg:
-        if ch.isdigit():
-            digits += ch
-        else:
-            break
-    rest = arg[len(digits) :]
-    if not digits:
-        raise ValueError(f"family spec {text!r} is missing its size")
-    n = int(digits)
-    if n < 1:
-        raise ValueError(f"family size must be >= 1, got {n}")
-    if n > MAX_FAMILY_SIZE:
-        raise ValueError(f"family size {n} exceeds the guard {MAX_FAMILY_SIZE}")
-    builder = {"path": _path, "star": _star, "cycle": _cycle, "complete": _complete}[name]
-    return builder(n), rest
-
-
-def _parse_combiner(kind: str, text: str) -> tuple[Graph, str]:
-    parts: list[tuple[Graph, int]] = []
+    calls: list[tuple[str, list[tuple[Graph, int]]]] = []
+    elements = 0
+    rest = spec.strip()
     while True:
-        graph, rest = _parse_spec(text)
         rest = rest.lstrip()
-        base = 1
-        if kind == "wedge":
-            if not rest.startswith("@"):
-                raise ValueError("wedge parts need a base point, e.g. wedge(path:2@1, ...)")
-            digits = ""
-            for ch in rest[1:]:
-                if ch.isdigit():
-                    digits += ch
-                else:
-                    break
-            if not digits:
-                raise ValueError(f"bad base point in {rest!r}")
-            base = int(digits)
-            rest = rest[1 + len(digits) :].lstrip()
-        parts.append((graph, base))
-        if rest.startswith(","):
-            text = rest[1:]
+        kind = next((k for k in ("union", "wedge") if rest.startswith(k + "(")), None)
+        if kind is not None:
+            calls.append((kind, []))
+            rest = rest[len(kind) + 1 :]
             continue
-        if rest.startswith(")"):
+        if ":" not in rest:
+            raise ValueError(f"malformed family spec {rest!r}")
+        name, _, arg = rest.partition(":")
+        name = name.strip()
+        if name not in _BASE_FAMILIES:
+            raise ValueError(f"unknown family {name!r}")
+        n, rest = _take_number(arg, "family spec {!r} is missing its size", rest)
+        if n < 1:
+            raise ValueError(f"family size must be >= 1, got {n}")
+        build, size = _BASE_FAMILIES[name]
+        elements += size(n)
+        if elements > MAX_FAMILY_SIZE:
+            raise ValueError(f"family spec needs {elements} elements, over the guard {MAX_FAMILY_SIZE}")
+        graph = build(n)
+        # Hand the part to the innermost open call; each ')' closes one.
+        while calls:
+            kind, parts = calls[-1]
+            rest = rest.lstrip()
+            base = 1
+            if kind == "wedge":
+                if not rest.startswith("@"):
+                    raise ValueError("wedge parts need a base point, e.g. wedge(path:2@1, ...)")
+                base, rest = _take_number(rest[1:], "bad base point in {!r}", rest)
+                rest = rest.lstrip()
+            parts.append((graph, base))
+            if rest.startswith(","):
+                rest = rest[1:]
+                break
+            if not rest.startswith(")"):
+                raise ValueError(f"expected ',' or ')' in family spec near {rest!r}")
             rest = rest[1:]
-            break
-        raise ValueError(f"expected ',' or ')' in family spec near {rest!r}")
-    if kind == "union":
-        return disjoint_union([g for g, _ in parts]), rest
-    return wedge(parts), rest
+            calls.pop()
+            graph = disjoint_union([g for g, _ in parts]) if kind == "union" else wedge(parts)
+        if not calls:
+            if rest:
+                raise ValueError(f"trailing text {rest!r} after family spec")
+            return graph
+
+
+def _take_number(text: str, error: str, context: str) -> tuple[int, str]:
+    digits = "".join(itertools.takewhile(str.isdigit, text))
+    if not digits:  # the message is formatted only here: context may be long
+        raise ValueError(error.format(context))
+    return int(digits), text[len(digits) :]
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,20 @@
 """Finite posets given by cover relations, with exact linear-extension counting.
 
 A linear extension is a total order on the elements in which every element
-is preceded by everything below it in the partial order.  Counting walks the
-lattice of downsets: the number of extensions of a downset A equals the sum
-over maximal elements x of A of the count for A minus x.  The memo table is
-keyed by the downset bitmask and lives only for the duration of one call.
+is preceded by everything below it in the partial order.  Counting sweeps
+the downsets forward by size, keeping two levels: each maps a downset to
+the number of ways to build it and to its addable elements (the minimal
+elements of its complement).  ``max_states`` bounds the downsets stored.
 
 Elements are 0..n-1.  The convention throughout is that smaller poset
 elements appear *earlier* in an extension; no reversed reading is supported.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .errors import ResourceLimitError
+from .errors import DEFAULT_STATE_LIMIT, ResourceLimitError
 
 __all__ = [
     "Poset",
@@ -27,8 +26,6 @@ __all__ = [
     "format_poset",
     "DEFAULT_STATE_LIMIT",
 ]
-
-DEFAULT_STATE_LIMIT = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -102,43 +99,43 @@ class Poset:
 
 
 def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIMIT) -> int:
-    """Exact number of linear extensions of ``poset``.
+    """Exact number of linear extensions of ``poset``, by the level sweep.
 
-    Memoized recursion over downsets; raises :class:`ResourceLimitError` when
-    the memo would exceed ``max_states`` distinct entries.
+    Adding x to a downset D keeps D's other addable elements and adds each
+    upper cover of x whose lower covers all lie in D+x.  Raises
+    :class:`ResourceLimitError` at the first downset past ``max_states``.
     """
     n = poset.n
-    if n == 0:
-        return 1
-    up = [0] * n
+    above = poset.upper_adjacency()
+    below = [0] * n
     for lo, hi in poset.covers:
-        up[lo] |= 1 << hi
-    memo: dict[int, int] = {0: 1}
-    limit_hint = max(1000, 4 * n)
-    if sys.getrecursionlimit() < n + limit_hint:
-        sys.setrecursionlimit(n + limit_hint)
-
-    def count(region: int) -> int:
-        cached = memo.get(region)
-        if cached is not None:
-            return cached
-        total = 0
-        rest = region
-        while rest:
-            bit = rest & -rest
-            x = bit.bit_length() - 1
-            if not up[x] & region:  # x is maximal within the downset
-                total += count(region ^ bit)
-            rest ^= bit
-        if len(memo) >= max_states:
-            raise ResourceLimitError(
-                f"linear-extension memo exceeded {max_states} states; "
-                "raise max_states to continue"
-            )
-        memo[region] = total
-        return total
-
-    return count((1 << n) - 1)
+        below[hi] |= 1 << lo
+    level = {0: [1, sum(1 << x for x in range(n) if not below[x])]}
+    stored = 1
+    for _ in range(n):
+        grown_level: dict[int, list[int]] = {}
+        for down, (count, mask) in level.items():
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                grown = down | bit
+                if grown in grown_level:
+                    grown_level[grown][0] += count
+                    continue
+                stored += 1
+                if stored > max_states:
+                    raise ResourceLimitError(
+                        f"linear-extension sweep exceeded {max_states} downsets; "
+                        "raise max_states to continue"
+                    )
+                grown_mask = mask ^ bit
+                for y in above[bit.bit_length() - 1]:
+                    if not below[y] & ~grown:
+                        grown_mask |= 1 << y
+                grown_level[grown] = [count, grown_mask]
+        level = grown_level
+    return level[(1 << n) - 1][0]
 
 
 def poset_from_hypergraph(p: int, hyperedges: Sequence[Iterable[int]]) -> Poset:

@@ -45,6 +45,15 @@ class TestCount:
         assert code == 0
         assert out == f"{b.count_dp(b.build_family('cycle:4'))}\n"
 
+    def test_deeply_nested_spec(self, capsys):
+        spec = "family:" + "union(" * 2000 + "path:1" + ")" * 2000
+        assert run(capsys, "count", spec) == (0, "1\n", "")
+
+    def test_oversized_spec_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "count", "family:complete:2000")
+        assert (code, out) == (1, "")
+        assert "family spec needs 2001000 elements" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "count", "nowhere.txt")
         assert code == 1
@@ -68,6 +77,21 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "family:path:7")
         assert code == 3
         assert "resource limit" in err
+
+    def test_plain_output_streams_each_sequence(self, capsys, monkeypatch):
+        def one_then_fail(g, *, element_limit):
+            yield b.vertices_first_sequence(g)
+            raise b.ResourceLimitError("stopped after one sequence")
+
+        monkeypatch.setattr("buildseq.cli.enumerate_csequences", one_then_fail)
+        code, out, err = run(capsys, "enumerate", "family:path:2")
+        assert (code, out) == (3, "v1 v2 e1\n")
+        assert "stopped after one sequence" in err
+
+    def test_a_graph_without_elements_prints_one_empty_line(self, capsys, tmp_path):
+        target = tmp_path / "empty.txt"
+        target.write_text("0 0\n")
+        assert run(capsys, "enumerate", str(target)) == (0, "\n", "")
 
     def test_raised_limit_allows_it(self, capsys):
         code, out, _ = run(

@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 
 import buildseq as b
-from buildseq import Element, Graph
+from buildseq import Element, Graph, graphs
 
 
 class TestElement:
@@ -85,6 +87,34 @@ class TestFamilies:
         for spec in ("path:0", "path", "blob:3", "path:3)", "union()", "wedge(path:2)", "path:x"):
             with pytest.raises(ValueError):
                 b.build_family(spec)
+
+    def test_deep_nesting_needs_no_recursion(self):
+        saved = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(1000)
+            for kind in ("union", "wedge"):
+                close = ")" if kind == "union" else "@1)"
+                spec = f"{kind}(" * 3000 + "path:1" + close * 3000
+                assert b.build_family(spec) == b.build_family("path:1")
+        finally:
+            sys.setrecursionlimit(saved)
+
+    def test_element_budget_counts_every_part_before_building(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_FAMILY_SIZE", 10)
+        # path 2n-1, star 2n+1, cycle 2n, complete n + n(n-1)/2 elements
+        for spec in ("cycle:5", "complete:4", "union(path:5,path:1)", "union(star:4,path:1)"):
+            assert b.build_family(spec).element_count == 10
+        # The wedge has 10 elements, but its parts have 11 before the merge.
+        for spec in ("path:6", "star:5", "cycle:6", "complete:5", "union(path:5,path:2)",
+                     "wedge(cycle:5@1,path:1@1)"):
+            with pytest.raises(ValueError, match="over the guard 10"):
+                b.build_family(spec)
+
+    def test_specs_just_over_the_budget_are_rejected(self):
+        for spec in ("complete:1415", "path:500001", "union(path:400000,path:200001)"):
+            with pytest.raises(ValueError, match="over the guard 1000000"):
+                b.build_family(spec)
+        assert b.build_family("complete:600").element_count == 180_300
 
 
 class TestComposition:

@@ -1,8 +1,11 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import buildseq as b
 from buildseq import Poset
@@ -19,6 +22,31 @@ def count_extensions_by_permutation_filter(poset: Poset) -> int:
         if all(pos[lo] < pos[hi] for lo, hi in poset.covers):
             count += 1
     return count
+
+
+@st.composite
+def posets(draw, max_n: int = 8) -> Poset:
+    """Random posets: the covers of the transitive closure of a random
+    relation that only goes upward in a random element order."""
+    n = draw(st.integers(0, max_n))
+    order = draw(st.permutations(range(n)))
+    pairs = list(itertools.combinations(range(n), 2))
+    related = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    for mid, lo, hi in itertools.product(range(n), repeat=3):  # mid outermost: Warshall
+        if (lo, mid) in related and (mid, hi) in related:
+            related.add((lo, hi))
+    covers = [
+        (order[lo], order[hi])
+        for lo, hi in sorted(related)
+        if not any((lo, mid) in related and (mid, hi) in related for mid in range(n))
+    ]
+    return Poset(n, tuple(covers))
+
+
+def downsets_by_brute_force(poset: Poset) -> int:
+    return sum(
+        all(s >> hi & 1 <= s >> lo & 1 for lo, hi in poset.covers) for s in range(1 << poset.n)
+    )
 
 
 class TestPosetType:
@@ -121,6 +149,41 @@ class TestCounting:
         wide = Poset(24, ())
         with pytest.raises(ResourceLimitError):
             b.count_linear_extensions(wide, max_states=1000)
+
+    def test_state_cap_stops_the_sweep_within_a_level(self):
+        # The middle level of a 60-antichain has C(60, 30) > 10^17 downsets.
+        with pytest.raises(ResourceLimitError):
+            b.count_linear_extensions(Poset(60, ()), max_states=10_000)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(posets(), st.randoms(use_true_random=False))
+    def test_random_posets_match_the_oracle_under_relabelling(self, poset, rng):
+        count = b.count_linear_extensions(poset)
+        assert count == count_extensions_by_permutation_filter(poset)
+        perm = list(range(poset.n))
+        rng.shuffle(perm)
+        assert b.count_linear_extensions(b.relabel_poset(poset, perm)) == count
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(posets(max_n=10))
+    def test_state_cap_bounds_the_downsets(self, poset):
+        downsets = downsets_by_brute_force(poset)
+        for limit in range(max(1, downsets - 2), downsets + 2):
+            if downsets > limit:
+                with pytest.raises(ResourceLimitError):
+                    b.count_linear_extensions(poset, max_states=limit)
+            else:
+                b.count_linear_extensions(poset, max_states=limit)
+
+    def test_long_chain_needs_no_recursion(self):
+        chain = Poset(3000, tuple((i, i + 1) for i in range(2999)))
+        saved = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(1000)
+            assert b.count_linear_extensions(chain) == 1
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(saved)
 
 
 class TestHypergraphs:

@@ -4,8 +4,9 @@ the sequence enumerator.
 Property tests run on multigraphs with loops, parallel edges, isolated
 vertices and p = 0, which the seeded simple-graph corpus never produces, and
 compare the kernel with the routes that do not use it: the permutation
-oracle, the poset engine and full min-cost enumeration.  Sequences built by
-the kernels skip validation, so the tests validate them instead.
+oracle, the poset engine and full min-cost enumeration, and check that
+counts survive relabelling and obey the union and wedge laws.  Sequences
+built by the kernels skip validation, so the tests validate them instead.
 """
 import sys
 
@@ -143,3 +144,32 @@ def test_every_minimizer_places_each_edge_as_soon_as_available(g):
     # can swap with it for a saving of 2 + deg(v).
     minimizers = set(b.enumerate_min_cost(g, element_limit=MAX_ELEMENTS))
     assert minimizers <= b.exhaustive_greedy_set(g, element_limit=MAX_ELEMENTS)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(multigraphs(), st.randoms(use_true_random=False))
+def test_counts_survive_relabelling(g, rng):
+    sigma = list(range(1, g.p + 1))
+    rng.shuffle(sigma)
+    h = b.relabel(g, sigma)
+    assert b.count_dp(h) == b.count_dp(g)
+    for v in range(1, g.p + 1):
+        assert b.count_based(h, sigma[v - 1]) == b.count_based(g, v)
+
+
+nonempty = multigraphs().filter(lambda g: g.p > 0)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(nonempty, nonempty)
+def test_union_law(g, h):
+    parts = [(b.count_dp(part), part.element_count) for part in (g, h)]
+    assert b.count_dp(b.disjoint_union([g, h])) == b.union_count(parts)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(nonempty, nonempty, st.data())
+def test_wedge_law(g, h, data):
+    a, c = (data.draw(st.integers(1, part.p)) for part in (g, h))
+    parts = [(b.count_based(g, a), g.element_count), (b.count_based(h, c), h.element_count)]
+    assert b.count_based(b.wedge([(g, a), (h, c)]), 1) == b.wedge_count(parts)
