@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 from .counting import (
     DEFAULT_ELEMENT_LIMIT,
     DEFAULT_STATE_LIMIT,
+    complete_count,
     count_based,
     count_bruteforce,
     count_dp,
@@ -65,12 +66,12 @@ def load_graph(argument: str) -> Graph:
 
 
 def _family_kind(argument: str) -> tuple[str, int] | None:
-    """(kind, n) when the argument is a plain path/star/cycle family spec."""
+    """(kind, n) when the argument is a plain path/star/cycle/complete family spec."""
     if not argument.startswith(FAMILY_PREFIX):
         return None
     spec = argument[len(FAMILY_PREFIX) :].strip()
     name, _, arg = spec.partition(":")
-    if name in ("path", "star", "cycle") and arg.isdigit():
+    if name in ("path", "star", "cycle", "complete") and arg.isdigit():
         return name, int(arg)
     return None
 
@@ -93,11 +94,12 @@ def _rational(value: Fraction) -> str:
 
 
 # Closed forms by (family kind, base) and recursions by family kind, the
-# count routes that exist only for plain path/star/cycle specs.
+# count routes that exist only for plain family specs.
 _FORMULAS: dict[tuple[str, int | None], Callable[[int], int]] = {
     ("path", None): path_count_bernoulli,
     ("star", None): star_count,
     ("cycle", None): cycle_count_bernoulli,
+    ("complete", None): complete_count,
     ("path", 1): lambda n: zigzag_numbers(n).secant[n - 1],
     ("star", 1): lambda n: math.factorial(2 * n) // 2**n,
 }
@@ -108,7 +110,7 @@ _RECURSIONS: dict[str, Callable[[int], int]] = {
 }
 
 _ROUTE_SCOPE = {
-    "formula": "family:path/star/cycle graphs, with --base only to path or star --base 1",
+    "formula": "family:path/star/cycle/complete graphs, with --base only to path or star --base 1",
     "recursion": "family:path/star/cycle graphs without --base",
 }
 
@@ -260,7 +262,7 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
     return 0
 
 
-_TABLE_KINDS = ("path", "star", "cycle", "based-path", "based-star")
+_TABLE_KINDS = ("path", "star", "cycle", "complete", "based-path", "based-star")
 
 
 def _cmd_family_table(args: argparse.Namespace) -> int:
@@ -437,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_greedy.set_defaults(func=_cmd_greedy)
 
     p_table = sub.add_parser("family-table", help="counts per family size across routes")
-    p_table.add_argument("kind", help="path | star | cycle | based-path | based-star")
+    p_table.add_argument("kind", help="path | star | cycle | complete | based-path | based-star")
     p_table.add_argument("--max", type=int, required=True)
     p_table.add_argument("--route", choices=("dp", "oracle", "formula", "recursion", "all"), default="all")
     common(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -31,6 +32,7 @@ __all__ = [
     "enumerate_csequences",
     "star_count",
     "star_count_recursive",
+    "complete_count",
     "path_count_recursive",
     "ZigzagNumbers",
     "zigzag_numbers",
@@ -107,6 +109,12 @@ def _subset_edge_counts(
     number of edge records with all endpoints in S, so loops and parallel
     edges count with multiplicity.
 
+    Splitting off the highest vertex v of S leaves R = S - v, and
+    e[S] = e[R] + loops(v) + sum over j of popcount(layer_j(v) & R), where
+    layer_j(v) holds the lower neighbours joined to v by at least j edges.
+    The subsets whose highest vertex is v are 2^v..2^(v+1)-1, so their
+    entries form one column computed from the 2^v entries before it.
+
     Both limits are checked before the table of 2^p entries is allocated;
     ``kernel`` names the caller in the error messages.
     """
@@ -118,17 +126,22 @@ def _subset_edge_counts(
             f"{kernel} needs 2^{p} vertex-subset states, over the limit {max_states}; "
             "raise max_states to continue"
         )
-    # incident[v]: the endpoint masks of the edge records at vertex code v
-    incident: list[list[int]] = [[] for _ in range(p)]
-    for u, w in g.edges:
-        mask = (1 << (u - 1)) | (1 << (w - 1))
-        incident[u - 1].append(mask)
-        if u != w:
-            incident[w - 1].append(mask)
-    e = [0] * (1 << p)
-    for s in range(1, 1 << p):
-        low = s & -s
-        e[s] = e[s ^ low] + sum(1 for m in incident[low.bit_length() - 1] if not m & ~s)
+    loops = [0] * p
+    layers: list[list[int]] = [[] for _ in range(p)]
+    for (u, w), k in Counter(g.edges).items():  # u <= w: edges are normalized
+        if u == w:
+            loops[w - 1] = k
+            continue
+        rows = layers[w - 1]
+        rows.extend([0] * (k - len(rows)))
+        for j in range(k):
+            rows[j] |= 1 << (u - 1)
+    e = [0]
+    for v in range(p):
+        column = [x + loops[v] for x in e]
+        for layer in layers[v]:
+            column = [x + (layer & rest).bit_count() for rest, x in enumerate(column)]
+        e += column
     return e
 
 
@@ -277,6 +290,25 @@ def star_count_recursive(n: int) -> int:
     value = 1
     for k in range(1, n + 1):
         value *= 2 * k * k
+    return value
+
+
+def complete_count(n: int) -> int:
+    """Count for the complete graph K_n:
+    n! * prod over k = 1..n-1 of (N-k-C(k,2)-1)(N-k-C(k,2)-2)...(N-k-C(k,2)-k),
+    with N = n + C(n,2).
+
+    Every vertex of K_n looks the same, so only how many are placed
+    matters: n! orders of the vertices, and once k of them and their C(k,2)
+    edges are placed, the next vertex opens k edges that take any k of the
+    other N - k - C(k,2) - 1 positions left.
+    """
+    if n < 1:
+        raise ValueError(f"complete graph size must be >= 1, got {n}")
+    total = n + math.comb(n, 2)
+    value = math.factorial(n)
+    for k in range(1, n):
+        value *= math.perm(total - k - math.comb(k, 2) - 1, k)
     return value
 
 

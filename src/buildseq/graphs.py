@@ -181,11 +181,6 @@ class Graph:
             raise ValueError(f"vertex {v} outside 1..{self.p}")
         return tuple(j for j, (u, w) in enumerate(self.edges, start=1) if v in (u, w))
 
-    def min_degree(self) -> int:
-        if self.p == 0:
-            raise ValueError("no vertices")
-        return min(self.degrees())
-
     def max_degree(self) -> int:
         if self.p == 0:
             raise ValueError("no vertices")
@@ -270,23 +265,27 @@ def build_family(spec: str) -> Graph:
     """
     calls: list[tuple[str, list[tuple[Graph, int]]]] = []
     elements = 0
-    rest = spec.strip()
+    # The parse moves one index through the text and slices it only for a
+    # name, a number or an error message, so it is linear in the text.
+    text = spec.strip()
+    at = 0
     while True:
-        rest = rest.lstrip()
-        kind = next((k for k in ("union", "wedge") if rest.startswith(k + "(")), None)
+        at = _skip_space(text, at)
+        kind = next((k for k in ("union", "wedge") if text.startswith(k + "(", at)), None)
         if kind is not None:
             calls.append((kind, []))
-            rest = rest[len(kind) + 1 :]
+            at += len(kind) + 1
             continue
-        if ":" not in rest:
-            raise ValueError(f"malformed family spec {rest!r}")
-        name, _, arg = rest.partition(":")
-        name = name.strip()
+        colon = text.find(":", at)
+        if colon < 0:
+            raise ValueError(f"malformed family spec {text[at:]!r}")
+        name = text[at:colon].strip()
         if name not in _BASE_FAMILIES:
             raise ValueError(f"unknown family {name!r}")
-        n, rest = _take_number(arg, "family spec {!r} is missing its size", rest)
+        n, end = _take_number(text, colon + 1, "family spec {!r} is missing its size", at)
         if n < 1:
             raise ValueError(f"family size must be >= 1, got {n}")
+        at = end
         build, size = _BASE_FAMILIES[name]
         elements += size(n)
         if elements > MAX_FAMILY_SIZE:
@@ -295,33 +294,43 @@ def build_family(spec: str) -> Graph:
         # Hand the part to the innermost open call; each ')' closes one.
         while calls:
             kind, parts = calls[-1]
-            rest = rest.lstrip()
+            at = _skip_space(text, at)
             base = 1
             if kind == "wedge":
-                if not rest.startswith("@"):
+                if not text.startswith("@", at):
                     raise ValueError("wedge parts need a base point, e.g. wedge(path:2@1, ...)")
-                base, rest = _take_number(rest[1:], "bad base point in {!r}", rest)
-                rest = rest.lstrip()
+                base, end = _take_number(text, at + 1, "bad base point in {!r}", at)
+                at = _skip_space(text, end)
             parts.append((graph, base))
-            if rest.startswith(","):
-                rest = rest[1:]
+            if text.startswith(",", at):
+                at += 1
                 break
-            if not rest.startswith(")"):
-                raise ValueError(f"expected ',' or ')' in family spec near {rest!r}")
-            rest = rest[1:]
+            if not text.startswith(")", at):
+                raise ValueError(f"expected ',' or ')' in family spec near {text[at:]!r}")
+            at += 1
             calls.pop()
             graph = disjoint_union([g for g, _ in parts]) if kind == "union" else wedge(parts)
         if not calls:
-            if rest:
-                raise ValueError(f"trailing text {rest!r} after family spec")
+            if at < len(text):
+                raise ValueError(f"trailing text {text[at:]!r} after family spec")
             return graph
 
 
-def _take_number(text: str, error: str, context: str) -> tuple[int, str]:
-    digits = "".join(itertools.takewhile(str.isdigit, text))
-    if not digits:  # the message is formatted only here: context may be long
-        raise ValueError(error.format(context))
-    return int(digits), text[len(digits) :]
+def _skip_space(text: str, at: int) -> int:
+    while at < len(text) and text[at].isspace():
+        at += 1
+    return at
+
+
+def _take_number(text: str, start: int, error: str, context: int) -> tuple[int, int]:
+    """The decimal number at ``text[start:]`` and the index after it; a
+    missing number is an error that quotes the text from ``context`` on."""
+    end = start
+    while end < len(text) and text[end].isdigit():
+        end += 1
+    if end == start:
+        raise ValueError(error.format(text[context:]))
+    return int(text[start:end]), end
 
 
 # ---------------------------------------------------------------------------

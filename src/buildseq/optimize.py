@@ -2,11 +2,14 @@
 
 The total cost of a sequence is a position-weighted linear functional:
 every edge contributes +2 times its position and every vertex contributes
--degree times its position.  Swapping a vertex with an already-available
+-degree times its position.  The N = p + q positions sum to N(N+1)/2, so
+the cost telescopes to N(N+1) - sum over v of (2 + deg v) * pos(v), a sum
+over the vertices alone.  Swapping a vertex with an already-available
 edge right after it saves 2 + deg(v), so every minimizer places each edge
 as soon as it becomes available.  A minimizer is thus a vertex order plus
 an order within each block of newly opened edges, and the exact minimum
-and its multiplicity come from one sweep over the 2^p vertex subsets.
+and its multiplicity come from one sweep over the 2^p vertex subsets in
+the telescoped form.
 
 Also here: the greedy builder (emit an edge as soon as one is available,
 otherwise the next vertex of the input order), enumeration of all
@@ -197,12 +200,6 @@ def _weights(g: Graph) -> list[int]:
     return [-degs[i] for i in range(g.p)] + [2] * g.q
 
 
-def _step_cost(pos: int, degree: int, d: int) -> int:
-    # A vertex of the given degree at position pos, then the d edges it opens
-    # at positions pos+1..pos+d.
-    return d * (2 * pos + d + 1) - degree * pos
-
-
 def min_cost(
     g: Graph,
     *,
@@ -217,38 +214,46 @@ def min_cost(
     was already available, swapping the two lowers the cost by 2 + deg(v).
     So every minimizer places each edge as soon as it becomes available: it
     is a vertex order with the d edges each vertex opens right after it, in
-    any of d! orders.  One sweep over the 2^p vertex subsets (``max_states``
-    bounds 2^p) then finds the minimum: with the vertices of S and the e(S)
-    edges among them placed, placing v next at position pos adds
-    -deg(v)*pos + 2(d*pos + d(d+1)/2).  Witness extraction is optional and
-    capped by ``max_witnesses``; witnesses come in lexicographic order.
+    any of d! orders.  The positions of all N = p + q elements sum to
+    N(N+1)/2, so the edges' twice-positions sum to N(N+1) minus twice the
+    vertices' positions, and the cost telescopes to
+
+        cost = N(N+1) - sum over v of (2 + deg v) * pos(v).
+
+    One sweep over the 2^p vertex subsets (``max_states`` bounds 2^p) then
+    finds the minimum: with the vertices of S and the e(S) edges among them
+    placed, v comes next at pos = |S| + e(S) + 1 and adds
+    -(2 + deg v) * pos, and N(N+1) is added once at the end.  Witness
+    extraction is optional and capped by ``max_witnesses``; witnesses come
+    in lexicographic order.
     """
     e = _subset_edge_counts(g, vertex_limit=vertex_limit, max_states=max_states, kernel="optimizer")
-    degs = g.degrees()
     full = (1 << g.p) - 1
-    best = [0] * (full + 1)
+    # (bit of v, 2 + deg v): placing v at pos adds -(2 + deg v) * pos.
+    steps = [(1 << v, 2 + d) for v, d in enumerate(g.degrees())]
+    best = [0] * (full + 1)  # min over completions of -sum (2 + deg v) * pos(v)
     ways = [0] * (full + 1)
     ways[full] = 1
     for s in range(full - 1, -1, -1):
-        pos = s.bit_count() + e[s] + 1
+        es = e[s]
+        pos = s.bit_count() + es + 1
         least: int | None = None
         count = 0
-        free = full ^ s
-        while free:
-            bit = free & -free
-            free ^= bit
+        for bit, weight in steps:
+            if s & bit:
+                continue
             t = s | bit
-            d = e[t] - e[s]
-            branch = best[t] + _step_cost(pos, degs[bit.bit_length() - 1], d)
+            branch = best[t] - weight * pos
             if least is None or branch < least:
-                least, count = branch, math.factorial(d) * ways[t]
+                least, count = branch, math.factorial(e[t] - es) * ways[t]
             elif branch == least:
-                count += math.factorial(d) * ways[t]
+                count += math.factorial(e[t] - es) * ways[t]
         best[s], ways[s] = least, count  # type: ignore[assignment]
     witnesses: tuple[CSeq, ...] = ()
     if max_witnesses > 0:
         witnesses = _min_cost_witnesses(g, e, best, max_witnesses)
-    return OptResult(best[0], ways[0], witnesses)
+    n = g.element_count
+    return OptResult(n * (n + 1) + best[0], ways[0], witnesses)
 
 
 def _min_cost_witnesses(g: Graph, e: list[int], best: list[int], cap: int) -> tuple[CSeq, ...]:
@@ -257,7 +262,7 @@ def _min_cost_witnesses(g: Graph, e: list[int], best: list[int], cap: int) -> tu
     # order of the edges it opens.  That is lexicographic element order.
     p = g.p
     full = (1 << p) - 1
-    degs = g.degrees()
+    weights = [2 + d for d in g.degrees()]
     edge_masks = _endpoint_masks(g)[p:]
 
     def steps(s: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -267,7 +272,7 @@ def _min_cost_witnesses(g: Graph, e: list[int], best: list[int], cap: int) -> tu
             if s & bit:
                 continue
             t = s | bit
-            if best[t] + _step_cost(pos, degs[v], e[t] - e[s]) != best[s]:
+            if best[t] - weights[v] * pos != best[s]:
                 continue
             opened = [p + j for j, m in enumerate(edge_masks) if m & bit and not m & ~t]
             for edges in itertools.permutations(opened):

@@ -103,14 +103,20 @@ def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIM
 
     Adding x to a downset D keeps D's other addable elements and adds each
     upper cover of x whose lower covers all lie in D+x.  Raises
-    :class:`ResourceLimitError` at the first downset past ``max_states``.
+    :class:`ResourceLimitError` at the first downset past ``max_states``,
+    or earlier, as soon as some downset D has k addable elements with
+    2^k > ``max_states``: those elements form an antichain, so D plus any
+    subset of them is a downset, and the limit would be hit.
     """
     n = poset.n
     above = poset.upper_adjacency()
     below = [0] * n
     for lo, hi in poset.covers:
         below[hi] |= 1 << lo
-    level = {0: [1, sum(1 << x for x in range(n) if not below[x])]}
+    minimal = sum(1 << x for x in range(n) if not below[x])
+    if 1 << minimal.bit_count() > max_states:
+        raise _too_many_downsets(max_states)
+    level = {0: [1, minimal]}
     stored = 1
     for _ in range(n):
         grown_level: dict[int, list[int]] = {}
@@ -123,19 +129,22 @@ def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIM
                 if grown in grown_level:
                     grown_level[grown][0] += count
                     continue
-                stored += 1
-                if stored > max_states:
-                    raise ResourceLimitError(
-                        f"linear-extension sweep exceeded {max_states} downsets; "
-                        "raise max_states to continue"
-                    )
                 grown_mask = mask ^ bit
                 for y in above[bit.bit_length() - 1]:
                     if not below[y] & ~grown:
                         grown_mask |= 1 << y
+                stored += 1
+                if stored > max_states or 1 << grown_mask.bit_count() > max_states:
+                    raise _too_many_downsets(max_states)
                 grown_level[grown] = [count, grown_mask]
         level = grown_level
     return level[(1 << n) - 1][0]
+
+
+def _too_many_downsets(max_states: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"linear-extension sweep exceeded {max_states} downsets; raise max_states to continue"
+    )
 
 
 def poset_from_hypergraph(p: int, hyperedges: Sequence[Iterable[int]]) -> Poset:

@@ -31,6 +31,15 @@ class TestCount:
         assert code == 0
         assert out == "61\n"
 
+    def test_complete_formula_route(self, capsys):
+        assert run(capsys, "count", "family:complete:4", "--route", "formula") == (0, "34560\n", "")
+        code, out, _ = run(capsys, "count", "family:complete:3", "--route", "all", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["counts"] == {"dp": "48", "oracle": "48", "formula": "48"}
+        code, _, err = run(capsys, "count", "family:complete:3", "--route", "recursion")
+        assert code == 2
+        assert "usage error" in err
+
     def test_formula_needs_a_family(self, capsys, tmp_path):
         target = tmp_path / "g.txt"
         target.write_text(b.format_graph(b.build_family("path:3")))
@@ -205,6 +214,17 @@ class TestFamilyTable:
             "recursion": "48",
             "oracle": "48",
         }
+
+    def test_complete_rows_have_the_product_formula(self, capsys):
+        code, out, _ = run(
+            capsys, "family-table", "complete", "--max", "4", "--limit-elements", "6", "--format", "json"
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["counts"]["formula"] for row in rows] == ["1", "2", "48", "34560"]
+        assert rows[2]["counts"] == {"dp": "48", "formula": "48", "oracle": "48"}
+        assert rows[3]["counts"] == {"dp": "34560", "formula": "34560"}
+        assert all(row["agree"] for row in rows)
 
     def test_csv(self, capsys):
         code, out, _ = run(

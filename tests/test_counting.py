@@ -41,7 +41,7 @@ class TestDP:
 
     def test_complete_four_matches_oracle(self):
         g = b.build_family("complete:4")
-        assert b.count_dp(g) == b.count_bruteforce(g) == 34560
+        assert b.count_dp(g) == b.count_bruteforce(g) == b.complete_count(4) == 34560
 
     def test_multigraph_cycles(self):
         assert b.count_dp(b.build_family("cycle:1")) == 1
@@ -147,6 +147,16 @@ class TestClosedForms:
     def test_star_recursion_agrees(self):
         for n in range(0, 9):
             assert b.star_count_recursive(n) == b.star_count(n)
+
+    def test_complete_product_matches_the_dp_and_the_oracle(self):
+        values = [b.complete_count(n) for n in range(1, 10)]
+        assert values[:5] == [1, 2, 48, 34560, 1383782400]
+        assert values == [b.count_dp(b.build_family(f"complete:{n}")) for n in range(1, 10)]
+        # complete:4 against the oracle is in TestDP.test_complete_four_matches_oracle
+        for n in range(1, 4):
+            assert values[n - 1] == b.count_bruteforce(b.build_family(f"complete:{n}"))
+        with pytest.raises(ValueError):
+            b.complete_count(0)
 
     def test_path_recursion_values(self):
         assert b.path_count_recursive(2) == 2

@@ -155,6 +155,14 @@ class TestCounting:
         with pytest.raises(ResourceLimitError):
             b.count_linear_extensions(Poset(60, ()), max_states=10_000)
 
+    def test_wide_poset_fails_at_once_under_the_default_limit(self):
+        # 60 addable elements prove 2^60 downsets, far past the default 2^26:
+        # at the empty downset of an antichain, or once a common bottom is in.
+        # Without that check either poset would exhaust memory.
+        for wide in (Poset(60, ()), Poset(61, tuple((0, x) for x in range(1, 61)))):
+            with pytest.raises(ResourceLimitError, match="exceeded 67108864 downsets"):
+                b.count_linear_extensions(wide)
+
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(posets(), st.randoms(use_true_random=False))
     def test_random_posets_match_the_oracle_under_relabelling(self, poset, rng):

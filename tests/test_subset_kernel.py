@@ -7,7 +7,11 @@ compare the kernel with the routes that do not use it: the permutation
 oracle, the poset engine and full min-cost enumeration, and check that
 counts survive relabelling and obey the union and wedge laws.  Sequences
 built by the kernels skip validation, so the tests validate them instead.
+The edge table is checked against a direct count on larger multigraphs
+with bundles of up to four parallel edges, and the cost identity the
+min-cost sweep rests on is checked on every edge-eager sequence.
 """
+import math
 import sys
 
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import buildseq as b
+from buildseq.counting import _subset_edge_counts
 from buildseq.errors import ResourceLimitError
 from buildseq.optimize import POLICIES
 
@@ -27,6 +32,19 @@ def multigraphs(draw) -> b.Graph:
     p = draw(st.integers(0, 6))
     vertex = st.integers(1, max(p, 1))
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=MAX_ELEMENTS - p)) if p else []
+    return b.Graph(p, tuple(edges), multigraph=True)
+
+
+@st.composite
+def bundled_multigraphs(draw) -> b.Graph:
+    """Up to 10 vertices; every edge comes in a bundle of 1 to 4 parallel
+    copies, and loops are as likely as any other pair."""
+    p = draw(st.integers(0, 10))
+    if not p:
+        return b.Graph(0)
+    vertex = st.integers(1, p)
+    bundles = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 4)), max_size=12))
+    edges = draw(st.permutations([(u, w) for u, w, k in bundles for _ in range(k)]))
     return b.Graph(p, tuple(edges), multigraph=True)
 
 
@@ -73,6 +91,46 @@ def test_state_limit_bounds_the_vertex_subsets_before_any_work():
         with pytest.raises(ResourceLimitError):
             run(2**10 - 1)
         run(2**10)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(bundled_multigraphs())
+def test_edge_table_counts_the_edges_inside_every_subset(g):
+    e = _subset_edge_counts(g, vertex_limit=10, max_states=1 << 10, kernel="count DP")
+    masks = [(1 << (u - 1)) | (1 << (w - 1)) for u, w in g.edges]
+    assert e == [sum(not mask & ~s for mask in masks) for s in range(1 << g.p)]
+    # Bundles and loops give a vertex many edges to open in one step.
+    if g.p:
+        assert sum(b.count_based(g, v) for v in range(1, g.p + 1)) == b.count_dp(g)
+
+
+def test_thousands_of_edges_at_one_vertex():
+    # Vertex 1 comes first and its 3,000 loops follow in any order; the
+    # sweeps work per transition, so this is two transitions' work.
+    loops = 3000
+    g = b.Graph(1, ((1, 1),) * loops, multigraph=True)
+    assert b.count_dp(g) == b.count_based(g, 1) == math.factorial(loops)
+    n = loops + 1
+    result = b.min_cost(g)
+    assert result.min_cost == 2 * (n * (n + 1) // 2 - 1) - 2 * loops
+    assert result.num_optimal == math.factorial(loops)
+    # Two vertices and 2,000 parallel edges: either vertex first, then the
+    # other, then the edges in any order.
+    g = b.Graph(2, ((1, 2),) * 2000, multigraph=True)
+    assert b.count_dp(g) == 2 * math.factorial(2000)
+    assert b.min_cost(g).num_optimal == 2 * math.factorial(2000)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(multigraphs())
+def test_edge_eager_costs_telescope(g):
+    # cost = N(N+1) - sum over v of (2 + deg v) * pos(v), the form min_cost sweeps.
+    n = g.element_count
+    weights = [2 + d for d in g.degrees()]
+    for x in b.exhaustive_greedy_set(g, element_limit=MAX_ELEMENTS):
+        pos = x.positions()
+        vertex_part = sum(w * pos[b.Element.vertex(v)] for v, w in enumerate(weights, start=1))
+        assert b.total_cost(x) == n * (n + 1) - vertex_part
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
