@@ -4,14 +4,15 @@ Several independent routes compute the same quantities so they can check
 one another:
 
 * a permutation-filter oracle that tries every ordering of the elements,
-* a dynamic program over the vertex subsets (which vertices are placed),
+* a dynamic program over placed vertex subsets, A(S) = sum A(S+v) / h(S),
 * closed forms and recursions for paths, stars, and cycles,
 * composition laws for disjoint unions and wedges, and
 * the integer-sequence helpers behind the closed forms (zigzag numbers via
   the boustrophedon triangle, Bernoulli numbers, tremolo numbers).
 
-All counts are exact Python integers; the Bernoulli route is the only one
-touching rationals and asserts that its final division is exact.
+All counts are exact Python integers: the DP's A(S) is the count scaled by
+N!/h(S)!, which makes its divisions exact, and the Bernoulli route asserts
+that its final division is.
 """
 from __future__ import annotations
 
@@ -146,39 +147,37 @@ def _subset_edge_counts(
 
 
 def _completions(g: Graph, e: list[int], base: int) -> list[int]:
-    """C(S) for every vertex subset S containing the mask ``base``.
+    """A(S) = C(S) * N!/h(S)! for every vertex subset S containing ``base``.
 
-    C(S) is the number of ways to finish a build that has placed the
-    vertices of S and the e(S) edges among them.  The h(S) = N - |S| - e(S)
-    elements left (N = p + q) must start with a vertex v outside S; the d =
-    e(S+v) - e(S) edges that v opens may then take any d of the other
-    h(S) - 1 positions, in any order, so
-    C(S) = sum over v of C(S+v) * (h(S)-1)(h(S)-2)...(h(S)-d),
-    with C(all vertices) = 1.  This is the hook-length formula for forests
-    (Knuth, TAOCP Vol. 3, 5.1.4) summed over vertex orders: once the
-    vertex order is fixed, the incidence poset is a forest.  Subsets are
-    filled in decreasing order, so every C(S+v) is ready when C(S) needs it.
+    C(S) counts the ways to finish a build that has placed the vertices of S
+    and their e(S) edges; h(S) = N - |S| - e(S) elements are left (N = p+q).
+    The next is a vertex v outside S, and the d = e(S+v) - e(S) edges it
+    opens take any d of the other h(S) - 1 positions in any order, so
+    C(S) = sum over v of C(S+v) * (h(S)-1)!/h(S+v)!, with C(all) = 1.  This
+    is the hook-length formula for forests (Knuth, TAOCP Vol. 3, 5.1.4)
+    summed over vertex orders, whose incidence posets are forests: the count
+    is N! times the sum over vertex orders of the product of 1/h(S_k).
+    Scaling by N!/h(S)! cancels the step weight: A(S) = (sum over v of
+    A(S+v)) / h(S), with A(all) = N!, exact since N!/h(S)! is an integer,
+    and h(S) >= 1 for every proper S.  Subsets go in decreasing order.
     """
     n = g.element_count
     full = (1 << g.p) - 1
     free_part = full ^ base
-    c = [0] * (full + 1)
-    c[full] = 1
+    a = [0] * (full + 1)
+    a[full] = math.factorial(n)
     sub = free_part
     while sub:
         sub = (sub - 1) & free_part
         s = sub | base
-        es = e[s]
-        slots = n - s.bit_count() - es - 1  # h(S) - 1
         total = 0
         free = full ^ s
         while free:
             bit = free & -free
             free ^= bit
-            t = s | bit
-            total += c[t] * math.perm(slots, e[t] - es)
-        c[s] = total
-    return c
+            total += a[s | bit]
+        a[s] = total // (n - s.bit_count() - e[s])
+    return a
 
 
 def count_dp(
@@ -188,7 +187,7 @@ def count_dp(
     max_states: int = DEFAULT_STATE_LIMIT,
 ) -> int:
     """Exact construction-sequence count by a sweep over the 2^p vertex
-    subsets (``max_states`` bounds 2^p)."""
+    subsets (``max_states`` bounds 2^p): A(empty set), as h = N there."""
     e = _subset_edge_counts(g, vertex_limit=vertex_limit, max_states=max_states, kernel="count DP")
     return _completions(g, e, 0)[0]
 
@@ -203,13 +202,14 @@ def count_based(
     """Count of sequences whose first element is the vertex ``base``.
 
     The elements after ``base``, other than its loops, follow in C({base})
-    orders, and the loops at ``base`` take any of the N - 1 later positions.
+    orders, and the loops at ``base`` take any of the N - 1 later positions:
+    C({base}) * (N-1)!/h({base})!, which is A({base}) / N.
     """
     if not 1 <= base <= g.p:
         raise ValueError(f"base vertex {base} outside 1..{g.p}")
     e = _subset_edge_counts(g, vertex_limit=vertex_limit, max_states=max_states, kernel="count DP")
     bit = 1 << (base - 1)
-    return _completions(g, e, bit)[bit] * math.perm(g.element_count - 1, e[bit])
+    return _completions(g, e, bit)[bit] // g.element_count
 
 
 # ---------------------------------------------------------------------------

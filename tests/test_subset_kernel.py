@@ -8,8 +8,9 @@ oracle, the poset engine and full min-cost enumeration, and check that
 counts survive relabelling and obey the union and wedge laws.  Sequences
 built by the kernels skip validation, so the tests validate them instead.
 The edge table is checked against a direct count on larger multigraphs
-with bundles of up to four parallel edges, and the cost identity the
-min-cost sweep rests on is checked on every edge-eager sequence.
+with bundles of up to four parallel edges, the rescaled count table
+against the unscaled recurrence and the closed forms, and the cost
+identity behind the min-cost sweep on every edge-eager sequence.
 """
 import math
 import sys
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import buildseq as b
-from buildseq.counting import _subset_edge_counts
+from buildseq.counting import _completions, _subset_edge_counts
 from buildseq.errors import ResourceLimitError
 from buildseq.optimize import POLICIES
 
@@ -102,6 +103,49 @@ def test_edge_table_counts_the_edges_inside_every_subset(g):
     # Bundles and loops give a vertex many edges to open in one step.
     if g.p:
         assert sum(b.count_based(g, v) for v in range(1, g.p + 1)) == b.count_dp(g)
+
+
+def unscaled_completions(g: b.Graph, base: int) -> dict[int, int]:
+    """C(S) for every vertex subset S containing the mask ``base``, from the
+    definition: after S and its e(S) edges, the next vertex v opens d edges
+    that take any d of the other h(S) - 1 positions."""
+    n, full = g.element_count, (1 << g.p) - 1
+    masks = [(1 << (u - 1)) | (1 << (w - 1)) for u, w in g.edges]
+    e = [sum(not mask & ~s for mask in masks) for s in range(full + 1)]
+    c = {full: 1}
+    for s in range(full - 1, -1, -1):
+        if s & base == base:
+            h = n - s.bit_count() - e[s]
+            c[s] = sum(
+                c[s | 1 << v] * math.perm(h - 1, e[s | 1 << v] - e[s])
+                for v in range(g.p)
+                if not s >> v & 1
+            )
+    return c
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.one_of(multigraphs(), bundled_multigraphs()))
+def test_rescaled_table_is_the_count_times_n_factorial_over_h_factorial(g):
+    n = g.element_count
+    e = _subset_edge_counts(g, vertex_limit=10, max_states=1 << 10, kernel="count DP")
+    for base in [0] + [1 << v for v in range(g.p)]:
+        a = _completions(g, e, base)
+        for s, c in unscaled_completions(g, base).items():
+            h = n - s.bit_count() - e[s]
+            assert a[s] * math.factorial(h) == c * math.factorial(n)
+        if base:
+            assert b.count_based(g, base.bit_length()) * n == a[base]
+
+
+def test_large_tables_match_the_closed_forms():
+    # 2^12 to 2^16 entries of integers the size of N!.
+    zigzag = b.zigzag_numbers(16)
+    path = b.build_family("path:16")
+    assert b.count_dp(path) == zigzag.tangent[16]
+    assert b.count_based(path, 1) == zigzag.secant[15]
+    assert b.count_dp(b.build_family("star:15")) == b.star_count(15)
+    assert b.count_dp(b.build_family("complete:12")) == b.complete_count(12)
 
 
 def test_thousands_of_edges_at_one_vertex():
