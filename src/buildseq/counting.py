@@ -20,11 +20,11 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DEFAULT_STATE_LIMIT, ResourceLimitError
 from .graphs import Graph
-from .sequences import CSeq, _trusted_cseq
+from .sequences import CSeq, _from_codes
 
 __all__ = [
     "count_bruteforce",
@@ -52,26 +52,6 @@ DEFAULT_ELEMENT_LIMIT = 11
 DEFAULT_VERTEX_LIMIT = 24
 
 
-def _endpoint_masks(g: Graph) -> list[int]:
-    """Per element code, the set of vertex codes that must already be placed.
-
-    Element codes are 0..p-1 for vertices and p..p+q-1 for edges, matching
-    lexicographic element order.
-    """
-    masks = [0] * g.element_count
-    for j, (u, w) in enumerate(g.edges):
-        masks[g.p + j] = (1 << (u - 1)) | (1 << (w - 1))
-    return masks
-
-
-def _codes_to_cseqs(g: Graph, sequences: Iterable[Sequence[int]]) -> Iterator[CSeq]:
-    """Sequences of element codes as CSeqs, without re-validation: every
-    caller passes code sequences its kernel built valid."""
-    elements = g.elements()
-    for codes in sequences:
-        yield _trusted_cseq(g, tuple(map(elements.__getitem__, codes)))
-
-
 # ---------------------------------------------------------------------------
 # Oracle and dynamic program
 
@@ -89,7 +69,7 @@ def count_bruteforce(
         raise ResourceLimitError(
             f"{total_elements} elements exceed the brute-force limit {element_limit}"
         )
-    need = _endpoint_masks(g)
+    need = g.endpoint_masks()
     start = 0 if base is None else 1 << (base - 1)
     count = 0
     for perm in itertools.permutations(c for c in range(total_elements) if not start >> c & 1):
@@ -233,7 +213,7 @@ def _iter_codes(
         yield tuple(range(n))
         return
     p = g.p
-    need = _endpoint_masks(g)
+    need = g.endpoint_masks()
     # Code c may come next iff it is unplaced and its endpoints are placed,
     # that is iff (need[c] | bit c) & placed == need[c].
     want = [mask | 1 << c for c, mask in enumerate(need)]
@@ -264,7 +244,7 @@ def enumerate_csequences(
     g: Graph, *, element_limit: int = DEFAULT_ELEMENT_LIMIT
 ) -> Iterator[CSeq]:
     """Stream every construction sequence in lexicographic element order."""
-    return _codes_to_cseqs(g, _iter_codes(g, element_limit))
+    return _from_codes(g, _iter_codes(g, element_limit))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Simple mode (the default) rejects loops and parallel edges; multigraph mode
 admits both, which the one- and two-vertex cycles need.
 
 The element set of a graph is its vertices and edges together; elements are
-addressed by :class:`Element` values such as ``v3`` or ``e1``.
+addressed by :class:`Element` values such as ``v3`` or ``e1``, and inside the
+package by the integer codes of :meth:`Graph.code`.
 """
 from __future__ import annotations
 
@@ -158,10 +159,6 @@ class Graph:
             raise ValueError(f"edge id {edge_id} outside 1..{self.q}")
         return self.edges[edge_id - 1]
 
-    def is_loop(self, edge_id: int) -> bool:
-        u, w = self.endpoints(edge_id)
-        return u == w
-
     def degree(self, v: int) -> int:
         """Standard degree; a loop contributes 2."""
         if not 1 <= v <= self.p:
@@ -191,6 +188,19 @@ class Graph:
         return [Element.vertex(i) for i in range(1, self.p + 1)] + [
             Element.edge(j) for j in range(1, self.q + 1)
         ]
+
+    def code(self, el: Element) -> int:
+        """Element code: vertex i is i-1 and edge j is p+j-1, so codes run
+        over 0..p+q-1 in lexicographic element order; -1 for an element
+        this graph lacks."""
+        if el.kind == "v":
+            return el.index - 1 if el.index <= self.p else -1
+        return self.p + el.index - 1 if el.index <= len(self.edges) else -1
+
+    def endpoint_masks(self) -> list[int]:
+        """Per element code, the set of vertex codes (bit c for code c) that
+        must be placed before it: the endpoints of an edge, none for a vertex."""
+        return [0] * self.p + [(1 << (u - 1)) | (1 << (w - 1)) for u, w in self.edges]
 
     def is_connected(self) -> bool:
         if self.p <= 1:
@@ -387,8 +397,8 @@ def relabel(g: Graph, sigma: Sequence[int]) -> Graph:
 def incidence_poset(g: Graph) -> Poset:
     """Height-2 poset with vertices minimal and each edge above its endpoints.
 
-    A loop yields a single cover.  Elements 0..p-1 are the vertices, p..p+q-1
-    the edges, matching the order of :meth:`Graph.elements`.
+    A loop yields a single cover.  Poset elements are the element codes of
+    :meth:`Graph.code`: 0..p-1 the vertices, p..p+q-1 the edges.
     """
     return poset_from_hypergraph(g.p, [set(pair) for pair in g.edges])
 

@@ -27,12 +27,10 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import Element, Graph, _UnionFind, build_family
-from .sequences import CSeq, _trusted_cseq
+from .sequences import CSeq, _from_codes
 from .counting import (
     DEFAULT_ELEMENT_LIMIT,
     DEFAULT_STATE_LIMIT,
-    _codes_to_cseqs,
-    _endpoint_masks,
     _iter_codes,
     _subset_edge_counts,
     count_dp,
@@ -112,32 +110,31 @@ def greedy(
     among the edges that do not close a cycle (if any), or a seeded uniform
     pick.
     """
-    order = tuple(vertex_order) if vertex_order is not None else tuple(range(1, g.p + 1))
-    if sorted(order) != list(range(1, g.p + 1)):
+    p = g.p
+    order = tuple(vertex_order) if vertex_order is not None else tuple(range(1, p + 1))
+    if sorted(order) != list(range(1, p + 1)):
         raise ValueError("vertex_order is not a permutation of 1..p")
+    # Edge j becomes available when the later of its endpoints in the order
+    # is placed.  A vertex is placed only once no edge is available, so the
+    # edges it opens, in increasing id, are then the whole available list.
+    rank = {v: i for i, v in enumerate(order)}
+    opens: list[list[int]] = [[] for _ in range(p + 1)]
+    for j, (u, w) in enumerate(g.edges, start=1):
+        opens[u if rank[u] >= rank[w] else w].append(j)
     rng = random.Random(tie_break.seed)
-    components = _UnionFind(g.p)
-    placed_vertices: set[int] = set()
-    unplaced_edges = set(range(1, g.q + 1))
-    sequence: list[Element] = []
-    next_vertex = iter(order)
-    while len(sequence) < g.element_count:
-        available = sorted(
-            j
-            for j in unplaced_edges
-            if all(v in placed_vertices for v in g.endpoints(j))
-        )
-        if available:
+    components = _UnionFind(p)
+    available: list[int] = []
+    codes: list[int] = []
+    for v in order:
+        codes.append(v - 1)
+        available.extend(opens[v])
+        while available:
             chosen = _pick_edge(g, available, tie_break, components, rng)
-            unplaced_edges.remove(chosen)
+            available.remove(chosen)
             u, w = g.endpoints(chosen)
             components.union(u, w)
-            sequence.append(Element.edge(chosen))
-        else:
-            v = next(next_vertex)
-            placed_vertices.add(v)
-            sequence.append(Element.vertex(v))
-    return _trusted_cseq(g, tuple(sequence))
+            codes.append(p + chosen - 1)
+    return next(_from_codes(g, [codes]))
 
 
 def _pick_edge(
@@ -187,7 +184,7 @@ def exhaustive_greedy_set(
     swap with that edge for a saving of 2 + deg(v) (see :func:`min_cost`).
     The whole set is materialized, so keep the element limit modest.
     """
-    return set(_codes_to_cseqs(g, _iter_codes(g, element_limit, edge_eager=True)))
+    return set(_from_codes(g, _iter_codes(g, element_limit, edge_eager=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +260,7 @@ def _min_cost_witnesses(g: Graph, e: list[int], best: list[int], cap: int) -> tu
     p = g.p
     full = (1 << p) - 1
     weights = [2 + d for d in g.degrees()]
-    edge_masks = _endpoint_masks(g)[p:]
+    edge_masks = g.endpoint_masks()[p:]
 
     def steps(s: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
         pos = len(prefix) + 1
@@ -288,7 +285,7 @@ def _min_cost_witnesses(g: Graph, e: list[int], best: list[int], cap: int) -> tu
             found.append(step[1])
         else:
             stack.append(steps(*step))
-    return tuple(_codes_to_cseqs(g, found))
+    return tuple(_from_codes(g, found))
 
 
 def enumerate_min_cost(
@@ -309,7 +306,7 @@ def enumerate_min_cost(
             best_cost, winners = cost, []
         if cost == best_cost:
             winners.append(codes)
-    return list(_codes_to_cseqs(g, winners))
+    return list(_from_codes(g, winners))
 
 
 # ---------------------------------------------------------------------------

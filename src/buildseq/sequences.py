@@ -8,9 +8,11 @@ permutation bijection for paths, and vertices-first sequences.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IsolatedVertexError
 from .graphs import Element, Graph, _UnionFind, build_family
@@ -58,13 +60,14 @@ def validate(graph: Graph, elements: Sequence[Element]) -> list[Violation]:
     and endpoint.
     """
     seq = tuple(elements)
-    expected = graph.elements()
-    if sorted(seq, key=Element.sort_key) != expected:
-        present = set(seq)
-        required = set(expected)
-        missing = [str(el) for el in expected if el not in present]
-        foreign = sorted(str(el) for el in present - required)
-        duplicated = sorted({str(el) for el in seq if seq.count(el) > 1})
+    codes = [graph.code(el) for el in seq]
+    p, n = graph.p, graph.element_count
+    if sorted(codes) != list(range(n)):
+        counts = Counter(seq)
+        expected = graph.elements()
+        missing = [str(el) for el in expected if el not in counts]
+        foreign = sorted(str(el) for el in counts if graph.code(el) < 0)
+        duplicated = sorted(str(el) for el, k in counts.items() if k > 1)
         detail = []
         if missing:
             detail.append("missing " + ",".join(missing))
@@ -72,19 +75,20 @@ def validate(graph: Graph, elements: Sequence[Element]) -> list[Violation]:
             detail.append("foreign " + ",".join(foreign))
         if duplicated:
             detail.append("repeated " + ",".join(duplicated))
-        summary = "; ".join(detail) or "wrong length"
         return [
             Violation(
                 "not-permutation",
-                f"sequence is not a permutation of the {len(expected)} elements ({summary})",
+                f"sequence is not a permutation of the {n} elements ({'; '.join(detail)})",
             )
         ]
-    pos = {el: i for i, el in enumerate(seq, start=1)}
+    pos = [0] * n  # 1-based position of each element code
+    for i, c in enumerate(codes, start=1):
+        pos[c] = i
     violations = []
     for j, (u, w) in enumerate(graph.edges, start=1):
-        edge_pos = pos[Element.edge(j)]
+        edge_pos = pos[p + j - 1]
         for v in (u, w) if u != w else (u,):
-            vertex_pos = pos[Element.vertex(v)]
+            vertex_pos = pos[v - 1]
             if vertex_pos > edge_pos:
                 violations.append(
                     Violation(
@@ -127,25 +131,36 @@ class CSeq:
     def __str__(self) -> str:
         return format_sequence(self.elements)
 
+    @cached_property
+    def _code_positions(self) -> list[int]:
+        """1-based position of each element code (see :meth:`Graph.code`)."""
+        pos = [0] * len(self.elements)
+        for i, el in enumerate(self.elements, start=1):
+            pos[self.graph.code(el)] = i
+        return pos
+
     def position(self, element: Element) -> int:
         """1-based position of an element."""
-        try:
-            return self.elements.index(element) + 1
-        except ValueError:
-            raise ValueError(f"{element} is not an element of this sequence") from None
+        c = self.graph.code(element)
+        if c < 0:
+            raise ValueError(f"{element} is not an element of this sequence")
+        return self._code_positions[c]
 
     def positions(self) -> dict[Element, int]:
         return {el: i for i, el in enumerate(self.elements, start=1)}
 
 
-def _trusted_cseq(graph: Graph, elements: tuple[Element, ...]) -> CSeq:
-    """A CSeq built without :func:`validate`, for element tuples that a
-    kernel constructed valid.  Everything read from outside the package goes
-    through the validating ``CSeq(...)`` instead."""
-    x = object.__new__(CSeq)
-    object.__setattr__(x, "graph", graph)
-    object.__setattr__(x, "elements", elements)
-    return x
+def _from_codes(graph: Graph, code_seqs: Iterable[Sequence[int]]) -> Iterator[CSeq]:
+    """CSeqs from sequences of element codes, built without :func:`validate`:
+    every caller passes code sequences its kernel constructed valid.
+    Everything read from outside the package goes through the validating
+    ``CSeq(...)`` instead."""
+    elements = graph.elements()
+    for codes in code_seqs:
+        x = object.__new__(CSeq)
+        object.__setattr__(x, "graph", graph)
+        object.__setattr__(x, "elements", tuple(map(elements.__getitem__, codes)))
+        yield x
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +206,14 @@ def edge_cost(x: CSeq, edge_id: int) -> int:
     """Delay of one edge: twice its position minus the positions of its
     endpoints; a loop's single endpoint counts twice."""
     u, w = x.graph.endpoints(edge_id)
-    pos = x.positions()
-    return 2 * pos[Element.edge(edge_id)] - pos[Element.vertex(u)] - pos[Element.vertex(w)]
+    pos = x._code_positions
+    return 2 * pos[x.graph.p + edge_id - 1] - pos[u - 1] - pos[w - 1]
 
 
 def total_cost(x: CSeq) -> int:
     """Sum of edge costs.  Equals 2*sum(edge positions) minus the
     degree-weighted sum of vertex positions."""
-    pos = x.positions()
-    total = 0
-    for j, (u, w) in enumerate(x.graph.edges, start=1):
-        total += 2 * pos[Element.edge(j)] - pos[Element.vertex(u)] - pos[Element.vertex(w)]
-    return total
+    return sum(edge_cost(x, j) for j in range(1, x.graph.q + 1))
 
 
 def vertex_delay(x: CSeq, v: int) -> Fraction:
@@ -216,9 +227,9 @@ def vertex_delay(x: CSeq, v: int) -> Fraction:
     deg = g.degree(v)
     if deg == 0:
         raise IsolatedVertexError(f"vertex {v} is isolated; vertex cost undefined")
-    pos = x.positions()
-    incident_sum = sum(pos[Element.edge(j)] for j in g.incident_edges(v))
-    return Fraction(incident_sum - pos[Element.vertex(v)], deg)
+    pos = x._code_positions
+    incident_sum = sum(pos[g.p + j - 1] for j in g.incident_edges(v))
+    return Fraction(incident_sum - pos[v - 1], deg)
 
 
 def vertex_cost(x: CSeq) -> Fraction:
@@ -228,12 +239,7 @@ def vertex_cost(x: CSeq) -> Fraction:
     if any(d == 0 for d in degs):
         isolated = [v for v, d in enumerate(degs, start=1) if d == 0]
         raise IsolatedVertexError(f"isolated vertices {isolated}; vertex cost undefined")
-    pos = x.positions()
-    total = Fraction(0)
-    for v in range(1, g.p + 1):
-        incident_sum = sum(pos[Element.edge(j)] for j in g.incident_edges(v))
-        total += Fraction(incident_sum - pos[Element.vertex(v)], degs[v - 1])
-    return total
+    return sum((vertex_delay(x, v) for v in range(1, g.p + 1)), Fraction(0))
 
 
 @dataclass(frozen=True)

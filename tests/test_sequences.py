@@ -61,6 +61,9 @@ class TestValidate:
         assert x.position(Element.edge(1)) == 3
         assert x.positions()[Element.vertex(3)] == 4
         assert len(x) == 5
+        for foreign in (Element.vertex(4), Element.edge(3)):
+            with pytest.raises(ValueError, match="is not an element"):
+                x.position(foreign)
 
 
 class TestComponentProfile:

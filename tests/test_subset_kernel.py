@@ -7,12 +7,16 @@ compare the kernel with the routes that do not use it: the permutation
 oracle, the poset engine and full min-cost enumeration, and check that
 counts survive relabelling and obey the union and wedge laws.  Sequences
 built by the kernels skip validation, so the tests validate them instead.
+``validate`` and ``greedy`` work on element codes; each is compared with a
+reference on ``Element`` objects kept here, ``validate`` on mutated
+sequences (swaps, drops, repeats and foreign tokens).
 The edge table is checked against a direct count on larger multigraphs
 with bundles of up to four parallel edges, the rescaled count table
 against the unscaled recurrence and the closed forms, and the cost
 identity behind the min-cost sweep on every edge-eager sequence.
 """
 import math
+import random
 import sys
 
 import pytest
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 import buildseq as b
 from buildseq.counting import _completions, _subset_edge_counts
 from buildseq.errors import ResourceLimitError
+from buildseq.graphs import Element, _UnionFind
 from buildseq.optimize import POLICIES
 
 MAX_ELEMENTS = 9
@@ -196,8 +201,7 @@ def test_based_oracle_counts_the_orderings_that_start_at_the_base(g):
             b.count_bruteforce(g, base=bad)
 
 
-# 15 examples: validating every enumerated sequence costs about 40 us each.
-@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(multigraphs())
 def test_kernel_built_sequences_are_valid(g):
     def check(sequences):
@@ -215,6 +219,117 @@ def test_kernel_built_sequences_are_valid(g):
     for policy in POLICIES:
         for order in (None, range(g.p, 0, -1)):
             check([b.greedy(g, order, b.TieBreak(policy, seed=3))])
+
+
+def reference_validate(graph, elements):
+    """validate written on Element objects: a sort tests the permutation
+    and a dict of positions the edges."""
+    seq = tuple(elements)
+    expected = graph.elements()
+    if sorted(seq, key=Element.sort_key) != expected:
+        present = set(seq)
+        missing = [str(el) for el in expected if el not in present]
+        foreign = sorted(str(el) for el in present - set(expected))
+        duplicated = sorted({str(el) for el in seq if seq.count(el) > 1})
+        detail = []
+        if missing:
+            detail.append("missing " + ",".join(missing))
+        if foreign:
+            detail.append("foreign " + ",".join(foreign))
+        if duplicated:
+            detail.append("repeated " + ",".join(duplicated))
+        summary = "; ".join(detail) or "wrong length"
+        message = f"sequence is not a permutation of the {len(expected)} elements ({summary})"
+        return [b.Violation("not-permutation", message)]
+    pos = {el: i for i, el in enumerate(seq, start=1)}
+    violations = []
+    for j, (u, w) in enumerate(graph.edges, start=1):
+        edge_pos = pos[Element.edge(j)]
+        for v in (u, w) if u != w else (u,):
+            vertex_pos = pos[Element.vertex(v)]
+            if vertex_pos > edge_pos:
+                message = (
+                    f"edge e{j}={{{u},{w}}} at position {edge_pos} precedes "
+                    f"its endpoint v{v} at position {vertex_pos}"
+                )
+                violations.append(b.Violation("edge-before-endpoint", message, edge=j, vertex=v))
+    return violations
+
+
+@st.composite
+def mutated_sequences(draw):
+    """A graph and a shuffled (or vertices-first) sequence of its elements
+    after up to four swaps, drops, repeats or foreign tokens."""
+    g = draw(multigraphs())
+    seq = draw(st.permutations(g.elements()))
+    if draw(st.booleans()):
+        seq.sort()  # vertices first, so valid until mutated
+    foreign = [Element.vertex(g.p + k) for k in (1, 2)] + [Element.edge(g.q + k) for k in (1, 2)]
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("swap", "drop", "repeat", "foreign")))
+        if op == "foreign":
+            token = draw(st.sampled_from(foreign))
+            for _ in range(draw(st.integers(1, 2))):  # twice makes it a repeat too
+                seq.insert(draw(st.integers(0, len(seq))), token)
+        elif seq:
+            i, j = (draw(st.integers(0, len(seq) - 1)) for _ in range(2))
+            if op == "swap":
+                seq[i], seq[j] = seq[j], seq[i]
+            elif op == "drop":
+                del seq[i]
+            else:
+                seq.insert(j, seq[i])
+    return g, seq
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(mutated_sequences())
+def test_validate_matches_the_element_reference(case):
+    g, seq = case
+    fields = lambda problems: [(v.kind, v.edge, v.vertex, v.message) for v in problems]
+    assert fields(b.validate(g, seq)) == fields(reference_validate(g, seq))
+
+
+def reference_greedy(g, order, tie_break):
+    """greedy as a rescan of every unplaced edge before each step."""
+    order = tuple(order) if order is not None else tuple(range(1, g.p + 1))
+    rng = random.Random(tie_break.seed)
+    components = _UnionFind(g.p)
+    placed, unplaced = set(), set(range(1, g.q + 1))
+    sequence = []
+    next_vertex = iter(order)
+    while len(sequence) < g.element_count:
+        available = sorted(j for j in unplaced if all(v in placed for v in g.endpoints(j)))
+        if not available:
+            v = next(next_vertex)
+            placed.add(v)
+            sequence.append(Element.vertex(v))
+            continue
+        if tie_break.policy == "lexicographic":
+            chosen = available[0]
+        elif tie_break.policy == "seeded-random":
+            chosen = rng.choice(available)
+        else:  # cycle-avoiding: smallest edge joining two components, if any
+            joining = [
+                j for j in available
+                if len({components.find(v) for v in g.endpoints(j)}) == 2
+            ]
+            chosen = (joining or available)[0]
+        unplaced.remove(chosen)
+        components.union(*g.endpoints(chosen))
+        sequence.append(Element.edge(chosen))
+    return tuple(sequence)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(multigraphs(), st.data())
+def test_greedy_matches_the_rescan_reference(g, data):
+    shuffled = data.draw(st.permutations(range(1, g.p + 1)))
+    for order in (None, range(g.p, 0, -1), shuffled):
+        for policy in POLICIES:
+            for seed in (0, 3, 11):
+                tie = b.TieBreak(policy, seed=seed)
+                assert b.greedy(g, order, tie).elements == reference_greedy(g, order, tie)
 
 
 def test_enumeration_needs_no_deep_recursion():
