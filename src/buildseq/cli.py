@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 from .counting import (
     DEFAULT_ELEMENT_LIMIT,
     DEFAULT_STATE_LIMIT,
+    DEFAULT_VERTEX_LIMIT,
     complete_count,
     count_based,
     count_bruteforce,
@@ -35,10 +36,17 @@ from .counting import (
     cycle_count_bernoulli,
     zigzag_numbers,
 )
-from .errors import IsolatedVertexError, ResourceLimitError
+from .errors import IsolatedVertexError, ResourceLimitError, check_limit, check_subset_limits
 from .families import Family
-from .graphs import Graph, build_family, parse_graph
-from .optimize import TieBreak, check_conjecture, greedy, min_cost
+from .graphs import Graph, _family_shape, build_family, parse_graph
+from .optimize import (
+    DEFAULT_GREEDY_VERTEX_LIMIT,
+    DEFAULT_OPT_VERTEX_LIMIT,
+    TieBreak,
+    check_conjecture,
+    greedy,
+    min_cost,
+)
 from .sequences import (
     CSeq,
     component_profile,
@@ -63,6 +71,17 @@ def load_graph(argument: str) -> Graph:
     if argument.startswith(FAMILY_PREFIX):
         return build_family(argument[len(FAMILY_PREFIX) :])
     return parse_graph(Path(argument).read_text())
+
+
+def _sized_graph(argument: str) -> tuple[int, int, Callable[[], Graph]]:
+    """(p, element count, loader) of a graph argument.  A family spec is
+    sized from its text, so a command can check its limits before the
+    loader builds the graph; a file is read and parsed here."""
+    if argument.startswith(FAMILY_PREFIX):
+        p, q = _family_shape(argument[len(FAMILY_PREFIX) :])
+        return p, p + q, lambda: load_graph(argument)
+    g = load_graph(argument)
+    return g.p, g.element_count, lambda: g
 
 
 def _family_kind(argument: str) -> tuple[str, int] | None:
@@ -115,51 +134,53 @@ _ROUTE_SCOPE = {
 }
 
 
-def _count_routes(
-    g: Graph,
-    family: tuple[str, int] | None,
-    base: int | None,
-    args: argparse.Namespace,
-) -> dict[str, Callable[[], int]]:
-    """The count routes to run for ``--route``: every applicable one for
-    "all", else the named one.
+def _count_values(argument: str, base: int | None, args: argparse.Namespace) -> dict[str, int]:
+    """The value of each count route run for ``--route``: every applicable
+    one for "all", else the named one.
 
     dp always applies, the oracle up to ``--limit-elements`` elements, the
     formula and recursion only to a family spec with a base they cover.  A
     named route that does not apply is a usage error, except the oracle
-    past its limit, which fails as a resource limit when it runs.
+    past its limit.  The limits are checked after that, on the argument's
+    size, and only dp and the oracle build the graph.
     """
-    if base is not None and not 1 <= base <= g.p:
-        raise ValueError(f"base vertex {base} outside 1..{g.p}")
-    kind, n = family or ("", 0)
+    p, size, load = _sized_graph(argument)
+    if base is not None and not 1 <= base <= p:
+        raise ValueError(f"base vertex {base} outside 1..{p}")
+    kind, n = _family_kind(argument) or ("", 0)
     formula = _FORMULAS.get((kind, base))
     recursion = _RECURSIONS.get(kind) if base is None else None
-    table: dict[str, tuple[bool, Callable[[], int]]] = {
+    table: dict[str, tuple[bool, Callable[[Graph], int]]] = {
         "dp": (
             True,
-            lambda: count_dp(g, max_states=args.limit_states)
+            lambda g: count_dp(g, max_states=args.limit_states)
             if base is None
             else count_based(g, base, max_states=args.limit_states),
         ),
         "oracle": (
-            g.element_count <= args.limit_elements,
-            lambda: count_bruteforce(g, base=base, element_limit=args.limit_elements),
+            size <= args.limit_elements,
+            lambda g: count_bruteforce(g, base=base, element_limit=args.limit_elements),
         ),
-        "formula": (formula is not None, lambda: formula(n)),
-        "recursion": (recursion is not None, lambda: recursion(n)),
+        "formula": (formula is not None, lambda g: formula(n)),
+        "recursion": (recursion is not None, lambda g: recursion(n)),
     }
     if args.route == "all":
-        return {name: compute for name, (applies, compute) in table.items() if applies}
-    applies, compute = table[args.route]
-    if not applies and args.route != "oracle":
-        raise UsageError(f"route {args.route!r} applies only to {_ROUTE_SCOPE[args.route]}")
-    return {args.route: compute}
+        routes = {name: compute for name, (applies, compute) in table.items() if applies}
+    else:
+        applies, compute = table[args.route]
+        if not applies and args.route != "oracle":
+            raise UsageError(f"route {args.route!r} applies only to {_ROUTE_SCOPE[args.route]}")
+        routes = {args.route: compute}
+    if "dp" in routes:
+        check_subset_limits(p, DEFAULT_VERTEX_LIMIT, args.limit_states, "count DP")
+    if "oracle" in routes:
+        check_limit(size, "elements", args.limit_elements, "brute-force")
+    g = load() if routes.keys() & {"dp", "oracle"} else None
+    return {name: compute(g) for name, compute in routes.items()}
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
-    routes = _count_routes(g, _family_kind(args.graph), args.base, args)
-    values = {name: compute() for name, compute in routes.items()}
+    values = _count_values(args.graph, args.base, args)
     agree = len(set(values.values())) == 1
     payload = {
         "graph": args.graph,
@@ -175,10 +196,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
+    _, size, load = _sized_graph(args.graph)
+    check_limit(size, "elements", args.limit_elements, "enumeration")
     sequences = (
         format_sequence(x.elements)
-        for x in enumerate_csequences(g, element_limit=args.limit_elements)
+        for x in enumerate_csequences(load(), element_limit=args.limit_elements)
     )
     if args.format == "plain":  # streamed; JSON needs the count first
         sys.stdout.writelines(f"{line}\n" for line in sequences)
@@ -230,8 +252,9 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
-    result = min_cost(g, max_states=args.limit_states, max_witnesses=args.witnesses)
+    p, _, load = _sized_graph(args.graph)
+    check_subset_limits(p, DEFAULT_OPT_VERTEX_LIMIT, args.limit_states, "optimizer")
+    result = min_cost(load(), max_states=args.limit_states, max_witnesses=args.witnesses)
     payload = {
         "graph": args.graph,
         "min_cost": result.min_cost,
@@ -272,9 +295,7 @@ def _cmd_family_table(args: argparse.Namespace) -> int:
     base = 1 if args.kind.startswith("based") else None
     rows = []
     for n in range(1, args.max + 1):
-        g = build_family(f"{kind}:{n}")
-        routes = _count_routes(g, (kind, n), base, args)
-        values = {name: compute() for name, compute in routes.items()}
+        values = _count_values(f"{FAMILY_PREFIX}{kind}:{n}", base, args)
         # The oracle column, the only one that depends on size, comes last.
         names = sorted(values, key="oracle".__eq__)
         rows.append(
@@ -348,13 +369,15 @@ def _cmd_xi(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_conjecture(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
+    p, size, load = _sized_graph(args.graph)
+    check_limit(size, "elements", args.limit_elements, "enumeration")
     tie: TieBreak | str
     if args.tie_break == "exhaustive":
         tie = "exhaustive"
     else:
         tie = TieBreak(args.tie_break, args.seed)
-    report = check_conjecture(g, tie, element_limit=args.limit_elements)
+        check_limit(p, "vertices", DEFAULT_GREEDY_VERTEX_LIMIT, "greedy-all")
+    report = check_conjecture(load(), tie, element_limit=args.limit_elements)
     payload = {
         "graph": args.graph,
         "policy": report.policy,

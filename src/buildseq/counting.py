@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DEFAULT_STATE_LIMIT, ResourceLimitError
+from .errors import DEFAULT_STATE_LIMIT, check_limit, check_subset_limits
 from .graphs import Graph
 from .sequences import CSeq, _from_codes
 
@@ -65,10 +65,7 @@ def count_bruteforce(
     if base is not None and not 1 <= base <= g.p:
         raise ValueError(f"base vertex {base} outside 1..{g.p}")
     total_elements = g.element_count
-    if total_elements > element_limit:
-        raise ResourceLimitError(
-            f"{total_elements} elements exceed the brute-force limit {element_limit}"
-        )
+    check_limit(total_elements, "elements", element_limit, "brute-force")
     need = g.endpoint_masks()
     start = 0 if base is None else 1 << (base - 1)
     count = 0
@@ -100,13 +97,7 @@ def _subset_edge_counts(
     ``kernel`` names the caller in the error messages.
     """
     p = g.p
-    if p > vertex_limit:
-        raise ResourceLimitError(f"{p} vertices exceed the {kernel} limit {vertex_limit}")
-    if 1 << p > max_states:
-        raise ResourceLimitError(
-            f"{kernel} needs 2^{p} vertex-subset states, over the limit {max_states}; "
-            "raise max_states to continue"
-        )
+    check_subset_limits(p, vertex_limit, max_states, kernel)
     loops = [0] * p
     layers: list[list[int]] = [[] for _ in range(p)]
     for (u, w), k in Counter(g.edges).items():  # u <= w: edges are normalized
@@ -207,8 +198,7 @@ def _iter_codes(
     codes per placed element, so any element count works.
     """
     n = g.element_count
-    if n > element_limit:
-        raise ResourceLimitError(f"{n} elements exceed the enumeration limit {element_limit}")
+    check_limit(n, "elements", element_limit, "enumeration")
     if n < 2:
         yield tuple(range(n))
         return

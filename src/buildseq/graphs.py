@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Sequence
+from typing import Any, Iterator, Sequence
 
 from .posets import Poset, poset_from_hypergraph
 
@@ -248,12 +248,12 @@ def _complete(n: int) -> Graph:
     return Graph(n, tuple(itertools.combinations(range(1, n + 1), 2)))
 
 
-# Builder and element count (vertices plus edges) of each base family.
+# Builder and shape (vertex count, edge count) of each base family.
 _BASE_FAMILIES = {
-    "path": (_path, lambda n: 2 * n - 1),
-    "star": (_star, lambda n: 2 * n + 1),
-    "cycle": (_cycle, lambda n: 2 * n),
-    "complete": (_complete, lambda n: n + n * (n - 1) // 2),
+    "path": (_path, lambda n: (n, n - 1)),
+    "star": (_star, lambda n: (n + 1, n)),
+    "cycle": (_cycle, lambda n: (n, n)),
+    "complete": (_complete, lambda n: (n, n * (n - 1) // 2)),
 }
 
 
@@ -273,18 +273,52 @@ def build_family(spec: str) -> Graph:
     lexicographic endpoint order.  ``cycle:1`` and ``cycle:2`` come out as
     multigraphs (a loop, resp. a doubled edge).
     """
-    calls: list[tuple[str, list[tuple[Graph, int]]]] = []
+    stack: list[Graph] = []
+    for name, arg in _family_plan(spec):
+        if name in _BASE_FAMILIES:
+            stack.append(_BASE_FAMILIES[name][0](arg))
+            continue
+        parts = stack[-len(arg) :]
+        del stack[-len(arg) :]
+        stack.append(disjoint_union(parts) if name == "union" else wedge(list(zip(parts, arg))))
+    return stack[0]
+
+
+def _family_shape(spec: str) -> tuple[int, int]:
+    """(p, q) of ``build_family(spec)``, found without building the graph;
+    a spec that ``build_family`` rejects raises the same ``ValueError``."""
+    stack: list[tuple[int, int]] = []
+    for name, arg in _family_plan(spec):
+        if name in _BASE_FAMILIES:
+            stack.append(_BASE_FAMILIES[name][1](arg))
+            continue
+        parts = stack[-len(arg) :]
+        del stack[-len(arg) :]
+        merged = 0  # a wedge merges its parts' base points into one vertex
+        if name == "wedge":
+            for (p, _), base in zip(parts, arg):
+                _check_base(base, p)
+            merged = len(parts) - 1
+        stack.append((sum(p for p, _ in parts) - merged, sum(q for _, q in parts)))
+    return stack[0]
+
+
+def _family_plan(spec: str) -> Iterator[tuple[str, Any]]:
+    """The spec in postfix order: ``(family, n)`` for a base part and
+    ``(kind, base points)`` for a union (all 1) or wedge once its parts are
+    out.  A step is yielded, after the element budget check for a base part,
+    as soon as its text is read, so a fold raises in the same order as one
+    pass over the text.  The parse moves one index through the text and
+    slices it only for a name, a number or an error message: it is linear."""
+    calls: list[tuple[str, list[int]]] = []
     elements = 0
-    # The parse moves one index through the text and slices it only for a
-    # name, a number or an error message, so it is linear in the text.
     text = spec.strip()
     at = 0
     while True:
         at = _skip_space(text, at)
-        kind = next((k for k in ("union", "wedge") if text.startswith(k + "(", at)), None)
-        if kind is not None:
-            calls.append((kind, []))
-            at += len(kind) + 1
+        if text.startswith(("union(", "wedge("), at):
+            calls.append((text[at : at + 5], []))
+            at += 6
             continue
         colon = text.find(":", at)
         if colon < 0:
@@ -296,14 +330,13 @@ def build_family(spec: str) -> Graph:
         if n < 1:
             raise ValueError(f"family size must be >= 1, got {n}")
         at = end
-        build, size = _BASE_FAMILIES[name]
-        elements += size(n)
+        elements += sum(_BASE_FAMILIES[name][1](n))
         if elements > MAX_FAMILY_SIZE:
             raise ValueError(f"family spec needs {elements} elements, over the guard {MAX_FAMILY_SIZE}")
-        graph = build(n)
+        yield name, n
         # Hand the part to the innermost open call; each ')' closes one.
         while calls:
-            kind, parts = calls[-1]
+            kind, bases = calls[-1]
             at = _skip_space(text, at)
             base = 1
             if kind == "wedge":
@@ -311,7 +344,7 @@ def build_family(spec: str) -> Graph:
                     raise ValueError("wedge parts need a base point, e.g. wedge(path:2@1, ...)")
                 base, end = _take_number(text, at + 1, "bad base point in {!r}", at)
                 at = _skip_space(text, end)
-            parts.append((graph, base))
+            bases.append(base)
             if text.startswith(",", at):
                 at += 1
                 break
@@ -319,11 +352,11 @@ def build_family(spec: str) -> Graph:
                 raise ValueError(f"expected ',' or ')' in family spec near {text[at:]!r}")
             at += 1
             calls.pop()
-            graph = disjoint_union([g for g, _ in parts]) if kind == "union" else wedge(parts)
+            yield kind, bases
         if not calls:
             if at < len(text):
                 raise ValueError(f"trailing text {text[at:]!r} after family spec")
-            return graph
+            return
 
 
 def _skip_space(text: str, at: int) -> int:
@@ -370,8 +403,7 @@ def wedge(parts: Sequence[tuple[Graph, int]]) -> Graph:
     edges: list[tuple[int, int]] = []
     offset = 1
     for g, base in parts:
-        if not 1 <= base <= g.p:
-            raise ValueError(f"base vertex {base} outside 1..{g.p}")
+        _check_base(base, g.p)
         mapping = {base: 1}
         next_label = offset + 1
         for v in range(1, g.p + 1):
@@ -381,6 +413,11 @@ def wedge(parts: Sequence[tuple[Graph, int]]) -> Graph:
         edges.extend((mapping[u], mapping[w]) for u, w in g.edges)
         offset += g.p - 1
     return Graph(offset, tuple(edges), multigraph=any(g.multigraph for g, _ in parts))
+
+
+def _check_base(base: int, p: int) -> None:
+    if not 1 <= base <= p:
+        raise ValueError(f"base vertex {base} outside 1..{p}")
 
 
 def relabel(g: Graph, sigma: Sequence[int]) -> Graph:

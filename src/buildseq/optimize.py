@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ResourceLimitError
+from .errors import check_limit
 from .graphs import Element, Graph, _UnionFind, build_family
 from .sequences import CSeq, _from_codes
 from .counting import (
@@ -123,38 +123,36 @@ def greedy(
         opens[u if rank[u] >= rank[w] else w].append(j)
     rng = random.Random(tie_break.seed)
     components = _UnionFind(p)
-    available: list[int] = []
     codes: list[int] = []
     for v in order:
         codes.append(v - 1)
-        available.extend(opens[v])
-        while available:
-            chosen = _pick_edge(g, available, tie_break, components, rng)
-            available.remove(chosen)
-            u, w = g.endpoints(chosen)
-            components.union(u, w)
-            codes.append(p + chosen - 1)
+        codes.extend(p + j - 1 for j in _edge_order(g, opens[v], tie_break, components, rng))
     return next(_from_codes(g, [codes]))
 
 
-def _pick_edge(
+def _edge_order(
     g: Graph,
     available: list[int],
     tie_break: TieBreak,
     components: _UnionFind,
     rng: random.Random,
-) -> int:
+) -> list[int]:
+    """The order in which greedy places the available edges, given in
+    increasing id; consumes ``available``."""
     if tie_break.policy == "lexicographic":
-        return available[0]
+        return available
     if tie_break.policy == "seeded-random":
-        return rng.choice(available)
-    # cycle-avoiding: prefer edges joining distinct components for as long
-    # as possible, smallest id within the preferred class.
+        # A uniform pick among the edges left, as rng.choice would make.
+        return [available.pop(rng.randrange(len(available))) for _ in range(len(available))]
+    # cycle-avoiding: the smallest id among the edges joining distinct
+    # components for as long as one does, then the rest by id.  A join
+    # never splits a component, so an edge that closes a cycle keeps doing
+    # so, and one pass in id order finds the joins in the order they come.
+    joins: list[int] = []
+    closes: list[int] = []
     for j in available:
-        u, w = g.endpoints(j)
-        if u != w and components.find(u) != components.find(w):
-            return j
-    return available[0]
+        (joins if components.union(*g.edges[j - 1]) else closes).append(j)
+    return joins + closes
 
 
 def greedy_all(
@@ -164,8 +162,7 @@ def greedy_all(
     vertex_limit: int = DEFAULT_GREEDY_VERTEX_LIMIT,
 ) -> set[CSeq]:
     """Deduplicated greedy outputs over every vertex order (p! runs)."""
-    if g.p > vertex_limit:
-        raise ResourceLimitError(f"{g.p} vertices exceed the greedy-all limit {vertex_limit}")
+    check_limit(g.p, "vertices", vertex_limit, "greedy-all")
     return {
         greedy(g, order, tie_break)
         for order in itertools.permutations(range(1, g.p + 1))

@@ -233,13 +233,21 @@ def vertex_delay(x: CSeq, v: int) -> Fraction:
 
 
 def vertex_cost(x: CSeq) -> Fraction:
-    """Sum of per-vertex delays over all vertices."""
+    """Sum of per-vertex delays over all vertices, in linear time."""
     g = x.graph
     degs = g.degrees()
     if any(d == 0 for d in degs):
         isolated = [v for v, d in enumerate(degs, start=1) if d == 0]
         raise IsolatedVertexError(f"isolated vertices {isolated}; vertex cost undefined")
-    return sum((vertex_delay(x, v) for v in range(1, g.p + 1)), Fraction(0))
+    # One pass over the edges adds each edge's position to its endpoints'
+    # sums, a loop's once; each sum starts at minus the vertex's position.
+    pos = x._code_positions
+    sums = [-t for t in pos[: g.p]]
+    for t, (u, w) in zip(pos[g.p :], g.edges):
+        sums[u - 1] += t
+        if w != u:
+            sums[w - 1] += t
+    return sum(map(Fraction, sums, degs), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import buildseq as b
+from buildseq import cli
 from buildseq.cli import main
 
 
@@ -74,6 +75,76 @@ class TestCount:
         code, out, err = run(capsys, "count", "family:path:3", "--route", route, "--base", base)
         assert (code, out) == (1, "")
         assert f"base vertex {base} outside 1..3" in err
+
+
+class TestLimitsBeforeTheGraph:
+    """Over-limit requests fail on the spec's size, before any Graph exists."""
+
+    @pytest.fixture(autouse=True)
+    def no_graph(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a Graph was built")
+
+        monkeypatch.setattr(b.Graph, "__post_init__", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (("count",), "600 vertices exceed the count DP limit 24"),
+            (("count", "--route", "all", "--format", "json"), "600 vertices exceed the count DP limit 24"),
+            (("count", "--base", "1"), "600 vertices exceed the count DP limit 24"),
+            (("count", "--route", "oracle"), "180300 elements exceed the brute-force limit 11"),
+            (("optimize",), "600 vertices exceed the optimizer limit 22"),
+            (("enumerate",), "180300 elements exceed the enumeration limit 11"),
+            (("check-conjecture",), "180300 elements exceed the enumeration limit 11"),
+        ],
+    )
+    def test_over_limit_exits_three(self, capsys, argv, err):
+        command, *flags = argv
+        assert run(capsys, command, "family:complete:600", *flags) == (3, "", f"resource limit: {err}\n")
+
+    def test_state_and_greedy_limits(self, capsys):
+        assert run(capsys, "optimize", "family:path:21", "--limit-states", "1000") == (
+            3,
+            "",
+            "resource limit: optimizer needs 2^21 vertex-subset states, over the limit 1000; "
+            "raise max_states to continue\n",
+        )
+        spec = "family:union(" + ",".join(["path:1"] * 9) + ")"
+        assert run(capsys, "check-conjecture", spec, "--tie-break", "lexicographic") == (
+            3,
+            "",
+            "resource limit: 9 vertices exceed the greedy-all limit 8\n",
+        )
+
+    def test_formula_route_needs_no_graph(self, capsys, monkeypatch):
+        assert run(capsys, "count", "family:complete:50", "--route", "formula") == (
+            0,
+            f"{b.complete_count(50)}\n",
+            "",
+        )
+        code, out, _ = run(capsys, "family-table", "complete", "--max", "30", "--route", "formula", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-1] == f"30,{b.complete_count(30)},true"
+        # complete_count(600) takes seconds and prints 867,769 digits; what
+        # matters here is that the route runs without a graph.
+        monkeypatch.setitem(cli._FORMULAS, ("complete", None), lambda n: n)
+        assert run(capsys, "count", "family:complete:600", "--route", "formula") == (0, "600\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (("family:complete:600", "--base", "0"), 1, "error: base vertex 0 outside 1..600\n"),
+            (("family:complete:600)",), 1, "error: trailing text ')' after family spec\n"),
+            (
+                ("family:complete:600", "--route", "recursion"),
+                2,
+                "usage error: route 'recursion' applies only to family:path/star/cycle graphs without --base\n",
+            ),
+        ],
+    )
+    def test_bad_requests_fail_before_the_limit(self, capsys, argv, code, err):
+        assert run(capsys, "count", *argv) == (code, "", err)
 
 
 class TestEnumerate:

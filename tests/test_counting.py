@@ -24,9 +24,9 @@ class TestBruteforce:
         assert 48 == 3 * b.count_bruteforce(b.build_family("path:3"))
 
     def test_limit(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="^13 elements exceed the brute-force limit 11$"):
             b.count_bruteforce(b.build_family("path:7"))
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="^5 elements exceed the brute-force limit 4$"):
             b.count_bruteforce(b.build_family("path:3"), element_limit=4)
 
 
@@ -72,7 +72,7 @@ class TestDP:
                 assert b.count_dp(b.relabel(g, sigma)) == reference
 
     def test_vertex_limit(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="^30 vertices exceed the count DP limit 24$"):
             b.count_dp(b.build_family("path:30"), vertex_limit=24)
 
 
@@ -134,7 +134,7 @@ class TestEnumerate:
         assert sum(1 for _ in b.enumerate_csequences(b.build_family("star:1"))) == 2
 
     def test_limit(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="^15 elements exceed the enumeration limit 11$"):
             next(b.enumerate_csequences(b.build_family("path:8")))
 
 

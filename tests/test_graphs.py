@@ -1,9 +1,39 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import buildseq as b
 from buildseq import Element, Graph, graphs
+
+
+def assert_shape_agrees(spec):
+    """_family_shape gives build_family's (p, q), or raises its ValueError."""
+    try:
+        g = b.build_family(spec)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            graphs._family_shape(spec)
+        assert str(info.value) == str(exc)
+    else:
+        assert graphs._family_shape(spec) == (g.p, g.q)
+
+
+# Nested specs; wedge base points go past some parts' vertex counts.
+base_specs = st.builds(
+    "{}:{}".format, st.sampled_from(["path", "star", "cycle", "complete"]), st.integers(1, 5)
+)
+family_specs = st.recursive(
+    base_specs,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(lambda parts: f"union({','.join(parts)})"),
+        st.lists(st.tuples(inner, st.integers(1, 4)), min_size=1, max_size=3).map(
+            lambda parts: "wedge(" + ",".join(f"{s}@{v}" for s, v in parts) + ")"
+        ),
+    ),
+    max_leaves=8,
+)
 
 
 class TestElement:
@@ -115,6 +145,47 @@ class TestFamilies:
             with pytest.raises(ValueError, match="over the guard 1000000"):
                 b.build_family(spec)
         assert b.build_family("complete:600").element_count == 180_300
+
+
+class TestFamilyShape:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(family_specs)
+    def test_shape_of_nested_specs(self, spec):
+        assert_shape_agrees(spec)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(family_specs, st.data())
+    def test_damaged_specs_fail_alike(self, spec, data):
+        at = data.draw(st.integers(0, len(spec) - 1))
+        assert_shape_agrees(spec[:at] + spec[at + 1 :])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "path:0", "path", "blob:3", "path:3)", "union()", "wedge(path:2)", "path:x",
+            "wedge(path:2@3)", "union(wedge(path:2@3),blob:3)", "wedge(path:2@1,star:2@4)",
+            "complete:1415",
+        ],
+    )
+    def test_rejected_specs_fail_alike(self, spec):
+        with pytest.raises(ValueError):
+            b.build_family(spec)
+        assert_shape_agrees(spec)
+
+    def test_over_budget_parts_fail_alike(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_FAMILY_SIZE", 10)
+        for spec in ("union(path:5,path:2)", "wedge(cycle:5@1,path:1@1)", "union(wedge(path:2@3),star:9)"):
+            with pytest.raises(ValueError):
+                b.build_family(spec)
+            assert_shape_agrees(spec)
+
+    def test_no_graph_is_built(self, monkeypatch):
+        def no_graph(self):
+            raise AssertionError("a Graph was built")
+
+        monkeypatch.setattr(Graph, "__post_init__", no_graph)
+        assert graphs._family_shape("complete:1413") == (1413, 997_578)
+        assert graphs._family_shape("wedge(union(star:3,cycle:2)@6,complete:4@2)") == (9, 11)
 
 
 class TestComposition:

@@ -5,6 +5,7 @@ import pytest
 
 import buildseq as b
 from buildseq import Element, TieBreak
+from buildseq.optimize import POLICIES
 from buildseq.errors import ResourceLimitError
 
 from conftest import make_random_graph
@@ -70,6 +71,58 @@ class TestGreedy:
         assert seeded <= {"v1 v2 e1 v3 e2 e3", "v1 v2 e1 v3 e3 e2"}
         assert len(seeded) == 2
 
+    def test_seeded_random_on_a_star_with_the_hub_last(self):
+        # The hub opens every edge at once, so all picks come from one batch.
+        g = b.build_family("star:6")
+        order = (2, 3, 4, 5, 6, 7, 1)
+        x = b.greedy(g, order, TieBreak("seeded-random", 0))
+        assert str(x) == "v2 v3 v4 v5 v6 v7 v1 e4 e5 e1 e3 e6 e2"
+        x = b.greedy(g, order, TieBreak("seeded-random", 3))
+        assert str(x) == "v2 v3 v4 v5 v6 v7 v1 e2 e6 e3 e4 e5 e1"
+
+    def test_policies_follow_the_pick_one_edge_at_a_time_definition(self):
+        def reference(g, order, tie):
+            # Recompute the available edges in id order before every pick.
+            rng = random.Random(tie.seed)
+            parent = list(range(g.p + 1))
+
+            def find(v):
+                while parent[v] != v:
+                    v = parent[v]
+                return v
+
+            placed, used, out = set(), set(), []
+            for v in order:
+                placed.add(v)
+                out.append(f"v{v}")
+                while True:
+                    free = [j for j in range(1, g.q + 1) if j not in used and set(g.edges[j - 1]) <= placed]
+                    if not free:
+                        break
+                    if tie.policy == "lexicographic":
+                        j = free[0]
+                    elif tie.policy == "seeded-random":
+                        j = rng.choice(free)
+                    else:
+                        joins = [j for j in free if find(g.edges[j - 1][0]) != find(g.edges[j - 1][1])]
+                        j = (joins or free)[0]
+                    u, w = g.edges[j - 1]
+                    parent[find(u)] = find(w)
+                    used.add(j)
+                    out.append(f"e{j}")
+            return " ".join(out)
+
+        rng = random.Random(11)
+        for _ in range(60):
+            p = rng.randint(1, 6)
+            edges = tuple((rng.randint(1, p), rng.randint(1, p)) for _ in range(rng.randint(0, 3 * p)))
+            g = b.Graph(p, edges, multigraph=True)
+            order = list(range(1, p + 1))
+            rng.shuffle(order)
+            for policy in POLICIES:
+                tie = TieBreak(policy, seed=rng.randint(0, 99))
+                assert str(b.greedy(g, order, tie)) == reference(g, order, tie)
+
     def test_cycle_avoiding_postpones_closures(self):
         # After v1 v2 e2 v4 v3 e1 both e3 (closing the triangle) and e4
         # (reaching v4) are available; the lexicographic rule takes e3, the
@@ -101,7 +154,7 @@ class TestGreedyAll:
         assert len(b.greedy_all(b.build_family("star:1"))) == 2
 
     def test_vertex_limit(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="^9 vertices exceed the greedy-all limit 8$"):
             b.greedy_all(b.build_family("path:9"))
 
 
@@ -175,7 +228,7 @@ class TestMinCost:
             assert result.num_optimal == len(minimizers)
 
     def test_vertex_limit(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="^23 vertices exceed the optimizer limit 22$"):
             b.min_cost(b.build_family("path:23"))
 
 
@@ -193,7 +246,7 @@ class TestEnumerateMinCost:
                 assert b.component_profile(x).peak <= 2
 
     def test_limit(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="^15 elements exceed the enumeration limit 11$"):
             b.enumerate_min_cost(b.build_family("path:8"))
 
 

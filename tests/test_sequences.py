@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -167,10 +168,23 @@ class TestVertexCost:
     def test_isolated_vertex_rejected(self):
         g = b.Graph(3, ((1, 2),))
         x = b.vertices_first_sequence(g)
-        with pytest.raises(IsolatedVertexError):
+        with pytest.raises(IsolatedVertexError, match=r"^isolated vertices \[3\]; vertex cost undefined$"):
             b.vertex_cost(x)
-        with pytest.raises(IsolatedVertexError):
+        with pytest.raises(IsolatedVertexError, match="^vertex 3 is isolated; vertex cost undefined$"):
             b.vertex_delay(x, 3)
+
+    def test_sum_of_delays_on_multigraphs(self):
+        # Loops count once in a vertex's edge sum and twice in its degree.
+        rng = random.Random(7)
+        for _ in range(40):
+            p = rng.randint(1, 6)
+            edges = tuple(sorted((rng.randint(1, p), rng.randint(1, p))) for _ in range(rng.randint(p, 3 * p)))
+            edges += tuple((v, v) for v in range(1, p + 1))  # no vertex is isolated
+            g = b.Graph(p, edges, multigraph=True)
+            order = list(range(1, g.p + 1))
+            rng.shuffle(order)
+            x = b.greedy(g, order)
+            assert b.vertex_cost(x) == sum((b.vertex_delay(x, v) for v in range(1, p + 1)), Fraction(0))
 
 
 class TestContinuousCost:

@@ -89,12 +89,13 @@ def test_kernels_leave_the_recursion_limit_alone():
 
 def test_state_limit_bounds_the_vertex_subsets_before_any_work():
     g = b.build_family("path:10")  # 2^10 vertex subsets
-    for run in (
-        lambda limit: b.count_dp(g, max_states=limit),
-        lambda limit: b.count_based(g, 1, max_states=limit),
-        lambda limit: b.min_cost(g, max_states=limit),
+    for kernel, run in (
+        ("count DP", lambda limit: b.count_dp(g, max_states=limit)),
+        ("count DP", lambda limit: b.count_based(g, 1, max_states=limit)),
+        ("optimizer", lambda limit: b.min_cost(g, max_states=limit)),
     ):
-        with pytest.raises(ResourceLimitError):
+        message = f"^{kernel} needs 2\\^10 vertex-subset states, over the limit 1023; raise max_states to continue$"
+        with pytest.raises(ResourceLimitError, match=message):
             run(2**10 - 1)
         run(2**10)
 
