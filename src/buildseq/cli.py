@@ -13,17 +13,18 @@ error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .counting import (
+    DEFAULT_DP_STATE_LIMIT,
     DEFAULT_ELEMENT_LIMIT,
-    DEFAULT_STATE_LIMIT,
-    DEFAULT_VERTEX_LIMIT,
     complete_count,
     count_based,
     count_bruteforce,
@@ -38,10 +39,10 @@ from .counting import (
 )
 from .errors import IsolatedVertexError, ResourceLimitError, check_limit, check_subset_limits
 from .families import Family
-from .graphs import Graph, _family_shape, build_family, parse_graph
+from .graphs import Graph, _family_plan, _family_shape, build_family, parse_graph
 from .optimize import (
     DEFAULT_GREEDY_VERTEX_LIMIT,
-    DEFAULT_OPT_VERTEX_LIMIT,
+    DEFAULT_OPT_STATE_LIMIT,
     TieBreak,
     check_conjecture,
     greedy,
@@ -85,14 +86,12 @@ def _sized_graph(argument: str) -> tuple[int, int, Callable[[], Graph]]:
 
 
 def _family_kind(argument: str) -> tuple[str, int] | None:
-    """(kind, n) when the argument is a plain path/star/cycle/complete family spec."""
+    """(kind, n) when the argument is a plain family spec, one whose plan
+    is a single base step; the spec must already have parsed."""
     if not argument.startswith(FAMILY_PREFIX):
         return None
-    spec = argument[len(FAMILY_PREFIX) :].strip()
-    name, _, arg = spec.partition(":")
-    if name in ("path", "star", "cycle", "complete") and arg.isdigit():
-        return name, int(arg)
-    return None
+    steps = list(itertools.islice(_family_plan(argument[len(FAMILY_PREFIX) :]), 2))
+    return steps[0] if len(steps) == 1 else None
 
 
 def _emit(payload: dict, fmt: str, plain: str) -> None:
@@ -102,10 +101,15 @@ def _emit(payload: dict, fmt: str, plain: str) -> None:
         print(plain)
 
 
+def _digits(n: int) -> str:
+    """n in decimal, however long: unlike str(int), Decimal's conversion
+    does not stop at sys.get_int_max_str_digits()."""
+    return format(Decimal(n), "f")
+
+
 def _rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(
-        value.numerator
-    )
+    numerator = _digits(value.numerator)
+    return numerator if value.denominator == 1 else f"{numerator}/{_digits(value.denominator)}"
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +176,7 @@ def _count_values(argument: str, base: int | None, args: argparse.Namespace) -> 
             raise UsageError(f"route {args.route!r} applies only to {_ROUTE_SCOPE[args.route]}")
         routes = {args.route: compute}
     if "dp" in routes:
-        check_subset_limits(p, DEFAULT_VERTEX_LIMIT, args.limit_states, "count DP")
+        check_subset_limits(p, args.limit_states, "count DP")
     if "oracle" in routes:
         check_limit(size, "elements", args.limit_elements, "brute-force")
     g = load() if routes.keys() & {"dp", "oracle"} else None
@@ -184,14 +188,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
     agree = len(set(values.values())) == 1
     payload = {
         "graph": args.graph,
-        "counts": {name: str(v) for name, v in values.items()},
+        "counts": {name: _digits(v) for name, v in values.items()},
         "agree": agree,
     }
     if not agree:
         print(f"count routes disagree: {payload['counts']}", file=sys.stderr)
         print(json.dumps(payload))
         return 1
-    _emit(payload, args.format, str(next(iter(values.values()))))
+    _emit(payload, args.format, next(iter(payload["counts"].values())))
     return 0
 
 
@@ -253,15 +257,15 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     p, _, load = _sized_graph(args.graph)
-    check_subset_limits(p, DEFAULT_OPT_VERTEX_LIMIT, args.limit_states, "optimizer")
+    check_subset_limits(p, args.limit_states, "optimizer")
     result = min_cost(load(), max_states=args.limit_states, max_witnesses=args.witnesses)
     payload = {
         "graph": args.graph,
         "min_cost": result.min_cost,
-        "num_optimal": str(result.num_optimal),
+        "num_optimal": _digits(result.num_optimal),
         "witnesses": [format_sequence(x.elements) for x in result.witnesses],
     }
-    _emit(payload, args.format, f"{result.min_cost} {result.num_optimal}")
+    _emit(payload, args.format, f"{result.min_cost} {payload['num_optimal']}")
     return 0
 
 
@@ -301,7 +305,7 @@ def _cmd_family_table(args: argparse.Namespace) -> int:
         rows.append(
             {
                 "n": n,
-                "counts": {name: str(values[name]) for name in names},
+                "counts": {name: _digits(values[name]) for name in names},
                 "agree": len(set(values.values())) == 1,
             }
         )
@@ -350,7 +354,7 @@ def _cmd_xi(args: argparse.Namespace) -> int:
     size = len(counts)
     average = Fraction(total, size)
     entries = [
-        {"id": index, "c": str(c), "xi": _rational(Fraction(c) / average)}
+        {"id": index, "c": _digits(c), "xi": _rational(Fraction(c) / average)}
         for index, c in counts
     ]
     payload = {
@@ -382,8 +386,8 @@ def _cmd_check_conjecture(args: argparse.Namespace) -> int:
         "graph": args.graph,
         "policy": report.policy,
         "holds": report.holds,
-        "num_min_cost": str(report.num_min_cost),
-        "num_greedy": str(report.num_greedy),
+        "num_min_cost": _digits(report.num_min_cost),
+        "num_greedy": _digits(report.num_greedy),
         "counterexamples": [format_sequence(x.elements) for x in report.counterexamples],
     }
     _emit(
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = {
         "--limit-elements": DEFAULT_ELEMENT_LIMIT,
-        "--limit-states": DEFAULT_STATE_LIMIT,
+        "--limit-states": DEFAULT_DP_STATE_LIMIT,
         "--seed": 0,
     }
 
@@ -451,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("graph")
     p_opt.add_argument("--witnesses", type=int, default=0, help="emit up to N minimum-cost sequences")
     common(p_opt, "--limit-states")
-    p_opt.set_defaults(func=_cmd_optimize)
+    # The optimizer's table has a lower default limit than the count DP's.
+    p_opt.set_defaults(func=_cmd_optimize, limit_states=DEFAULT_OPT_STATE_LIMIT)
 
     p_greedy = sub.add_parser("greedy", help="run the greedy builder")
     p_greedy.add_argument("graph")

@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DEFAULT_STATE_LIMIT, check_limit, check_subset_limits
+from .errors import check_limit, check_subset_limits
 from .graphs import Graph
 from .sequences import CSeq, _from_codes
 
@@ -44,12 +44,11 @@ __all__ = [
     "union_count",
     "wedge_count",
     "DEFAULT_ELEMENT_LIMIT",
-    "DEFAULT_VERTEX_LIMIT",
-    "DEFAULT_STATE_LIMIT",
+    "DEFAULT_DP_STATE_LIMIT",
 ]
 
 DEFAULT_ELEMENT_LIMIT = 11
-DEFAULT_VERTEX_LIMIT = 24
+DEFAULT_DP_STATE_LIMIT = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +79,7 @@ def count_bruteforce(
     return count
 
 
-def _subset_edge_counts(
-    g: Graph, *, vertex_limit: int, max_states: int, kernel: str
-) -> list[int]:
+def _subset_edge_counts(g: Graph, *, max_states: int, kernel: str) -> list[int]:
     """e[S] for every vertex subset S (bit v-1 stands for vertex v): the
     number of edge records with all endpoints in S, so loops and parallel
     edges count with multiplicity.
@@ -93,11 +90,11 @@ def _subset_edge_counts(
     The subsets whose highest vertex is v are 2^v..2^(v+1)-1, so their
     entries form one column computed from the 2^v entries before it.
 
-    Both limits are checked before the table of 2^p entries is allocated;
-    ``kernel`` names the caller in the error messages.
+    ``max_states`` bounds 2^p and is checked before the table is allocated;
+    ``kernel`` names the caller in the error message.
     """
     p = g.p
-    check_subset_limits(p, vertex_limit, max_states, kernel)
+    check_subset_limits(p, max_states, kernel)
     loops = [0] * p
     layers: list[list[int]] = [[] for _ in range(p)]
     for (u, w), k in Counter(g.edges).items():  # u <= w: edges are normalized
@@ -151,26 +148,17 @@ def _completions(g: Graph, e: list[int], base: int) -> list[int]:
     return a
 
 
-def count_dp(
-    g: Graph,
-    *,
-    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
-    max_states: int = DEFAULT_STATE_LIMIT,
-) -> int:
+def count_dp(g: Graph, *, max_states: int = DEFAULT_DP_STATE_LIMIT) -> int:
     """Exact construction-sequence count by a sweep over the 2^p vertex
-    subsets (``max_states`` bounds 2^p): A(empty set), as h = N there."""
-    e = _subset_edge_counts(g, vertex_limit=vertex_limit, max_states=max_states, kernel="count DP")
+    subsets: A(empty set), as h = N there.  ``max_states`` bounds 2^p, the
+    table size, so the default admits p <= 24."""
+    e = _subset_edge_counts(g, max_states=max_states, kernel="count DP")
     return _completions(g, e, 0)[0]
 
 
-def count_based(
-    g: Graph,
-    base: int,
-    *,
-    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
-    max_states: int = DEFAULT_STATE_LIMIT,
-) -> int:
-    """Count of sequences whose first element is the vertex ``base``.
+def count_based(g: Graph, base: int, *, max_states: int = DEFAULT_DP_STATE_LIMIT) -> int:
+    """Count of sequences whose first element is the vertex ``base``, by
+    the sweep of :func:`count_dp` under the same ``max_states`` bound on 2^p.
 
     The elements after ``base``, other than its loops, follow in C({base})
     orders, and the loops at ``base`` take any of the N - 1 later positions:
@@ -178,7 +166,7 @@ def count_based(
     """
     if not 1 <= base <= g.p:
         raise ValueError(f"base vertex {base} outside 1..{g.p}")
-    e = _subset_edge_counts(g, vertex_limit=vertex_limit, max_states=max_states, kernel="count DP")
+    e = _subset_edge_counts(g, max_states=max_states, kernel="count DP")
     bit = 1 << (base - 1)
     return _completions(g, e, bit)[bit] // g.element_count
 

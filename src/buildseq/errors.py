@@ -1,7 +1,5 @@
-"""Shared exception types, the state budget, and the limit checks that the
-kernels and the CLI (on a spec's size, before building) both run."""
-
-DEFAULT_STATE_LIMIT = 1 << 26
+"""Shared exception types and the limit checks that the kernels and the
+CLI (on a spec's size, before building) both run."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -22,10 +20,11 @@ def check_limit(amount: int, unit: str, limit: int, kernel: str) -> None:
         raise ResourceLimitError(f"{amount} {unit} exceed the {kernel} limit {limit}")
 
 
-def check_subset_limits(p: int, vertex_limit: int, max_states: int, kernel: str) -> None:
-    """The limits of a sweep over the 2^p vertex subsets: on p and on 2^p."""
-    check_limit(p, "vertices", vertex_limit, kernel)
-    if 1 << p > max_states:
+def check_subset_limits(p: int, max_states: int, kernel: str) -> None:
+    """The one limit of a sweep over the 2^p vertex subsets: 2^p table
+    entries at most ``max_states``.  Compared through the bit length, so a
+    huge p costs no 2^p integer."""
+    if p >= max(max_states, 0).bit_length():
         raise ResourceLimitError(
             f"{kernel} needs 2^{p} vertex-subset states, over the limit {max_states}; "
             "raise max_states to continue"

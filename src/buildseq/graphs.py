@@ -203,21 +203,7 @@ class Graph:
         return [0] * self.p + [(1 << (u - 1)) | (1 << (w - 1)) for u, w in self.edges]
 
     def is_connected(self) -> bool:
-        if self.p <= 1:
-            return True
-        adjacency: list[list[int]] = [[] for _ in range(self.p + 1)]
-        for u, w in self.edges:
-            adjacency[u].append(w)
-            adjacency[w].append(u)
-        seen = {1}
-        stack = [1]
-        while stack:
-            x = stack.pop()
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.p
+        return self.component_count() <= 1
 
     def component_count(self) -> int:
         components = _UnionFind(self.p)

@@ -30,7 +30,6 @@ from .graphs import Element, Graph, _UnionFind, build_family
 from .sequences import CSeq, _from_codes
 from .counting import (
     DEFAULT_ELEMENT_LIMIT,
-    DEFAULT_STATE_LIMIT,
     _iter_codes,
     _subset_edge_counts,
     count_dp,
@@ -49,12 +48,12 @@ __all__ = [
     "star_schedule",
     "economy_vs_count",
     "POLICIES",
-    "DEFAULT_OPT_VERTEX_LIMIT",
+    "DEFAULT_OPT_STATE_LIMIT",
     "DEFAULT_GREEDY_VERTEX_LIMIT",
 ]
 
 POLICIES = ("lexicographic", "cycle-avoiding", "seeded-random")
-DEFAULT_OPT_VERTEX_LIMIT = 22
+DEFAULT_OPT_STATE_LIMIT = 1 << 22
 DEFAULT_GREEDY_VERTEX_LIMIT = 8
 
 
@@ -197,8 +196,7 @@ def _weights(g: Graph) -> list[int]:
 def min_cost(
     g: Graph,
     *,
-    vertex_limit: int = DEFAULT_OPT_VERTEX_LIMIT,
-    max_states: int = DEFAULT_STATE_LIMIT,
+    max_states: int = DEFAULT_OPT_STATE_LIMIT,
     max_witnesses: int = 0,
 ) -> OptResult:
     """Exact minimum total cost and the count of sequences attaining it.
@@ -214,14 +212,15 @@ def min_cost(
 
         cost = N(N+1) - sum over v of (2 + deg v) * pos(v).
 
-    One sweep over the 2^p vertex subsets (``max_states`` bounds 2^p) then
-    finds the minimum: with the vertices of S and the e(S) edges among them
-    placed, v comes next at pos = |S| + e(S) + 1 and adds
-    -(2 + deg v) * pos, and N(N+1) is added once at the end.  Witness
+    One sweep over the 2^p vertex subsets (``max_states`` bounds 2^p, the
+    table size, so the default admits p <= 22) then finds the minimum:
+    with the vertices of S and the e(S) edges among them placed, v comes
+    next at pos = |S| + e(S) + 1 and adds -(2 + deg v) * pos, and N(N+1)
+    is added once at the end.  Witness
     extraction is optional and capped by ``max_witnesses``; witnesses come
     in lexicographic order.
     """
-    e = _subset_edge_counts(g, vertex_limit=vertex_limit, max_states=max_states, kernel="optimizer")
+    e = _subset_edge_counts(g, max_states=max_states, kernel="optimizer")
     full = (1 << g.p) - 1
     # (bit of v, 2 + deg v): placing v at pos adds -(2 + deg v) * pos.
     steps = [(1 << v, 2 + d) for v, d in enumerate(g.degrees())]
@@ -326,6 +325,9 @@ def check_conjecture(
     saves 2 + deg(v).  Passing a :class:`TieBreak` restricts the greedy side
     to that single policy over all vertex orders, where it can fail.
     """
+    if isinstance(tie_break, TieBreak):  # both limits, in the CLI's order, before any work
+        check_limit(g.element_count, "elements", element_limit, "enumeration")
+        check_limit(g.p, "vertices", vertex_limit, "greedy-all")
     minimum = enumerate_min_cost(g, element_limit=element_limit)
     if isinstance(tie_break, TieBreak):
         reachable = greedy_all(g, tie_break, vertex_limit=vertex_limit)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .errors import DEFAULT_STATE_LIMIT, ResourceLimitError
+from .errors import ResourceLimitError
 
 __all__ = [
     "Poset",
@@ -26,6 +26,8 @@ __all__ = [
     "format_poset",
     "DEFAULT_STATE_LIMIT",
 ]
+
+DEFAULT_STATE_LIMIT = 1 << 26
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import json
+import math
+from decimal import Decimal
 
 import pytest
 
@@ -64,6 +66,39 @@ class TestCount:
         assert (code, out) == (1, "")
         assert "family spec needs 2001000 elements" in err
 
+    def test_counts_past_the_int_to_str_digit_limit(self, capsys, tmp_path):
+        # 4,331 and 9,131 digits, past CPython's default of 4,300 for str(int).
+        expected = b.complete_count(56)
+        code, out, _ = run(capsys, "count", "family:complete:56", "--route", "formula")
+        assert (code, len(out)) == (0, 4332)
+        assert out[:-1].isdigit() and Decimal(out) == expected
+        code, out, _ = run(capsys, "count", "family:complete:56", "--route", "formula", "--format", "json")
+        digits = json.loads(out)["counts"]["formula"]
+        assert code == 0 and digits.isdigit() and Decimal(digits) == expected
+        target = tmp_path / "loops.txt"
+        target.write_text("1 3000\n" + "1 1\n" * 3000)
+        code, out, _ = run(capsys, "count", str(target))
+        assert code == 0 and out[:-1].isdigit() and Decimal(out) == math.factorial(3000)
+
+    def test_spaced_spec_takes_the_formula_route(self, capsys):
+        assert run(capsys, "count", "family:path :3", "--route", "formula") == (0, "16\n", "")
+        assert run(capsys, "count", "family: star:2 ", "--route", "recursion") == (0, "16\n", "")
+
+    def test_raised_state_limit_lifts_the_vertex_cap(self, capsys, monkeypatch):
+        # Stubs stand in for the 2^25 and 2^23 sweeps; the limit checks are real.
+        sweeps = []
+
+        def sweep(g, max_states, **_):
+            sweeps.append((g.p, max_states))
+            return 7 if len(sweeps) == 1 else b.OptResult(5, 6)
+
+        monkeypatch.setattr(cli, "count_dp", sweep)
+        monkeypatch.setattr(cli, "min_cost", sweep)
+        assert run(capsys, "count", "family:path:25", "--limit-states", "33554432") == (0, "7\n", "")
+        argv = ("optimize", "family:path:23", "--limit-states", "8388608", "--format", "plain")
+        assert run(capsys, *argv) == (0, "5 6\n", "")
+        assert sweeps == [(25, 33554432), (23, 8388608)]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "count", "nowhere.txt")
         assert code == 1
@@ -75,6 +110,9 @@ class TestCount:
         code, out, err = run(capsys, "count", "family:path:3", "--route", route, "--base", base)
         assert (code, out) == (1, "")
         assert f"base vertex {base} outside 1..3" in err
+
+
+OVER_600 = "needs 2^600 vertex-subset states, over the limit"
 
 
 class TestLimitsBeforeTheGraph:
@@ -90,11 +128,11 @@ class TestLimitsBeforeTheGraph:
     @pytest.mark.parametrize(
         "argv, err",
         [
-            (("count",), "600 vertices exceed the count DP limit 24"),
-            (("count", "--route", "all", "--format", "json"), "600 vertices exceed the count DP limit 24"),
-            (("count", "--base", "1"), "600 vertices exceed the count DP limit 24"),
+            (("count",), f"count DP {OVER_600} 16777216; raise max_states to continue"),
+            (("count", "--route", "all", "--format", "json"), f"count DP {OVER_600} 16777216; raise max_states to continue"),
+            (("count", "--base", "1"), f"count DP {OVER_600} 16777216; raise max_states to continue"),
             (("count", "--route", "oracle"), "180300 elements exceed the brute-force limit 11"),
-            (("optimize",), "600 vertices exceed the optimizer limit 22"),
+            (("optimize",), f"optimizer {OVER_600} 4194304; raise max_states to continue"),
             (("enumerate",), "180300 elements exceed the enumeration limit 11"),
             (("check-conjecture",), "180300 elements exceed the enumeration limit 11"),
         ],

@@ -72,8 +72,9 @@ class TestDP:
                 assert b.count_dp(b.relabel(g, sigma)) == reference
 
     def test_vertex_limit(self):
-        with pytest.raises(ResourceLimitError, match="^30 vertices exceed the count DP limit 24$"):
-            b.count_dp(b.build_family("path:30"), vertex_limit=24)
+        message = "^count DP needs 2\\^30 vertex-subset states, over the limit 16777216; raise max_states to continue$"
+        with pytest.raises(ResourceLimitError, match=message):
+            b.count_dp(b.build_family("path:30"))
 
 
 class TestBased:

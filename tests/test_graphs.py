@@ -84,6 +84,9 @@ class TestGraphType:
         assert g.incident_edges(2) == (1, 2)
         assert g.is_connected()
         assert Graph(3, ((1, 2),)).component_count() == 2
+        assert Graph(0).is_connected()
+        assert Graph(1, ((1, 1),), multigraph=True).is_connected()
+        assert not Graph(2, ((1, 1), (2, 2)), multigraph=True).is_connected()
 
 
 class TestFamilies:

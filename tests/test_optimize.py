@@ -4,7 +4,7 @@ import random
 import pytest
 
 import buildseq as b
-from buildseq import Element, TieBreak
+from buildseq import Element, TieBreak, optimize
 from buildseq.optimize import POLICIES
 from buildseq.errors import ResourceLimitError
 
@@ -228,7 +228,8 @@ class TestMinCost:
             assert result.num_optimal == len(minimizers)
 
     def test_vertex_limit(self):
-        with pytest.raises(ResourceLimitError, match="^23 vertices exceed the optimizer limit 22$"):
+        message = "^optimizer needs 2\\^23 vertex-subset states, over the limit 4194304; raise max_states to continue$"
+        with pytest.raises(ResourceLimitError, match=message):
             b.min_cost(b.build_family("path:23"))
 
 
@@ -298,6 +299,18 @@ class TestConjectureHarness:
             exhaustive = b.exhaustive_greedy_set(g)
             for policy in ("lexicographic", "cycle-avoiding", "seeded-random"):
                 assert b.greedy_all(g, TieBreak(policy, seed=3)) <= exhaustive
+
+    def test_limits_are_checked_before_the_enumeration(self, monkeypatch):
+        def refuse(*_, **__):
+            raise AssertionError("minimizers enumerated before the limit check")
+
+        monkeypatch.setattr(optimize, "enumerate_min_cost", refuse)
+        spec = "union(" + ",".join(["path:1"] * 9) + ")"
+        with pytest.raises(ResourceLimitError, match="^9 vertices exceed the greedy-all limit 8$"):
+            b.check_conjecture(b.build_family(spec), TieBreak("lexicographic"))
+        # Over both limits: the element limit is reported, as the CLI does.
+        with pytest.raises(ResourceLimitError, match="^16 elements exceed the enumeration limit 11$"):
+            b.check_conjecture(b.build_family("union(path:5,path:4)"), TieBreak("lexicographic"))
 
     def test_bad_tie_break_argument(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import buildseq as b
 from buildseq.counting import _completions, _subset_edge_counts
-from buildseq.errors import ResourceLimitError
+from buildseq.errors import ResourceLimitError, check_subset_limits
 from buildseq.graphs import Element, _UnionFind
 from buildseq.optimize import POLICIES
 
@@ -100,10 +100,18 @@ def test_state_limit_bounds_the_vertex_subsets_before_any_work():
         run(2**10)
 
 
+def test_the_state_limit_is_the_only_subset_limit():
+    check_subset_limits(30, 1 << 30, "count DP")  # no vertex cap binds past 24
+    check_subset_limits(0, 1, "count DP")
+    for p, limit in ((31, 1 << 30), (31, (1 << 31) - 1), (0, 0), (3, -8), (10**12, 1 << 24)):
+        with pytest.raises(ResourceLimitError, match=f"^count DP needs 2\\^{p} vertex-subset states"):
+            check_subset_limits(p, limit, "count DP")
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(bundled_multigraphs())
 def test_edge_table_counts_the_edges_inside_every_subset(g):
-    e = _subset_edge_counts(g, vertex_limit=10, max_states=1 << 10, kernel="count DP")
+    e = _subset_edge_counts(g, max_states=1 << 10, kernel="count DP")
     masks = [(1 << (u - 1)) | (1 << (w - 1)) for u, w in g.edges]
     assert e == [sum(not mask & ~s for mask in masks) for s in range(1 << g.p)]
     # Bundles and loops give a vertex many edges to open in one step.
@@ -134,7 +142,7 @@ def unscaled_completions(g: b.Graph, base: int) -> dict[int, int]:
 @given(st.one_of(multigraphs(), bundled_multigraphs()))
 def test_rescaled_table_is_the_count_times_n_factorial_over_h_factorial(g):
     n = g.element_count
-    e = _subset_edge_counts(g, vertex_limit=10, max_states=1 << 10, kernel="count DP")
+    e = _subset_edge_counts(g, max_states=1 << 10, kernel="count DP")
     for base in [0] + [1 << v for v in range(g.p)]:
         a = _completions(g, e, base)
         for s, c in unscaled_completions(g, base).items():
