@@ -5,160 +5,27 @@ where every edge follows both of its endpoints.  This package counts,
 enumerates, and validates such sequences, optimizes their edge-delay cost,
 generalizes the counting to arbitrary finite posets, and compares graphs by
 relative constructability.  All arithmetic is exact.
+
+Each module declares its public names in its ``__all__``; the package
+republishes them all.
 """
-from .errors import IsolatedVertexError, ResourceLimitError
-from .graphs import (
-    Element,
-    Graph,
-    build_family,
-    disjoint_union,
-    format_graph,
-    incidence_poset,
-    parse_graph,
-    relabel,
-    wedge,
-)
-from .posets import (
-    Poset,
-    count_linear_extensions,
-    format_poset,
-    parse_poset,
-    poset_from_faces,
-    poset_from_hypergraph,
-    relabel_poset,
-)
-from .sequences import (
-    ComponentProfile,
-    CSeq,
-    TimeAssignment,
-    Violation,
-    component_profile,
-    continuous_cost,
-    edge_cost,
-    format_sequence,
-    from_updown_permutation,
-    is_updown,
-    parse_sequence,
-    short_form,
-    to_updown_permutation,
-    total_cost,
-    validate,
-    vertex_cost,
-    vertex_delay,
-    vertices_first_sequence,
-)
-from .counting import (
-    ZigzagNumbers,
-    bernoulli_number,
-    complete_count,
-    count_based,
-    count_bruteforce,
-    count_dp,
-    cycle_count_bernoulli,
-    enumerate_csequences,
-    path_count_bernoulli,
-    path_count_recursive,
-    star_count,
-    star_count_recursive,
-    tremolo_numbers,
-    union_count,
-    wedge_count,
-    zigzag_numbers,
-)
-from .optimize import (
-    ConjectureReport,
-    OptResult,
-    TieBreak,
-    check_conjecture,
-    economy_vs_count,
-    enumerate_min_cost,
-    exhaustive_greedy_set,
-    greedy,
-    greedy_all,
-    min_cost,
-    star_schedule,
-)
-from .families import (
-    Family,
-    constructability,
-    family_average,
-    graphs_pq,
-    is_path_graph,
-    is_star_graph,
-    labeled_trees,
-)
+from .errors import *
+from .graphs import *
+from .posets import *
+from .sequences import *
+from .counting import *
+from .optimize import *
+from .families import *
+from . import counting, errors, families, graphs, optimize, posets, sequences
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "IsolatedVertexError",
-    "ResourceLimitError",
-    "Element",
-    "Graph",
-    "build_family",
-    "disjoint_union",
-    "wedge",
-    "relabel",
-    "incidence_poset",
-    "parse_graph",
-    "format_graph",
-    "Poset",
-    "count_linear_extensions",
-    "poset_from_hypergraph",
-    "poset_from_faces",
-    "relabel_poset",
-    "parse_poset",
-    "format_poset",
-    "CSeq",
-    "Violation",
-    "validate",
-    "ComponentProfile",
-    "component_profile",
-    "edge_cost",
-    "total_cost",
-    "vertex_delay",
-    "vertex_cost",
-    "TimeAssignment",
-    "continuous_cost",
-    "is_updown",
-    "to_updown_permutation",
-    "from_updown_permutation",
-    "vertices_first_sequence",
-    "parse_sequence",
-    "format_sequence",
-    "short_form",
-    "count_bruteforce",
-    "count_dp",
-    "count_based",
-    "enumerate_csequences",
-    "star_count",
-    "star_count_recursive",
-    "complete_count",
-    "path_count_recursive",
-    "ZigzagNumbers",
-    "zigzag_numbers",
-    "bernoulli_number",
-    "path_count_bernoulli",
-    "cycle_count_bernoulli",
-    "tremolo_numbers",
-    "union_count",
-    "wedge_count",
-    "TieBreak",
-    "OptResult",
-    "ConjectureReport",
-    "greedy",
-    "greedy_all",
-    "exhaustive_greedy_set",
-    "min_cost",
-    "enumerate_min_cost",
-    "check_conjecture",
-    "star_schedule",
-    "economy_vs_count",
-    "Family",
-    "labeled_trees",
-    "graphs_pq",
-    "family_average",
-    "constructability",
-    "is_path_graph",
-    "is_star_graph",
+    *errors.__all__,
+    *graphs.__all__,
+    *posets.__all__,
+    *sequences.__all__,
+    *counting.__all__,
+    *optimize.__all__,
+    *families.__all__,
 ]

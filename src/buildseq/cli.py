@@ -43,6 +43,7 @@ from .graphs import Graph, _family_plan, _family_shape, build_family, parse_grap
 from .optimize import (
     DEFAULT_GREEDY_VERTEX_LIMIT,
     DEFAULT_OPT_STATE_LIMIT,
+    POLICIES,
     TieBreak,
     check_conjecture,
     greedy,
@@ -132,6 +133,11 @@ _RECURSIONS: dict[str, Callable[[int], int]] = {
     "cycle": lambda n: n * path_count_recursive(n),
 }
 
+# family-table kinds: "path" for ("path", None), "based-path" for ("path", 1).
+_TABLE_KINDS = {
+    kind if base is None else f"based-{kind}": (kind, base) for kind, base in _FORMULAS
+}
+_ROUTES = ("dp", "oracle", "formula", "recursion", "all")
 _ROUTE_SCOPE = {
     "formula": "family:path/star/cycle/complete graphs, with --base only to path or star --base 1",
     "recursion": "family:path/star/cycle graphs without --base",
@@ -289,14 +295,10 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
     return 0
 
 
-_TABLE_KINDS = ("path", "star", "cycle", "complete", "based-path", "based-star")
-
-
 def _cmd_family_table(args: argparse.Namespace) -> int:
     if args.kind not in _TABLE_KINDS:
-        raise UsageError(f"kind must be one of {_TABLE_KINDS}, got {args.kind!r}")
-    kind = args.kind.split("-")[-1]
-    base = 1 if args.kind.startswith("based") else None
+        raise UsageError(f"kind must be one of {tuple(_TABLE_KINDS)}, got {args.kind!r}")
+    kind, base = _TABLE_KINDS[args.kind]
     rows = []
     for n in range(1, args.max + 1):
         values = _count_values(f"{FAMILY_PREFIX}{kind}:{n}", base, args)
@@ -428,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count construction sequences")
     p_count.add_argument("graph")
-    p_count.add_argument("--route", choices=("dp", "oracle", "formula", "recursion", "all"), default="dp")
+    p_count.add_argument("--route", choices=_ROUTES, default="dp")
     p_count.add_argument("--base", type=int, default=None, help="count sequences starting at this vertex")
     common(p_count, "--limit-elements", "--limit-states", fmt_default="plain")
     p_count.set_defaults(func=_cmd_count)
@@ -461,15 +463,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_greedy = sub.add_parser("greedy", help="run the greedy builder")
     p_greedy.add_argument("graph")
     p_greedy.add_argument("--order", default=None, help="vertex order, e.g. 2,1,3")
-    p_greedy.add_argument("--tie-break", choices=("lexicographic", "cycle-avoiding", "seeded-random"), default="lexicographic")
+    p_greedy.add_argument("--tie-break", choices=POLICIES, default="lexicographic")
     p_greedy.add_argument("--hub-zero", action="store_true")
     common(p_greedy, "--seed")
     p_greedy.set_defaults(func=_cmd_greedy)
 
     p_table = sub.add_parser("family-table", help="counts per family size across routes")
-    p_table.add_argument("kind", help="path | star | cycle | complete | based-path | based-star")
+    p_table.add_argument("kind", help=" | ".join(_TABLE_KINDS))
     p_table.add_argument("--max", type=int, required=True)
-    p_table.add_argument("--route", choices=("dp", "oracle", "formula", "recursion", "all"), default="all")
+    p_table.add_argument("--route", choices=_ROUTES, default="all")
     common(
         p_table,
         "--limit-elements",
@@ -486,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conj = sub.add_parser("check-conjecture", help="do greedy runs reach every minimum-cost sequence?")
     p_conj.add_argument("graph")
-    p_conj.add_argument("--tie-break", choices=("exhaustive", "lexicographic", "cycle-avoiding", "seeded-random"), default="exhaustive")
+    p_conj.add_argument("--tie-break", choices=("exhaustive", *POLICIES), default="exhaustive")
     common(p_conj, "--limit-elements", "--seed")
     p_conj.set_defaults(func=_cmd_check_conjecture)
 

@@ -20,7 +20,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import check_limit, check_subset_limits
 from .graphs import Graph
@@ -49,6 +49,9 @@ __all__ = [
 
 DEFAULT_ELEMENT_LIMIT = 11
 DEFAULT_DP_STATE_LIMIT = 1 << 24
+# Largest n of the Bernoulli forms for paths and cycles, which need B_2n.
+# B_200 takes about 0.1 s, and no subset sweep reaches 100 vertices.
+_BERNOULLI_MAX_N = 100
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +179,22 @@ def count_based(g: Graph, base: int, *, max_states: int = DEFAULT_DP_STATE_LIMIT
 
 
 def _iter_codes(
-    g: Graph, element_limit: int, *, edge_eager: bool = False
+    g: Graph, keep: Callable[[int, list[int]], list[int]] | None = None
 ) -> Iterator[tuple[int, ...]]:
     """All valid sequences as element-code tuples, in lexicographic order.
 
-    With ``edge_eager``, only those that place an edge whenever one is
-    available: the outputs of greedy under every vertex order and tie-break.
-    The depth-first walk keeps its own stack, one iterator of candidate
-    codes per placed element, so any element count works.
+    ``keep(placed, free)`` narrows the walk: given the bitmask of the codes
+    placed so far and the placeable codes in increasing order, it returns
+    the ones to try next, still in increasing order, so the output stays
+    lexicographic.  The last element is the only one left and is placed
+    without asking.  The depth-first walk keeps its own stack, one iterator
+    of candidate codes per placed element, so any element count works; the
+    public enumerators check their element limit before they walk.
     """
     n = g.element_count
-    check_limit(n, "elements", element_limit, "enumeration")
     if n < 2:
         yield tuple(range(n))
         return
-    p = g.p
     need = g.endpoint_masks()
     # Code c may come next iff it is unplaced and its endpoints are placed,
     # that is iff (need[c] | bit c) & placed == need[c].
@@ -198,7 +202,8 @@ def _iter_codes(
     full = (1 << n) - 1
     prefix: list[int] = []
     placed = 0
-    stack = [iter(range(p))]  # every sequence starts with a vertex
+    first = list(range(g.p))  # every sequence starts with a vertex
+    stack = [iter(keep(0, first) if keep else first)]
     while stack:
         code = next(stack[-1], None)
         if code is None:
@@ -213,16 +218,15 @@ def _iter_codes(
             prefix.append(code)
             placed |= 1 << code
             free = [c for c in range(n) if want[c] & placed == need[c]]
-            if edge_eager and free[-1] >= p:
-                free = [c for c in free if c >= p]
-            stack.append(iter(free))
+            stack.append(iter(keep(placed, free) if keep else free))
 
 
 def enumerate_csequences(
     g: Graph, *, element_limit: int = DEFAULT_ELEMENT_LIMIT
 ) -> Iterator[CSeq]:
     """Stream every construction sequence in lexicographic element order."""
-    return _from_codes(g, _iter_codes(g, element_limit))
+    check_limit(g.element_count, "elements", element_limit, "enumeration")
+    return _from_codes(g, _iter_codes(g))
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +326,16 @@ def zigzag_numbers(n_max: int) -> ZigzagNumbers:
 
 
 def bernoulli_number(m: int) -> Fraction:
-    """Exact Bernoulli number B_m for even m with 2 <= m <= 40.
+    """Exact Bernoulli number B_m for even m with 2 <= m <= 200.
 
     Uses the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0 with the
     convention B_1 = -1/2 (irrelevant to even indices beyond the shared
     recurrence).
     """
-    if m % 2 != 0 or not 2 <= m <= 40:
-        raise ValueError(f"supported range is even m with 2 <= m <= 40, got {m}")
+    if m % 2 != 0 or not 2 <= m <= 2 * _BERNOULLI_MAX_N:
+        raise ValueError(
+            f"supported range is even m with 2 <= m <= {2 * _BERNOULLI_MAX_N}, got {m}"
+        )
     values = [Fraction(1)]
     for k in range(1, m + 1):
         acc = Fraction(0)
@@ -344,8 +350,8 @@ def path_count_bernoulli(n: int) -> int:
 
     The division must come out exact; a remainder signals a bug.
     """
-    if not 1 <= n <= 20:
-        raise ValueError(f"supported range is 1 <= n <= 20, got {n}")
+    if not 1 <= n <= _BERNOULLI_MAX_N:
+        raise ValueError(f"supported range is 1 <= n <= {_BERNOULLI_MAX_N}, got {n}")
     value = Fraction(math.comb(2 ** (2 * n), 2)) * abs(bernoulli_number(2 * n)) / n
     if value.denominator != 1:
         raise ArithmeticError(f"path count for n={n} did not divide exactly: {value}")
@@ -357,8 +363,8 @@ def cycle_count_bernoulli(n: int) -> int:
 
     Covers the one- and two-vertex multigraph cycles as well.
     """
-    if not 1 <= n <= 20:
-        raise ValueError(f"supported range is 1 <= n <= 20, got {n}")
+    if not 1 <= n <= _BERNOULLI_MAX_N:
+        raise ValueError(f"supported range is 1 <= n <= {_BERNOULLI_MAX_N}, got {n}")
     value = Fraction(math.comb(2 ** (2 * n), 2)) * abs(bernoulli_number(2 * n))
     if value.denominator != 1:
         raise ArithmeticError(f"cycle count for n={n} did not divide exactly: {value}")

@@ -1,6 +1,8 @@
 """Shared exception types and the limit checks that the kernels and the
 CLI (on a spec's size, before building) both run."""
 
+__all__ = ["ResourceLimitError", "IsolatedVertexError"]
+
 
 class ResourceLimitError(RuntimeError):
     """A computation exceeded its configured size or state budget.

@@ -23,7 +23,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import check_limit
 from .graphs import Element, Graph, _UnionFind, build_family
@@ -154,14 +154,10 @@ def _edge_order(
     return joins + closes
 
 
-def greedy_all(
-    g: Graph,
-    tie_break: TieBreak = TieBreak(),
-    *,
-    vertex_limit: int = DEFAULT_GREEDY_VERTEX_LIMIT,
-) -> set[CSeq]:
-    """Deduplicated greedy outputs over every vertex order (p! runs)."""
-    check_limit(g.p, "vertices", vertex_limit, "greedy-all")
+def greedy_all(g: Graph, tie_break: TieBreak = TieBreak()) -> set[CSeq]:
+    """Deduplicated greedy outputs over every vertex order (p! runs), for
+    at most ``DEFAULT_GREEDY_VERTEX_LIMIT`` vertices."""
+    check_limit(g.p, "vertices", DEFAULT_GREEDY_VERTEX_LIMIT, "greedy-all")
     return {
         greedy(g, order, tie_break)
         for order in itertools.permutations(range(1, g.p + 1))
@@ -180,7 +176,23 @@ def exhaustive_greedy_set(
     swap with that edge for a saving of 2 + deg(v) (see :func:`min_cost`).
     The whole set is materialized, so keep the element limit modest.
     """
-    return set(_from_codes(g, _iter_codes(g, element_limit, edge_eager=True)))
+    check_limit(g.element_count, "elements", element_limit, "enumeration")
+    return set(_from_codes(g, _iter_codes(g, _edges_first(g.p))))
+
+
+def _edges_first(
+    p: int, vertex_ok: Callable[[int, int], bool] | None = None
+) -> Callable[[int, list[int]], list[int]]:
+    """A ``keep`` filter for :func:`counting._iter_codes`: only the edges
+    when one is placeable (codes >= p), else the vertices that
+    ``vertex_ok(placed, v)`` admits, or all of them."""
+
+    def keep(placed: int, free: list[int]) -> list[int]:
+        if free[-1] >= p:
+            return [c for c in free if c >= p]
+        return [v for v in free if vertex_ok(placed, v)] if vertex_ok else free
+
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +230,9 @@ def min_cost(
     next at pos = |S| + e(S) + 1 and adds -(2 + deg v) * pos, and N(N+1)
     is added once at the end.  Witness
     extraction is optional and capped by ``max_witnesses``; witnesses come
-    in lexicographic order.
+    in lexicographic order from the sequence walk, which places every
+    available edge first and a vertex v only when it keeps the minimum,
+    best[S + v] - (2 + deg v) * pos == best[S].
     """
     e = _subset_edge_counts(g, max_states=max_states, kernel="optimizer")
     full = (1 << g.p) - 1
@@ -242,46 +256,16 @@ def min_cost(
             elif branch == least:
                 count += math.factorial(e[t] - es) * ways[t]
         best[s], ways[s] = least, count  # type: ignore[assignment]
-    witnesses: tuple[CSeq, ...] = ()
-    if max_witnesses > 0:
-        witnesses = _min_cost_witnesses(g, e, best, max_witnesses)
+
+    def optimal(placed: int, v: int) -> bool:
+        s = placed & full
+        bit, weight = steps[v]
+        return best[s | bit] - weight * (placed.bit_count() + 1) == best[s]
+
+    walk = _iter_codes(g, _edges_first(g.p, optimal))
+    witnesses = tuple(_from_codes(g, itertools.islice(walk, max(max_witnesses, 0))))
     n = g.element_count
     return OptResult(n * (n + 1) + best[0], ways[0], witnesses)
-
-
-def _min_cost_witnesses(g: Graph, e: list[int], best: list[int], cap: int) -> tuple[CSeq, ...]:
-    # Depth-first over the optimal steps with an explicit stack: at each
-    # subset the optimal vertices in increasing order, each followed by every
-    # order of the edges it opens.  That is lexicographic element order.
-    p = g.p
-    full = (1 << p) - 1
-    weights = [2 + d for d in g.degrees()]
-    edge_masks = g.endpoint_masks()[p:]
-
-    def steps(s: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-        pos = len(prefix) + 1
-        for v in range(p):
-            bit = 1 << v
-            if s & bit:
-                continue
-            t = s | bit
-            if best[t] - weights[v] * pos != best[s]:
-                continue
-            opened = [p + j for j, m in enumerate(edge_masks) if m & bit and not m & ~t]
-            for edges in itertools.permutations(opened):
-                yield t, prefix + (v,) + edges
-
-    found: list[tuple[int, ...]] = []
-    stack = [iter([(0, ())])]
-    while stack and len(found) < cap:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-        elif step[0] == full:
-            found.append(step[1])
-        else:
-            stack.append(steps(*step))
-    return tuple(_from_codes(g, found))
 
 
 def enumerate_min_cost(
@@ -292,11 +276,12 @@ def enumerate_min_cost(
     Independent of the dynamic program: walks every valid sequence and keeps
     the cost minimizers, in lexicographic order.
     """
+    check_limit(g.element_count, "elements", element_limit, "enumeration")
     weights = _weights(g)
     positions = range(1, g.element_count + 1)
     best_cost: int | None = None
     winners: list[tuple[int, ...]] = []
-    for codes in _iter_codes(g, element_limit):
+    for codes in _iter_codes(g):
         cost = sum(map(operator.mul, map(weights.__getitem__, codes), positions))
         if best_cost is None or cost < best_cost:
             best_cost, winners = cost, []
@@ -314,7 +299,6 @@ def check_conjecture(
     tie_break: TieBreak | str = "exhaustive",
     *,
     element_limit: int = DEFAULT_ELEMENT_LIMIT,
-    vertex_limit: int = DEFAULT_GREEDY_VERTEX_LIMIT,
 ) -> ConjectureReport:
     """Check that greedy runs produce every minimum-cost sequence.
 
@@ -327,10 +311,10 @@ def check_conjecture(
     """
     if isinstance(tie_break, TieBreak):  # both limits, in the CLI's order, before any work
         check_limit(g.element_count, "elements", element_limit, "enumeration")
-        check_limit(g.p, "vertices", vertex_limit, "greedy-all")
+        check_limit(g.p, "vertices", DEFAULT_GREEDY_VERTEX_LIMIT, "greedy-all")
     minimum = enumerate_min_cost(g, element_limit=element_limit)
     if isinstance(tie_break, TieBreak):
-        reachable = greedy_all(g, tie_break, vertex_limit=vertex_limit)
+        reachable = greedy_all(g, tie_break)
         policy = f"{tie_break.policy} (seed {tie_break.seed})"
     elif tie_break == "exhaustive":
         reachable = exhaustive_greedy_set(g, element_limit=element_limit)

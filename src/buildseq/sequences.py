@@ -8,6 +8,7 @@ permutation bijection for paths, and vertices-first sequences.
 """
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +39,8 @@ __all__ = [
     "short_form",
 ]
 
+_NAMED_MISSING = 20  # missing elements a not-permutation message names
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -57,20 +60,30 @@ def validate(graph: Graph, elements: Sequence[Element]) -> list[Violation]:
 
     A valid sequence is a permutation of the graph's elements in which every
     edge follows both of its endpoints.  Violations name the offending edge
-    and endpoint.
+    and endpoint; a sequence that is no permutation gets one violation
+    naming at most the first 20 missing elements and counting the rest.
     """
     seq = tuple(elements)
     codes = [graph.code(el) for el in seq]
     p, n = graph.p, graph.element_count
-    if sorted(codes) != list(range(n)):
+    if len(codes) != n or sorted(codes) != list(range(n)):
         counts = Counter(seq)
-        expected = graph.elements()
-        missing = [str(el) for el in expected if el not in counts]
+        present = set(codes) - {-1}
+        # Name the first few missing elements only: a short sequence
+        # against a huge graph misses nearly all of them.
+        missing = [
+            str(Element.vertex(c + 1) if c < p else Element.edge(c - p + 1))
+            for c in itertools.islice(
+                (c for c in range(n) if c not in present), _NAMED_MISSING
+            )
+        ]
         foreign = sorted(str(el) for el in counts if graph.code(el) < 0)
         duplicated = sorted(str(el) for el, k in counts.items() if k > 1)
         detail = []
         if missing:
-            detail.append("missing " + ",".join(missing))
+            unnamed = n - len(present) - len(missing)
+            tail = f" and {unnamed} more" if unnamed else ""
+            detail.append("missing " + ",".join(missing) + tail)
         if foreign:
             detail.append("foreign " + ",".join(foreign))
         if duplicated:

@@ -99,6 +99,22 @@ class TestCount:
         assert run(capsys, *argv) == (0, "5 6\n", "")
         assert sweeps == [(25, 33554432), (23, 8388608)]
 
+    def test_bernoulli_forms_past_twenty_vertices(self, capsys):
+        formula = run(capsys, "count", "family:cycle:22", "--route", "formula")
+        assert formula == run(capsys, "count", "family:cycle:22", "--route", "recursion")
+        assert formula[0] == 0
+        code, out, err = run(capsys, "count", "family:path:101", "--route", "formula")
+        assert (code, out) == (1, "")
+        assert "supported range is 1 <= n <= 100, got 101" in err
+
+    def test_route_all_on_a_21_vertex_path(self, capsys, monkeypatch):
+        # A stub stands in for the 2^21 sweep; the formula and recursion run.
+        monkeypatch.setattr(cli, "count_dp", lambda g, **_: b.path_count_recursive(g.p))
+        code, out, _ = run(capsys, "count", "family:path:21", "--route", "all", "--format", "json")
+        payload = json.loads(out)
+        assert (code, payload["agree"]) == (0, True)
+        assert set(payload["counts"]) == {"dp", "formula", "recursion"}
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "count", "nowhere.txt")
         assert code == 1
@@ -232,6 +248,14 @@ class TestValidate:
         assert payload["valid"] is False
         assert "edge e1" in payload["violations"][0]
         assert "edge e1" in err
+
+    def test_short_sequence_against_a_huge_graph(self, capsys, tmp_path):
+        target = tmp_path / "huge.txt"
+        target.write_text("10000000 0\n")
+        code, _, err = run(capsys, "validate", str(target), "v1")
+        assert code == 1
+        assert len(err.encode()) < 1024
+        assert err.endswith(" and 9999979 more)\n")
 
 
 class TestCost:

@@ -198,7 +198,7 @@ class TestBernoulli:
         assert Fraction(1, 3) * math.comb(64, 2) * Fraction(1, 42) == 16
 
     def test_range(self):
-        for m in (0, 1, 3, 42):
+        for m in (0, 1, 3, 202):
             with pytest.raises(ValueError):
                 b.bernoulli_number(m)
 

@@ -218,6 +218,19 @@ class TestMinCost:
             all_witnesses, key=lambda x: [e.sort_key() for e in x.elements]
         )
 
+    def test_witnesses_past_the_enumeration_limit(self):
+        # 21 and 15 elements, over the enumerators' limit of 11.
+        for spec, k in (("complete:6", 50), ("path:8", 10)):
+            g = b.build_family(spec)
+            assert g.element_count > b.DEFAULT_ELEMENT_LIMIT
+            result = b.min_cost(g, max_witnesses=k)
+            assert len(result.witnesses) == min(k, result.num_optimal)
+            keys = [tuple(e.sort_key() for e in x.elements) for x in result.witnesses]
+            assert keys == sorted(set(keys))
+            for x in result.witnesses:
+                assert b.validate(g, x.elements) == []
+                assert b.total_cost(x) == result.min_cost
+
     def test_matches_enumeration_on_random_graphs(self):
         rng = random.Random(777)
         for _ in range(30):

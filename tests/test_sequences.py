@@ -53,6 +53,14 @@ class TestValidate:
         problems = b.validate(PATH2, b.parse_sequence("v1 v2 e1 e2"))
         assert problems[0].kind == "not-permutation"
 
+    def test_short_sequence_against_a_huge_graph(self):
+        problems = b.validate(b.Graph(10**7), [Element.vertex(1)])
+        assert [v.kind for v in problems] == ["not-permutation"]
+        message = problems[0].message
+        assert len(message.encode()) < 1024
+        named = ",".join(f"v{i}" for i in range(2, 22))
+        assert message.endswith(f"(missing {named} and 9999979 more)")
+
     def test_cseq_constructor_rejects_invalid(self):
         with pytest.raises(ValueError, match="edge e1"):
             seq(PATH3, "v1 v3 e1 v2 e2")
