@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -102,10 +102,34 @@ def _emit(payload: dict, fmt: str, plain: str) -> None:
         print(plain)
 
 
+_BLOCK_BYTES = 2048  # 2^14 bits, about 4,900 digits
+
+
 def _digits(n: int) -> str:
-    """n in decimal, however long: unlike str(int), Decimal's conversion
-    does not stop at sys.get_int_max_str_digits()."""
-    return format(Decimal(n), "f")
+    """n >= 0 in decimal, however long: unlike str(int), Decimal's conversion
+    does not stop at sys.get_int_max_str_digits().
+
+    That conversion takes time quadratic in the length, so a number longer
+    than one block is cut into 2^14-bit blocks, each block is converted on
+    its own, and neighbours are joined pairwise as lo + hi * 2^w in exact
+    decimal arithmetic, whose multiplication is subquadratic.
+    """
+    if n.bit_length() <= 8 * _BLOCK_BYTES:
+        return format(Decimal(n), "f")
+    data = n.to_bytes((n.bit_length() + 7) // 8, "little")
+    blocks = [
+        Decimal(int.from_bytes(data[i : i + _BLOCK_BYTES], "little"))
+        for i in range(0, len(data), _BLOCK_BYTES)
+    ]
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
+        weight = Decimal(1 << 8 * _BLOCK_BYTES)
+        while len(blocks) > 1:
+            if len(blocks) % 2:
+                blocks.append(Decimal(0))
+            blocks = [lo + hi * weight for lo, hi in zip(blocks[::2], blocks[1::2])]
+            if len(blocks) > 1:
+                weight *= weight
+    return format(blocks[0], "f")
 
 
 def _rational(value: Fraction) -> str:

@@ -268,10 +268,13 @@ def complete_count(n: int) -> int:
     if n < 1:
         raise ValueError(f"complete graph size must be >= 1, got {n}")
     total = n + math.comb(n, 2)
-    value = math.factorial(n)
-    for k in range(1, n):
-        value *= math.perm(total - k - math.comb(k, 2) - 1, k)
-    return value
+    factors = [math.factorial(n)]
+    factors.extend(math.perm(total - k - math.comb(k, 2) - 1, k) for k in range(1, n))
+    # Multiplying neighbours pairwise keeps the operands balanced, which
+    # is much faster than growing one product a factor at a time.
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
 
 
 def path_count_recursive(n: int) -> int:

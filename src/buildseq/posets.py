@@ -2,9 +2,14 @@
 
 A linear extension is a total order on the elements in which every element
 is preceded by everything below it in the partial order.  Counting sweeps
-the downsets forward by size, keeping two levels: each maps a downset to
-the number of ways to build it and to its addable elements (the minimal
-elements of its complement).  ``max_states`` bounds the downsets stored.
+forward by size, keeping two levels.  A state is a pair (D, k): D a downset
+of the non-maximal ("core") elements and k the number of maximal elements
+placed so far.  Which maximal elements those are does not matter, since a
+maximal element blocks nothing.  Each state maps to the number of ways to
+build it, to the addable core elements of D (the minimal elements of its
+complement in the core) and to a(D), the number of maximal elements whose
+lower covers all lie in D.  ``max_states`` still bounds the downsets of the
+poset, counted 2^a(D) at a time as each core downset D is first stored.
 
 Elements are 0..n-1.  The convention throughout is that smaller poset
 elements appear *earlier* in an extension; no reversed reading is supported.
@@ -101,46 +106,67 @@ class Poset:
 
 
 def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIMIT) -> int:
-    """Exact number of linear extensions of ``poset``, by the level sweep.
+    """Exact number of linear extensions of ``poset``, by the level sweep
+    over the states (D, k) of the module docstring.
 
-    Adding x to a downset D keeps D's other addable elements and adds each
-    upper cover of x whose lower covers all lie in D+x.  Raises
-    :class:`ResourceLimitError` at the first downset past ``max_states``,
-    or earlier, as soon as some downset D has k addable elements with
-    2^k > ``max_states``: those elements form an antichain, so D plus any
-    subset of them is a downset, and the limit would be hit.
+    Adding a core element x to D keeps D's other addable elements, adds each
+    core upper cover of x whose lower covers all lie in D+x, and adds 1 to
+    a(D) for each such maximal one.  Placing one of the a(D) - k available
+    maximal elements not yet placed multiplies the count by a(D) - k.
+
+    ``max_states`` bounds the downsets of the poset, each D counting 2^a(D)
+    when first stored, the empty one included.  Raises
+    :class:`ResourceLimitError` at the first D that takes the count past
+    ``max_states``, or earlier, as soon as some D has c addable core elements
+    with 2^(c + a(D)) > ``max_states``: those c + a(D) elements form an
+    antichain, so D plus any subset of them is a downset, and the limit
+    would be hit.
     """
     n = poset.n
     above = poset.upper_adjacency()
     below = [0] * n
     for lo, hi in poset.covers:
         below[hi] |= 1 << lo
-    minimal = sum(1 << x for x in range(n) if not below[x])
-    if 1 << minimal.bit_count() > max_states:
+    core = sum(1 << x for x in range(n) if above[x])
+    minimal = sum(1 << x for x in range(n) if above[x] and not below[x])
+    isolated = sum(not above[x] and not below[x] for x in range(n))
+    stored = 1 << isolated
+    if 1 << (minimal.bit_count() + isolated) > max_states:
         raise _too_many_downsets(max_states)
-    level = {0: [1, minimal]}
-    stored = 1
+    step = 1 << n  # the key of state (D, k) is D | k << n
+    level = {0: [1, minimal, isolated]}
     for _ in range(n):
         grown_level: dict[int, list[int]] = {}
-        for down, (count, mask) in level.items():
+        for key, (count, mask, avail) in level.items():
+            placed = key >> n
+            if placed < avail:
+                if key + step in grown_level:
+                    grown_level[key + step][0] += count * (avail - placed)
+                else:
+                    grown_level[key + step] = [count * (avail - placed), mask, avail]
             rest = mask
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                grown = down | bit
+                grown = key | bit
                 if grown in grown_level:
                     grown_level[grown][0] += count
                     continue
                 grown_mask = mask ^ bit
+                grown_avail = avail
                 for y in above[bit.bit_length() - 1]:
                     if not below[y] & ~grown:
-                        grown_mask |= 1 << y
-                stored += 1
-                if stored > max_states or 1 << grown_mask.bit_count() > max_states:
-                    raise _too_many_downsets(max_states)
-                grown_level[grown] = [count, grown_mask]
+                        if above[y]:
+                            grown_mask |= 1 << y
+                        else:
+                            grown_avail += 1
+                if not placed:
+                    stored += 1 << grown_avail
+                    if stored > max_states or 1 << (grown_mask.bit_count() + grown_avail) > max_states:
+                        raise _too_many_downsets(max_states)
+                grown_level[grown] = [count, grown_mask, grown_avail]
         level = grown_level
-    return level[(1 << n) - 1][0]
+    return level[core | (n - core.bit_count()) << n][0]
 
 
 def _too_many_downsets(max_states: int) -> ResourceLimitError:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from decimal import Decimal
 
 import pytest
@@ -79,6 +80,15 @@ class TestCount:
         target.write_text("1 3000\n" + "1 1\n" * 3000)
         code, out, _ = run(capsys, "count", str(target))
         assert code == 0 and out[:-1].isdigit() and Decimal(out) == math.factorial(3000)
+
+    def test_long_counts_convert_by_blocks_to_the_same_digits(self):
+        block = 1 << 8 * cli._BLOCK_BYTES
+        rng = random.Random(5)
+        values = [0, 1, block - 1, block, block + 1, block**2 - 1, block**2, block**3 + block - 1]
+        values += [rng.randrange(10**digits) for digits in (4_000, 5_000, 20_000, 100_000)]
+        values += [10**digits - 1 for digits in (4_931, 4_933, 100_000)]
+        for n in values:
+            assert cli._digits(n) == format(Decimal(n), "f")
 
     def test_spaced_spec_takes_the_formula_route(self, capsys):
         assert run(capsys, "count", "family:path :3", "--route", "formula") == (0, "16\n", "")

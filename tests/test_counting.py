@@ -159,6 +159,14 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             b.complete_count(0)
 
+    def test_complete_product_tree_matches_the_sequential_product(self):
+        for n in [*range(1, 41), 127, 128, 129, 255, 256, 257, 300]:
+            total = n + math.comb(n, 2)
+            value = math.factorial(n)
+            for k in range(1, n):
+                value *= math.perm(total - k - math.comb(k, 2) - 1, k)
+            assert b.complete_count(n) == value
+
     def test_path_recursion_values(self):
         assert b.path_count_recursive(2) == 2
         assert b.path_count_recursive(4) == 272

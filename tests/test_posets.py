@@ -43,6 +43,28 @@ def posets(draw, max_n: int = 8) -> Poset:
     return Poset(n, tuple(covers))
 
 
+@st.composite
+def hypergraph_posets(draw) -> Poset:
+    """Two-layer posets of at most 8 elements in which every hyperedge is a
+    maximal element, with isolated vertices, singleton hyperedges, repeated
+    members and p = 0."""
+    p = draw(st.integers(0, 4))
+    member = st.integers(1, max(p, 1))
+    hyperedge = st.lists(member, min_size=1, max_size=4)
+    hyperedges = draw(st.lists(hyperedge, max_size=8 - p)) if p else []
+    return b.poset_from_hypergraph(p, hyperedges)
+
+
+@st.composite
+def multigraphs(draw) -> b.Graph:
+    """Multigraphs with at most 7 vertices and 10 edges: loops, parallel
+    edges, isolated vertices and p = 0."""
+    p = draw(st.integers(0, 7))
+    vertex = st.integers(1, max(p, 1))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10)) if p else []
+    return b.Graph(p, tuple(edges), multigraph=True)
+
+
 def downsets_by_brute_force(poset: Poset) -> int:
     return sum(
         all(s >> hi & 1 <= s >> lo & 1 for lo, hi in poset.covers) for s in range(1 << poset.n)
@@ -182,6 +204,31 @@ class TestCounting:
                     b.count_linear_extensions(poset, max_states=limit)
             else:
                 b.count_linear_extensions(poset, max_states=limit)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(hypergraph_posets())
+    def test_many_maximal_elements_match_the_oracle_and_the_limit(self, poset):
+        count = b.count_linear_extensions(poset)
+        assert count == count_extensions_by_permutation_filter(poset)
+        downsets = downsets_by_brute_force(poset)
+        assert b.count_linear_extensions(poset, max_states=downsets) == count
+        with pytest.raises(ResourceLimitError):
+            b.count_linear_extensions(poset, max_states=downsets - 1)
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(multigraphs())
+    def test_incidence_posets_of_multigraphs_match_count_dp(self, g):
+        poset = b.incidence_poset(g)
+        count = b.count_linear_extensions(poset)
+        assert count == b.count_dp(g)
+        if poset.n <= 8:
+            assert count == count_extensions_by_permutation_filter(poset)
+
+    def test_complete_eight_past_two_to_the_28_downsets(self):
+        # K_8's incidence poset has more than 2^28 downsets, but only 2^8
+        # of them hold no edge.
+        poset = b.incidence_poset(b.build_family("complete:8"))
+        assert b.count_linear_extensions(poset, max_states=1 << 30) == b.complete_count(8)
 
     def test_long_chain_needs_no_recursion(self):
         chain = Poset(3000, tuple((i, i + 1) for i in range(2999)))
