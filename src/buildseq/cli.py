@@ -13,7 +13,6 @@ error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -39,7 +38,7 @@ from .counting import (
 )
 from .errors import IsolatedVertexError, ResourceLimitError, check_limit, check_subset_limits
 from .families import Family
-from .graphs import Graph, _family_plan, _family_shape, build_family, parse_graph
+from .graphs import Graph, _family_size, build_family, parse_graph
 from .optimize import (
     DEFAULT_GREEDY_VERTEX_LIMIT,
     DEFAULT_OPT_STATE_LIMIT,
@@ -75,24 +74,16 @@ def load_graph(argument: str) -> Graph:
     return parse_graph(Path(argument).read_text())
 
 
-def _sized_graph(argument: str) -> tuple[int, int, Callable[[], Graph]]:
-    """(p, element count, loader) of a graph argument.  A family spec is
-    sized from its text, so a command can check its limits before the
-    loader builds the graph; a file is read and parsed here."""
+def _sized_graph(argument: str) -> tuple[int, int, tuple[str, int] | None, Callable[[], Graph]]:
+    """(p, element count, (family, n) of a plain family spec, loader) of a
+    graph argument.  A family spec is sized from its text, so a command can
+    check its limits before the loader builds the graph; a file is read and
+    parsed here."""
     if argument.startswith(FAMILY_PREFIX):
-        p, q = _family_shape(argument[len(FAMILY_PREFIX) :])
-        return p, p + q, lambda: load_graph(argument)
+        p, q, plain = _family_size(argument[len(FAMILY_PREFIX) :])
+        return p, p + q, plain, lambda: load_graph(argument)
     g = load_graph(argument)
-    return g.p, g.element_count, lambda: g
-
-
-def _family_kind(argument: str) -> tuple[str, int] | None:
-    """(kind, n) when the argument is a plain family spec, one whose plan
-    is a single base step; the spec must already have parsed."""
-    if not argument.startswith(FAMILY_PREFIX):
-        return None
-    steps = list(itertools.islice(_family_plan(argument[len(FAMILY_PREFIX) :]), 2))
-    return steps[0] if len(steps) == 1 else None
+    return g.p, g.element_count, None, lambda: g
 
 
 def _emit(payload: dict, fmt: str, plain: str) -> None:
@@ -178,10 +169,10 @@ def _count_values(argument: str, base: int | None, args: argparse.Namespace) -> 
     past its limit.  The limits are checked after that, on the argument's
     size, and only dp and the oracle build the graph.
     """
-    p, size, load = _sized_graph(argument)
+    p, size, plain, load = _sized_graph(argument)
     if base is not None and not 1 <= base <= p:
         raise ValueError(f"base vertex {base} outside 1..{p}")
-    kind, n = _family_kind(argument) or ("", 0)
+    kind, n = plain or ("", 0)
     formula = _FORMULAS.get((kind, base))
     recursion = _RECURSIONS.get(kind) if base is None else None
     table: dict[str, tuple[bool, Callable[[Graph], int]]] = {
@@ -230,7 +221,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    _, size, load = _sized_graph(args.graph)
+    _, size, _, load = _sized_graph(args.graph)
     check_limit(size, "elements", args.limit_elements, "enumeration")
     sequences = (
         format_sequence(x.elements)
@@ -286,7 +277,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    p, _, load = _sized_graph(args.graph)
+    p, _, _, load = _sized_graph(args.graph)
     check_subset_limits(p, args.limit_states, "optimizer")
     result = min_cost(load(), max_states=args.limit_states, max_witnesses=args.witnesses)
     payload = {
@@ -399,7 +390,7 @@ def _cmd_xi(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_conjecture(args: argparse.Namespace) -> int:
-    p, size, load = _sized_graph(args.graph)
+    p, size, _, load = _sized_graph(args.graph)
     check_limit(size, "elements", args.limit_elements, "enumeration")
     tie: TieBreak | str
     if args.tie_break == "exhaustive":

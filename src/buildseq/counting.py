@@ -52,6 +52,11 @@ DEFAULT_DP_STATE_LIMIT = 1 << 24
 # Largest n of the Bernoulli forms for paths and cycles, which need B_2n.
 # B_200 takes about 0.1 s, and no subset sweep reaches 100 vertices.
 _BERNOULLI_MAX_N = 100
+# Largest n of the path and star recursions and of the zigzag triangle:
+# each takes about a second there, and its time grows faster than n^2.
+_PATH_RECURSION_MAX_N = 350
+_STAR_RECURSION_MAX_N = 30_000
+_ZIGZAG_MAX_N = 800
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +254,7 @@ def star_count_recursive(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"star size must be >= 0, got {n}")
+    _check_range("n", n, 0, _STAR_RECURSION_MAX_N)
     value = 1
     for k in range(1, n + 1):
         value *= 2 * k * k
@@ -286,6 +292,7 @@ def path_count_recursive(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"path size must be >= 1, got {n}")
+    _check_range("n", n, 1, _PATH_RECURSION_MAX_N)
     counts = [0, 1]
     for m in range(2, n + 1):
         counts.append(
@@ -314,6 +321,7 @@ def zigzag_numbers(n_max: int) -> ZigzagNumbers:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_range("n_max", n_max, 1, _ZIGZAG_MAX_N)
     highest = 2 * n_max
     zigzag = [1]
     row = [1]
@@ -349,13 +357,12 @@ def bernoulli_number(m: int) -> Fraction:
 
 
 def path_count_bernoulli(n: int) -> int:
-    """Path count through Bernoulli numbers: (1/n) C(2^(2n), 2) |B_(2n)|.
+    """Path count through Bernoulli numbers: (1/n) C(2^(2n), 2) |B_(2n)|,
+    the cycle count over n.
 
     The division must come out exact; a remainder signals a bug.
     """
-    if not 1 <= n <= _BERNOULLI_MAX_N:
-        raise ValueError(f"supported range is 1 <= n <= {_BERNOULLI_MAX_N}, got {n}")
-    value = Fraction(math.comb(2 ** (2 * n), 2)) * abs(bernoulli_number(2 * n)) / n
+    value = Fraction(cycle_count_bernoulli(n), n)
     if value.denominator != 1:
         raise ArithmeticError(f"path count for n={n} did not divide exactly: {value}")
     return value.numerator
@@ -366,12 +373,16 @@ def cycle_count_bernoulli(n: int) -> int:
 
     Covers the one- and two-vertex multigraph cycles as well.
     """
-    if not 1 <= n <= _BERNOULLI_MAX_N:
-        raise ValueError(f"supported range is 1 <= n <= {_BERNOULLI_MAX_N}, got {n}")
+    _check_range("n", n, 1, _BERNOULLI_MAX_N)
     value = Fraction(math.comb(2 ** (2 * n), 2)) * abs(bernoulli_number(2 * n))
     if value.denominator != 1:
         raise ArithmeticError(f"cycle count for n={n} did not divide exactly: {value}")
     return value.numerator
+
+
+def _check_range(name: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise ValueError(f"supported range is {low} <= {name} <= {high}, got {value}")
 
 
 def tremolo_numbers(r_max: int) -> list[int]:
@@ -399,29 +410,13 @@ def tremolo_numbers(r_max: int) -> list[int]:
 # Composition laws
 
 
-def _multinomial(parts: Iterable[int]) -> int:
-    parts = list(parts)
-    value = math.factorial(sum(parts))
-    for k in parts:
-        value //= math.factorial(k)
-    return value
-
-
 def union_count(parts: Iterable[tuple[int, int]]) -> int:
     """Count for a disjoint union from per-part (count, element count) pairs.
 
     The parts' sequences shuffle freely: multiply the counts and the
     multinomial of the element counts.
     """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("union_count needs at least one part")
-    if any(length < 1 for _, length in parts):
-        raise ValueError("part element counts must be >= 1")
-    value = _multinomial(length for _, length in parts)
-    for count, _ in parts:
-        value *= count
-    return value
+    return _shuffle_count(parts, 0, "union_count")
 
 
 def wedge_count(parts: Iterable[tuple[int, int]]) -> int:
@@ -432,12 +427,18 @@ def wedge_count(parts: Iterable[tuple[int, int]]) -> int:
     part (one fewer than its element count) shuffle freely, so the
     multinomial runs over the element counts minus one.
     """
+    return _shuffle_count(parts, 1, "wedge_count")
+
+
+def _shuffle_count(parts: Iterable[tuple[int, int]], shift: int, name: str) -> int:
+    """The product of the counts and the multinomial of the element counts
+    minus ``shift``, the elements placed before the parts shuffle."""
     parts = list(parts)
     if not parts:
-        raise ValueError("wedge_count needs at least one part")
+        raise ValueError(f"{name} needs at least one part")
     if any(length < 1 for _, length in parts):
         raise ValueError("part element counts must be >= 1")
-    value = _multinomial(length - 1 for _, length in parts)
-    for count, _ in parts:
-        value *= count
+    value = math.factorial(sum(length - shift for _, length in parts))
+    for count, length in parts:
+        value = value // math.factorial(length - shift) * count
     return value

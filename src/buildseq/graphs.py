@@ -260,7 +260,7 @@ def build_family(spec: str) -> Graph:
     multigraphs (a loop, resp. a doubled edge).
     """
     stack: list[Graph] = []
-    for name, arg in _family_plan(spec):
+    for name, arg, _ in _family_plan(spec):
         if name in _BASE_FAMILIES:
             stack.append(_BASE_FAMILIES[name][0](arg))
             continue
@@ -270,40 +270,32 @@ def build_family(spec: str) -> Graph:
     return stack[0]
 
 
-def _family_shape(spec: str) -> tuple[int, int]:
-    """(p, q) of ``build_family(spec)``, found without building the graph;
-    a spec that ``build_family`` rejects raises the same ``ValueError``."""
-    stack: list[tuple[int, int]] = []
-    for name, arg in _family_plan(spec):
-        if name in _BASE_FAMILIES:
-            stack.append(_BASE_FAMILIES[name][1](arg))
-            continue
-        parts = stack[-len(arg) :]
-        del stack[-len(arg) :]
-        merged = 0  # a wedge merges its parts' base points into one vertex
-        if name == "wedge":
-            for (p, _), base in zip(parts, arg):
-                _check_base(base, p)
-            merged = len(parts) - 1
-        stack.append((sum(p for p, _ in parts) - merged, sum(q for _, q in parts)))
-    return stack[0]
+def _family_size(spec: str) -> tuple[int, int, tuple[str, int] | None]:
+    """(p, q) of ``build_family(spec)``, and (family, n) if the spec is one
+    base part, without building the graph; a spec that ``build_family``
+    rejects raises the same ``ValueError``."""
+    for steps, (name, arg, (p, q)) in enumerate(_family_plan(spec), start=1):
+        pass
+    return p, q, (name, arg) if steps == 1 else None
 
 
-def _family_plan(spec: str) -> Iterator[tuple[str, Any]]:
-    """The spec in postfix order: ``(family, n)`` for a base part and
-    ``(kind, base points)`` for a union (all 1) or wedge once its parts are
-    out.  A step is yielded, after the element budget check for a base part,
-    as soon as its text is read, so a fold raises in the same order as one
-    pass over the text.  The parse moves one index through the text and
-    slices it only for a name, a number or an error message: it is linear."""
-    calls: list[tuple[str, list[int]]] = []
+def _family_plan(spec: str) -> Iterator[tuple[str, Any, tuple[int, int]]]:
+    """The spec in postfix order, each step with the (p, q) it makes:
+    ``(family, n, shape)`` for a base part and ``(kind, base points, shape)``
+    for a union (all 1) or wedge once its parts are out and its base points
+    are checked, as :func:`wedge` checks them.  A step is yielded, after the
+    element budget check for a base part, as soon as its text is read, so a
+    fold raises in the same order as one pass over the text.  The parse
+    moves one index through the text and slices it only for a name, a
+    number or an error message: it is linear."""
+    calls: list[tuple[str, list[int], list[tuple[int, int]]]] = []
     elements = 0
     text = spec.strip()
     at = 0
     while True:
         at = _skip_space(text, at)
         if text.startswith(("union(", "wedge("), at):
-            calls.append((text[at : at + 5], []))
+            calls.append((text[at : at + 5], [], []))
             at += 6
             continue
         colon = text.find(":", at)
@@ -316,13 +308,14 @@ def _family_plan(spec: str) -> Iterator[tuple[str, Any]]:
         if n < 1:
             raise ValueError(f"family size must be >= 1, got {n}")
         at = end
-        elements += sum(_BASE_FAMILIES[name][1](n))
+        shape = _BASE_FAMILIES[name][1](n)
+        elements += sum(shape)
         if elements > MAX_FAMILY_SIZE:
             raise ValueError(f"family spec needs {elements} elements, over the guard {MAX_FAMILY_SIZE}")
-        yield name, n
+        yield name, n, shape
         # Hand the part to the innermost open call; each ')' closes one.
         while calls:
-            kind, bases = calls[-1]
+            kind, bases, shapes = calls[-1]
             at = _skip_space(text, at)
             base = 1
             if kind == "wedge":
@@ -331,6 +324,7 @@ def _family_plan(spec: str) -> Iterator[tuple[str, Any]]:
                 base, end = _take_number(text, at + 1, "bad base point in {!r}", at)
                 at = _skip_space(text, end)
             bases.append(base)
+            shapes.append(shape)
             if text.startswith(",", at):
                 at += 1
                 break
@@ -338,7 +332,11 @@ def _family_plan(spec: str) -> Iterator[tuple[str, Any]]:
                 raise ValueError(f"expected ',' or ')' in family spec near {text[at:]!r}")
             at += 1
             calls.pop()
-            yield kind, bases
+            for (p, _), base in zip(shapes, bases):
+                _check_base(base, p)  # a union's base points are all 1
+            merged = len(shapes) - 1 if kind == "wedge" else 0  # base points become one vertex
+            shape = (sum(p for p, _ in shapes) - merged, sum(q for _, q in shapes))
+            yield kind, bases, shape
         if not calls:
             if at < len(text):
                 raise ValueError(f"trailing text {text[at:]!r} after family spec")

@@ -11,6 +11,9 @@ complement in the core) and to a(D), the number of maximal elements whose
 lower covers all lie in D.  ``max_states`` still bounds the downsets of the
 poset, counted 2^a(D) at a time as each core downset D is first stored.
 
+A :class:`Poset` validates its covers on a cover index built in one pass,
+upper-cover lists and lower-cover masks, and keeps it for the sweep.
+
 Elements are 0..n-1.  The convention throughout is that smaller poset
 elements appear *earlier* in an extension; no reversed reading is supported.
 """
@@ -40,7 +43,8 @@ class Poset:
     """A finite order on elements 0..n-1 described by its cover pairs.
 
     Construction validates that the cover relation is acyclic and
-    irredundant (no cover pair already implied by a longer chain).
+    irredundant (no cover pair already implied by a longer chain), on the
+    cover index that the poset then keeps.
     """
 
     n: int
@@ -51,38 +55,28 @@ class Poset:
             raise ValueError(f"element count must be >= 0, got {self.n}")
         covers = tuple((int(lo), int(hi)) for lo, hi in self.covers)
         object.__setattr__(self, "covers", covers)
-        seen: set[tuple[int, int]] = set()
+        above: list[list[int]] = [[] for _ in range(self.n)]
+        below = [0] * self.n
         for lo, hi in covers:
             if not (0 <= lo < self.n and 0 <= hi < self.n):
                 raise ValueError(f"cover ({lo},{hi}) out of range for n={self.n}")
             if lo == hi:
                 raise ValueError(f"cover ({lo},{hi}) relates an element to itself")
-            if (lo, hi) in seen:
+            if below[hi] >> lo & 1:
                 raise ValueError(f"duplicate cover ({lo},{hi})")
-            seen.add((lo, hi))
-        self._check_acyclic()
-        self._check_irredundant()
-
-    def _check_acyclic(self) -> None:
-        indeg = [0] * self.n
-        above = self.upper_adjacency()
-        for _, hi in self.covers:
-            indeg[hi] += 1
-        queue = [x for x in range(self.n) if indeg[x] == 0]
-        done = 0
-        while queue:
-            x = queue.pop()
-            done += 1
+            below[hi] |= 1 << lo
+            above[lo].append(hi)
+        # Kahn's check: an element joins the order once its lower covers have.
+        indeg = [mask.bit_count() for mask in below]
+        order = [x for x in range(self.n) if not below[x]]
+        for x in order:
             for y in above[x]:
                 indeg[y] -= 1
-                if indeg[y] == 0:
-                    queue.append(y)
-        if done != self.n:
+                if not indeg[y]:
+                    order.append(y)
+        if len(order) != self.n:
             raise ValueError("cover relation contains a cycle")
-
-    def _check_irredundant(self) -> None:
-        above = self.upper_adjacency()
-        for lo, hi in self.covers:
+        for lo, hi in covers:
             # A second route from lo up to hi would make the direct cover redundant.
             stack = [y for y in above[lo] if y != hi]
             visited = set(stack)
@@ -96,13 +90,11 @@ class Poset:
                     if y not in visited:
                         visited.add(y)
                         stack.append(y)
+        object.__setattr__(self, "_index", (above, below))
 
     def upper_adjacency(self) -> list[list[int]]:
         """Immediate successors of each element."""
-        above: list[list[int]] = [[] for _ in range(self.n)]
-        for lo, hi in self.covers:
-            above[lo].append(hi)
-        return above
+        return [list(ups) for ups in self._index[0]]
 
 
 def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIMIT) -> int:
@@ -122,11 +114,7 @@ def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIM
     antichain, so D plus any subset of them is a downset, and the limit
     would be hit.
     """
-    n = poset.n
-    above = poset.upper_adjacency()
-    below = [0] * n
-    for lo, hi in poset.covers:
-        below[hi] |= 1 << lo
+    n, (above, below) = poset.n, poset._index
     core = sum(1 << x for x in range(n) if above[x])
     minimal = sum(1 << x for x in range(n) if above[x] and not below[x])
     isolated = sum(not above[x] and not below[x] for x in range(n))

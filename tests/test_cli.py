@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from decimal import Decimal
 
 import pytest
@@ -209,6 +210,57 @@ class TestLimitsBeforeTheGraph:
     )
     def test_bad_requests_fail_before_the_limit(self, capsys, argv, code, err):
         assert run(capsys, "count", *argv) == (code, "", err)
+
+
+def secant_mod(m: int, prime: int) -> int:
+    """The secant number S_m modulo a prime above 2m, by the recurrence
+    sum over k <= m of (-1)^(m-k) C(2m, 2k) S_k = 0 (cos x sec x = 1)."""
+    fact = [1]
+    for i in range(1, 2 * m + 1):
+        fact.append(fact[-1] * i % prime)
+    inverse = [pow(f, prime - 2, prime) for f in fact]
+    secant = [1]
+    for j in range(1, m + 1):
+        total = 0
+        for k in range(j):
+            term = fact[2 * j] * inverse[2 * k] % prime * inverse[2 * j - 2 * k] % prime * secant[k]
+            total += term if (j - k) % 2 else -term
+        secant.append(total % prime)
+    return secant[m]
+
+
+class TestRouteCaps:
+    """The recursions and the based-path triangle refuse an n past their
+    cap before any work, and answer at the cap."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (("family:path:100000", "--route", "recursion"), "1 <= n <= 350, got 100000"),
+            (("family:path:351", "--route", "recursion"), "1 <= n <= 350, got 351"),
+            (("family:cycle:351", "--route", "recursion"), "1 <= n <= 350, got 351"),
+            (("family:star:30001", "--route", "recursion"), "0 <= n <= 30000, got 30001"),
+            (("family:star:100000", "--route", "recursion"), "0 <= n <= 30000, got 100000"),
+            (("family:path:801", "--base", "1", "--route", "formula"), "1 <= n_max <= 800, got 801"),
+            (("family:path:1500", "--base", "1", "--route", "formula"), "1 <= n_max <= 800, got 1500"),
+        ],
+    )
+    def test_past_the_cap_exits_one_at_once(self, capsys, argv, err):
+        start = time.perf_counter()
+        assert run(capsys, "count", *argv) == (1, "", f"error: supported range is {err}\n")
+        assert time.perf_counter() - start < 1
+
+    def test_largest_path_and_star_match_independent_routes(self, capsys):
+        tangent = b.zigzag_numbers(350).tangent[350]
+        assert run(capsys, "count", "family:path:350", "--route", "recursion") == (0, f"{tangent}\n", "")
+        star = cli._digits(b.star_count(30000))
+        assert run(capsys, "count", "family:star:30000", "--route", "recursion") == (0, f"{star}\n", "")
+
+    def test_largest_based_path_matches_the_euler_recurrence(self, capsys):
+        code, out, err = run(capsys, "count", "family:path:800", "--base", "1", "--route", "formula")
+        assert (code, err) == (0, "")
+        for prime in (2**31 - 1, 2**61 - 1):
+            assert int(out) % prime == secant_mod(799, prime)
 
 
 class TestEnumerate:

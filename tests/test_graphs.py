@@ -9,15 +9,18 @@ from buildseq import Element, Graph, graphs
 
 
 def assert_shape_agrees(spec):
-    """_family_shape gives build_family's (p, q), or raises its ValueError."""
+    """_family_size gives build_family's (p, q), and (family, n) for a spec
+    that is one base part, or raises build_family's ValueError."""
     try:
         g = b.build_family(spec)
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
-            graphs._family_shape(spec)
+            graphs._family_size(spec)
         assert str(info.value) == str(exc)
     else:
-        assert graphs._family_shape(spec) == (g.p, g.q)
+        name, _, n = spec.partition(":")
+        plain = None if "(" in spec else (name, int(n))
+        assert graphs._family_size(spec) == (g.p, g.q, plain)
 
 
 # Nested specs; wedge base points go past some parts' vertex counts.
@@ -187,8 +190,8 @@ class TestFamilyShape:
             raise AssertionError("a Graph was built")
 
         monkeypatch.setattr(Graph, "__post_init__", no_graph)
-        assert graphs._family_shape("complete:1413") == (1413, 997_578)
-        assert graphs._family_shape("wedge(union(star:3,cycle:2)@6,complete:4@2)") == (9, 11)
+        assert graphs._family_size("complete:1413") == (1413, 997_578, ("complete", 1413))
+        assert graphs._family_size("wedge(union(star:3,cycle:2)@6,complete:4@2)") == (9, 11, None)
 
 
 class TestComposition:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -65,6 +66,79 @@ def multigraphs(draw) -> b.Graph:
     return b.Graph(p, tuple(edges), multigraph=True)
 
 
+@st.composite
+def cover_lists(draw) -> tuple[int, list[tuple[int, int]]]:
+    """(n, covers) around a random poset: its covers in any order, plus up
+    to three extra pairs.  An extra pair is random over -1..n (out of range
+    or self), random over 0..n-1, a repeated or reversed cover (a 2-cycle),
+    or the ends of a two-cover chain in either order (redundant, a 3-cycle)."""
+    poset = draw(posets(max_n=7))
+    n, covers = poset.n, list(draw(st.permutations(poset.covers)))
+    kinds = [st.tuples(st.integers(-1, n), st.integers(-1, n))]
+    if n:
+        kinds.append(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    chains = [(a, d) for a, b in covers for c, d in covers if b == c]
+    for pairs in (covers, chains):
+        if pairs:
+            kinds.append(st.sampled_from(pairs))
+            kinds.append(st.sampled_from(pairs).map(lambda pair: pair[::-1]))
+    for extra in draw(st.lists(st.one_of(kinds), max_size=3)):
+        covers.insert(draw(st.integers(0, len(covers))), extra)
+    return n, covers
+
+
+def two_pass_validation(n: int, covers: list[tuple[int, int]]) -> list[list[int]]:
+    """The reference validator: range, self and duplicate checks against a
+    set, then Kahn's check and the irredundancy walk, each on upper-cover
+    lists of its own.  Returns the upper-cover lists of a valid poset."""
+    if n < 0:
+        raise ValueError(f"element count must be >= 0, got {n}")
+    seen: set[tuple[int, int]] = set()
+    for lo, hi in covers:
+        if not (0 <= lo < n and 0 <= hi < n):
+            raise ValueError(f"cover ({lo},{hi}) out of range for n={n}")
+        if lo == hi:
+            raise ValueError(f"cover ({lo},{hi}) relates an element to itself")
+        if (lo, hi) in seen:
+            raise ValueError(f"duplicate cover ({lo},{hi})")
+        seen.add((lo, hi))
+
+    def upper_adjacency() -> list[list[int]]:
+        above: list[list[int]] = [[] for _ in range(n)]
+        for lo, hi in covers:
+            above[lo].append(hi)
+        return above
+
+    indeg = [0] * n
+    above = upper_adjacency()
+    for _, hi in covers:
+        indeg[hi] += 1
+    queue = [x for x in range(n) if indeg[x] == 0]
+    done = 0
+    while queue:
+        x = queue.pop()
+        done += 1
+        for y in above[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                queue.append(y)
+    if done != n:
+        raise ValueError("cover relation contains a cycle")
+    above = upper_adjacency()
+    for lo, hi in covers:
+        stack = [y for y in above[lo] if y != hi]
+        visited = set(stack)
+        while stack:
+            x = stack.pop()
+            if x == hi:
+                raise ValueError(f"cover ({lo},{hi}) is implied by transitivity and must be omitted")
+            for y in above[x]:
+                if y not in visited:
+                    visited.add(y)
+                    stack.append(y)
+    return upper_adjacency()
+
+
 def downsets_by_brute_force(poset: Poset) -> int:
     return sum(
         all(s >> hi & 1 <= s >> lo & 1 for lo, hi in poset.covers) for s in range(1 << poset.n)
@@ -91,6 +165,40 @@ class TestPosetType:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             Poset(2, ((0, 2),))
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(cover_lists())
+    def test_one_pass_index_matches_the_two_pass_validator(self, case):
+        n, covers = case
+        try:
+            above = two_pass_validation(n, covers)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                Poset(n, tuple(covers))
+            assert str(info.value) == str(exc)
+        else:
+            poset = Poset(n, tuple(covers))
+            assert (poset.n, poset.covers) == (n, tuple(covers))
+            assert poset.upper_adjacency() == above
+            for ups in poset.upper_adjacency():
+                ups.append(n)  # a copy: the poset's own index is untouched
+            assert poset.upper_adjacency() == above
+
+    def test_negative_and_empty(self):
+        for n in (-1, -5):
+            with pytest.raises(ValueError) as info:
+                Poset(n, ((0, 1),))
+            with pytest.raises(ValueError) as reference:
+                two_pass_validation(n, [(0, 1)])
+            assert str(info.value) == str(reference.value)
+        assert Poset(0).upper_adjacency() == [] == two_pass_validation(0, [])
+
+    def test_fields_equality_and_hash_see_only_n_and_covers(self):
+        assert [f.name for f in dataclasses.fields(Poset)] == ["n", "covers"]
+        a, c = Poset(3, ((0, 1), (1, 2))), Poset(3, ((0, 1), (1, 2)))
+        assert a == c and hash(a) == hash(c) and a is not c
+        assert a != Poset(3, ((1, 2), (0, 1)))
+        assert repr(a) == "Poset(n=3, covers=((0, 1), (1, 2)))"
 
 
 class TestCounting:
