@@ -5,24 +5,33 @@ one another:
 
 * a permutation-filter oracle that tries every ordering of the elements,
 * a dynamic program over placed vertex subsets, A(S) = sum A(S+v) / h(S),
+  swept over twin-class count vectors: twins (vertices with the same edges
+  to every other vertex and the same loops) are interchangeable, so a
+  state only says how many members of each class are placed,
 * closed forms and recursions for paths, stars, and cycles,
 * composition laws for disjoint unions and wedges, and
 * the integer-sequence helpers behind the closed forms (zigzag numbers via
   the boustrophedon triangle, Bernoulli numbers, tremolo numbers).
 
-All counts are exact Python integers: the DP's A(S) is the count scaled by
-N!/h(S)!, which makes its divisions exact, and the Bernoulli route asserts
-that its final division is.
+The subset kernel (``_quotient``, ``_free_steps``, ``_scaled_completions``)
+serves ``count_dp``, ``count_based`` and ``optimize.min_cost``; its one
+limit, ``max_states``, bounds the class-count vectors, prod(n_i + 1), which
+is 2^p when no two vertices are twins.  All counts are exact Python
+integers: the DP's entries are the count scaled by N!/h(S)! and divided by
+the orders of the unplaced twins, which keeps its divisions exact, and the
+Bernoulli route asserts that its final division is.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import check_limit, check_subset_limits
+from .errors import check_class_limits, check_limit, check_subset_limits
 from .graphs import Graph
 from .sequences import CSeq, _from_codes
 
@@ -57,6 +66,13 @@ _BERNOULLI_MAX_N = 100
 _PATH_RECURSION_MAX_N = 350
 _STAR_RECURSION_MAX_N = 30_000
 _ZIGZAG_MAX_N = 800
+# Twin classes are formed for TWIN_MIN_VERTICES <= p <= TWIN_VERTICES, and
+# below that only when 2^p states are over the limit: on smaller graphs the
+# bookkeeping costs more than the at most 128 states it saves, and past
+# 2^12 vertices the keys, p bits each, would take p^2 bits while 2^p states
+# are out of any reach.
+_TWIN_MIN_VERTICES = 8
+_TWIN_VERTICES = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -87,96 +103,275 @@ def count_bruteforce(
     return count
 
 
-def _subset_edge_counts(g: Graph, *, max_states: int, kernel: str) -> list[int]:
-    """e[S] for every vertex subset S (bit v-1 stands for vertex v): the
-    number of edge records with all endpoints in S, so loops and parallel
-    edges count with multiplicity.
+class _Quotient(NamedTuple):
+    """A graph's twin classes and the table the subset sweeps share.
 
-    Splitting off the highest vertex v of S leaves R = S - v, and
-    e[S] = e[R] + loops(v) + sum over j of popcount(layer_j(v) & R), where
-    layer_j(v) holds the lower neighbours joined to v by at least j edges.
-    The subsets whose highest vertex is v are 2^v..2^(v+1)-1, so their
-    entries form one column computed from the 2^v entries before it.
+    Vertices u and v are twins when they have the same edge multiplicity to
+    every other vertex and the same number of loops.  The relation is
+    transitive, and all pairs inside a class have one multiplicity, so the
+    build problem depends only on how many members of each class are
+    placed: a state is the class-count vector (k_i), stored in mixed radix
+    as x = sum of k_i * radix[i].  ``radix`` has one more entry than there
+    are classes, the state count prod(n_i + 1).
+    """
 
-    ``max_states`` bounds 2^p and is checked before the table is allocated;
-    ``kernel`` names the caller in the error message.
+    sizes: list[int]  # n_i, the members of class i
+    radix: list[int]
+    vertex_class: list[int]  # the class of each vertex (0-based)
+    placed: list[int]  # per state: |S| + e(S), the elements placed
+    split: int  # classes 0..split-1 form the low half of a state's digits
+    scale: int  # prod(n_i!): the table's entries are divided by prod((n_i - k_i)!)
+
+
+def _adjacency(g: Graph, label: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
+    """Loops and rows of ``g`` with vertex v renamed label[v - 1] (0-based,
+    v - 1 without ``label``): rows[v] has bit w + j*p set when v and w are
+    joined by more than j edges."""
+    p = g.p
+    loops = [0] * p
+    rows = [0] * p
+    if g.multigraph:
+        name = label or range(p)
+        for (u, w), k in Counter(g.edges).items():
+            u, w = name[u - 1], name[w - 1]
+            if u == w:
+                loops[u] = k
+            else:
+                run = ((1 << k * p) - 1) // ((1 << p) - 1)  # bit 0 of k layers
+                rows[u] |= run << w
+                rows[w] |= run << u
+    elif label is None:
+        for u, w in g.edges:
+            rows[u - 1] |= 1 << w - 1
+            rows[w - 1] |= 1 << u - 1
+    else:
+        for u, w in g.edges:
+            u, w = label[u - 1], label[w - 1]
+            rows[u] |= 1 << w
+            rows[w] |= 1 << u
+    return loops, rows
+
+
+def _quotient(g: Graph, *, max_states: int, kernel: str, last: int = 0) -> _Quotient:
+    """Group the vertices into twin classes and tabulate placed[x] = |S| + e(S)
+    over the class-count vectors; e(S) counts the edge records with all
+    endpoints in S, so loops and parallel edges count with multiplicity.
+
+    Twins u and v with no edge between them have the same neighbours; joined
+    by m edges, they have the same neighbours once each counts itself as its
+    own neighbour m times.  So each vertex gets one key per reading (a bit
+    mask), and the vertices that share a key form a class.  The classes are
+    formed from ``_TWIN_MIN_VERTICES`` up to ``_TWIN_VERTICES`` vertices,
+    and on fewer vertices only when 2^p states are over the limit; otherwise
+    no keys are read and every vertex is a class of its own, which the
+    sweeps handle the same way.  Classes of one vertex come first, then the
+    larger classes by their smallest vertex, and the class of vertex
+    ``last`` (if nonzero) goes last, so the states that contain one of its
+    members form one range.
+
+    ``max_states`` bounds the states, prod(n_i + 1), and is checked before
+    the table is allocated; ``kernel`` names the caller in the error message.
+    The vertices are renamed in class order.  While every class so far is a
+    single vertex and no edges are parallel, a state is the bit mask of its
+    vertices and placed[x] adds the vertex's loops and its edges to x.  Past
+    that, class i extends the table by placed[x + k * radix[i]]: k members
+    with their loops, the C(k, 2) * m_i edges among them, and k times the
+    edges from one member to sets[x], the vertices of state x in every layer.
     """
     p = g.p
-    check_subset_limits(p, max_states, kernel)
-    loops = [0] * p
-    layers: list[list[int]] = [[] for _ in range(p)]
-    for (u, w), k in Counter(g.edges).items():  # u <= w: edges are normalized
-        if u == w:
-            loops[w - 1] = k
-            continue
-        rows = layers[w - 1]
-        rows.extend([0] * (k - len(rows)))
-        for j in range(k):
-            rows[j] |= 1 << (u - 1)
-    e = [0]
-    for v in range(p):
-        column = [x + loops[v] for x in e]
-        for layer in layers[v]:
-            column = [x + (layer & rest).bit_count() for rest, x in enumerate(column)]
-        e += column
-    return e
+    if p > _TWIN_VERTICES:
+        check_subset_limits(p, max_states, kernel)
+    loops, rows = _adjacency(g)
+    top = max(rows, default=0)
+    layers = -(-top.bit_length() // p) if top >> p else 1
+    ones = ((1 << layers * p) - 1) // ((1 << p) - 1) if layers > 1 else 1  # bit 0 of every layer
+    # Keys: v's row read open (no bit of v) and closed, with v's loops
+    # above every layer.  Two vertices share a key exactly when they are twins.
+    opens = [row | n << layers * p for row, n in zip(rows, loops)] if any(loops) else rows
+    keyed: list[tuple[int, int]] = []  # (key, vertex)
+    if p > _TWIN_VERTICES or p < _TWIN_MIN_VERTICES and 1 << p <= max_states:
+        repeats = 0  # no classes are formed: no keys are needed
+    elif layers == 1:  # a closed key for m = 1 only; an isolated vertex's is unique
+        closes = [key | 1 << v for v, key in enumerate(opens)]
+        repeats = 2 * p - len({*opens, *closes})
+    else:
+        low_bits = (1 << p) - 1
+        for v, key in enumerate(opens):
+            row, closed, own = rows[v], key, 1 << v
+            keyed.append((key, v))
+            while row:  # closed for each multiplicity m of an edge at v
+                closed |= own
+                if row & ~(row >> p) & low_bits:
+                    keyed.append((closed, v))
+                row >>= p
+                own <<= p
+        repeats = len(keyed) - len(dict(keyed))
+    grouped = repeats > 0
+    if not grouped and not last:
+        check_subset_limits(p, max_states, kernel)
+        sizes, vertex_class, plain = [1] * p, list(range(p)), p if ones == 1 else 0
+    else:
+        classes: list[list[int]] = []  # the classes of two or more, by smallest vertex
+        if grouped:
+            if layers == 1:
+                keyed = [*zip(opens, range(p)), *zip(closes, range(p))]
+            shared: dict[int, list[int]] = {}
+            for key, v in keyed:
+                shared.setdefault(key, []).append(v)
+            classes = sorted(members for members in shared.values() if len(members) > 1)
+        twins = {v for members in classes for v in members}
+        if last:
+            mine = next((members for members in classes if last - 1 in members), [last - 1])
+            classes = [members for members in classes if members is not mine] + [mine]
+        singles = [v for v in range(p) if v not in twins and v != last - 1]
+        classes = [[v] for v in singles] + classes
+        sizes = list(map(len, classes))
+        check_class_limits(sizes, max_states, kernel)
+        plain = 0
+        while ones == 1 and plain < len(sizes) and sizes[plain] == 1:
+            plain += 1
+        vertex_class = [0] * p
+        label = [0] * p  # the vertices renamed in class order
+        name = 0
+        for c, members in enumerate(classes):
+            for v in members:
+                vertex_class[v] = c
+                label[v] = name
+                name += 1
+        loops, rows = _adjacency(g, label)
+    radix = [1, *itertools.accumulate([n + 1 for n in sizes], operator.mul)]
+
+    # Classes 0..plain-1 are the single vertices 0..plain-1 joined by single
+    # edges: there a state is the bit mask of its vertices.
+    placed = [0]
+    for v in range(plain):
+        row, step = rows[v], 1 + loops[v]
+        placed += [z + step + (row & s).bit_count() for s, z in enumerate(placed)]
+    sets = list(range(len(placed))) if plain < len(sizes) else []
+    rep = plain  # the first member of class i
+    for i in range(plain, len(sizes)):
+        row, step, n = rows[rep], 1 + loops[rep], sizes[i]
+        inner = (row >> rep + n - 1 & ones).bit_count()
+        opened = [(row & s).bit_count() for s in sets]
+        placed = [
+            z + k * step + k * (k - 1) // 2 * inner + k * y
+            for k in range(n + 1)
+            for z, y in zip(placed, opened)
+        ]
+        if i + 1 < len(sizes):
+            chosen = [0]
+            for v in range(rep, rep + n):
+                chosen.append(chosen[-1] | ones << v)
+            sets = [s | c for c in chosen for s in sets]
+        rep += n
+    scale = math.prod(map(math.factorial, sizes)) if len(sizes) < p else 1
+    # The low half takes about the square root of the states, a few times
+    # more on small tables, where each block of the sweep costs more; a
+    # table of single vertices with up to 2^8 states is all low half, whose
+    # free steps a count sweep finds ready in _BIT_STEPS.  The class of
+    # ``last`` stays in the high half.
+    split = min(bisect.bisect_right(radix, math.isqrt(8 * radix[-1])), len(sizes) + (not last)) - 1
+    if not last and radix[-1] == 1 << p and p < len(_BIT_STEPS):
+        split = p
+    return _Quotient(sizes, radix, vertex_class, placed, split, scale)
 
 
-def _completions(g: Graph, e: list[int], base: int) -> list[int]:
-    """A(S) = C(S) * N!/h(S)! for every vertex subset S containing ``base``.
+def _doubled(sizes: list[int], items: list) -> list[tuple]:
+    """The free steps of the states of classes with ``sizes``, in mixed
+    radix: class i repeats the tuples so far n_i times with items[i] added,
+    then once without it."""
+    steps: list[tuple] = [()]
+    for n, item in zip(sizes, items):
+        one = (item,)
+        steps = [free + one for free in steps] * n + steps
+    return steps
 
-    C(S) counts the ways to finish a build that has placed the vertices of S
-    and their e(S) edges; h(S) = N - |S| - e(S) elements are left (N = p+q).
-    The next is a vertex v outside S, and the d = e(S+v) - e(S) edges it
-    opens take any d of the other h(S) - 1 positions in any order, so
-    C(S) = sum over v of C(S+v) * (h(S)-1)!/h(S+v)!, with C(all) = 1.  This
-    is the hook-length formula for forests (Knuth, TAOCP Vol. 3, 5.1.4)
-    summed over vertex orders, whose incidence posets are forests: the count
-    is N! times the sum over vertex orders of the product of 1/h(S_k).
-    Scaling by N!/h(S)! cancels the step weight: A(S) = (sum over v of
-    A(S+v)) / h(S), with A(all) = N!, exact since N!/h(S)! is an integer,
-    and h(S) >= 1 for every proper S.  Subsets go in decreasing order.
+
+# The free steps of up to eight single-vertex classes, radices 1, 2, 4, ...:
+# the same in every count sweep whose low half they are, so built once.
+_BIT_STEPS = tuple(_doubled([1] * m, [1 << i for i in range(m)]) for m in range(9))
+
+
+def _free_steps(q: _Quotient, weights: list[int] | None = None) -> tuple[list[tuple], list[tuple]]:
+    """The steps open at each state, split by halves of its digits: a state
+    x = lo + hi * L (L = radix[split]) can add one member of class i exactly
+    when k_i < n_i, so its free steps are low[lo] + high[hi].  A step is the
+    radix r_i, or (r_i, weights[i]) with ``weights``."""
+    items = q.radix if weights is None else list(zip(q.radix, weights))
+    s = q.split
+    if weights is None and s < len(_BIT_STEPS) and q.radix[s] == 1 << s:
+        low = _BIT_STEPS[s]
+    else:
+        low = _doubled(q.sizes[:s], items[:s])
+    return low, _doubled(q.sizes[s:], items[s:])
+
+
+def _scaled_completions(q: _Quotient, n: int, stop: int = 0) -> list[int]:
+    """Ã(x) = A(x) / prod over j of (n_j - k_j)! for every state x >= ``stop``
+    (a multiple of the low half's size), with n = N = p + q.
+
+    A(S) = C(S) * N!/h(S)! for a vertex set S, where C(S) counts the ways to
+    finish a build that has placed the vertices of S and their e(S) edges,
+    and h(S) = N - |S| - e(S) elements are left.  The next is a vertex v
+    outside S, and the d = e(S+v) - e(S) edges it opens take any d of the
+    other h(S) - 1 positions in any order, so C(S) = sum over v of
+    C(S+v) * (h(S)-1)!/h(S+v)!, with C(all) = 1.  This is the hook-length
+    formula for forests (Knuth, TAOCP Vol. 3, 5.1.4) summed over vertex
+    orders, whose incidence posets are forests.  Scaling by N!/h(S)!
+    cancels the step weight: A(S) = (sum over v of A(S+v)) / h(S).
+    Twins give the same A, so A(x) = (sum over i of (n_i - k_i) A(x + r_i))
+    / h(x), and dividing by prod (n_j - k_j)! cancels the multiplicities:
+    Ã(x) = (sum over free i of Ã(x + r_i)) / h(x), with Ã(full) = N!.  The
+    division is exact: permuting the unplaced members of each class acts
+    freely on the completions, so prod (n_j - k_j)! divides C(S).  States go
+    in decreasing order, a block of low digits at a time.
     """
-    n = g.element_count
-    full = (1 << g.p) - 1
-    free_part = full ^ base
-    a = [0] * (full + 1)
-    a[full] = math.factorial(n)
-    sub = free_part
-    while sub:
-        sub = (sub - 1) & free_part
-        s = sub | base
-        total = 0
-        free = full ^ s
-        while free:
-            bit = free & -free
-            free ^= bit
-            total += a[s | bit]
-        a[s] = total // (n - s.bit_count() - e[s])
+    placed = q.placed
+    low, high = _free_steps(q)
+    size = len(low)
+    a = [0] * len(placed)
+    a[-1] = math.factorial(n)
+    down = low[::-1]
+    block = down[1:]  # the full state is set
+    for hi in range(len(high) - 1, stop // size - 1, -1):
+        up = high[hi]
+        start = hi * size
+        for x, steps in zip(range(start + len(block) - 1, start - 1, -1), block):
+            total = 0
+            for r in steps:
+                total += a[x + r]
+            for r in up:
+                total += a[x + r]
+            a[x] = total // (n - placed[x])
+        block = down
     return a
 
 
 def count_dp(g: Graph, *, max_states: int = DEFAULT_DP_STATE_LIMIT) -> int:
-    """Exact construction-sequence count by a sweep over the 2^p vertex
-    subsets: A(empty set), as h = N there.  ``max_states`` bounds 2^p, the
-    table size, so the default admits p <= 24."""
-    e = _subset_edge_counts(g, max_states=max_states, kernel="count DP")
-    return _completions(g, e, 0)[0]
+    """Exact construction-sequence count by a sweep over the twin-class
+    count vectors: Ã(0) * prod(n_j!), as h = N there.  ``max_states`` bounds
+    the states, prod(n_i + 1); that is 2^p when no two vertices are twins,
+    so the default admits any graph with p <= 24."""
+    q = _quotient(g, max_states=max_states, kernel="count DP")
+    return _scaled_completions(q, g.element_count)[0] * q.scale
 
 
 def count_based(g: Graph, base: int, *, max_states: int = DEFAULT_DP_STATE_LIMIT) -> int:
     """Count of sequences whose first element is the vertex ``base``, by
-    the sweep of :func:`count_dp` under the same ``max_states`` bound on 2^p.
+    the sweep of :func:`count_dp` under the same ``max_states`` bound.
 
     The elements after ``base``, other than its loops, follow in C({base})
     orders, and the loops at ``base`` take any of the N - 1 later positions:
-    C({base}) * (N-1)!/h({base})!, which is A({base}) / N.
+    C({base}) * (N-1)!/h({base})!, which is A({base}) / N.  With base's
+    class i last, A({base}) = Ã(r_i) * prod(n_j!) / n_i, and the states
+    with a member of class i placed are the range from r_i up.
     """
     if not 1 <= base <= g.p:
         raise ValueError(f"base vertex {base} outside 1..{g.p}")
-    e = _subset_edge_counts(g, max_states=max_states, kernel="count DP")
-    bit = 1 << (base - 1)
-    return _completions(g, e, bit)[bit] // g.element_count
+    q = _quotient(g, max_states=max_states, kernel="count DP", last=base)
+    r = q.radix[-2]
+    n = g.element_count
+    return _scaled_completions(q, n, r)[r] * q.scale // (q.sizes[-1] * n)
 
 
 # ---------------------------------------------------------------------------

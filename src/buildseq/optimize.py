@@ -7,9 +7,10 @@ the cost telescopes to N(N+1) - sum over v of (2 + deg v) * pos(v), a sum
 over the vertices alone.  Swapping a vertex with an already-available
 edge right after it saves 2 + deg(v), so every minimizer places each edge
 as soon as it becomes available.  A minimizer is thus a vertex order plus
-an order within each block of newly opened edges, and the exact minimum
-and its multiplicity come from one sweep over the 2^p vertex subsets in
-the telescoped form.
+an order within each block of newly opened edges.  The exact minimum comes
+from one sweep in the telescoped form over the twin-class count vectors of
+the subset kernel in :mod:`counting`, and its multiplicity from a forward
+count along the transitions that keep the minimum.
 
 Also here: the greedy builder (emit an edge as soon as one is available,
 otherwise the next vertex of the input order), enumeration of all
@@ -30,8 +31,9 @@ from .graphs import Element, Graph, _UnionFind, build_family
 from .sequences import CSeq, _from_codes
 from .counting import (
     DEFAULT_ELEMENT_LIMIT,
+    _free_steps,
     _iter_codes,
-    _subset_edge_counts,
+    _quotient,
     count_dp,
 )
 
@@ -224,48 +226,80 @@ def min_cost(
 
         cost = N(N+1) - sum over v of (2 + deg v) * pos(v).
 
-    One sweep over the 2^p vertex subsets (``max_states`` bounds 2^p, the
-    table size, so the default admits p <= 22) then finds the minimum:
-    with the vertices of S and the e(S) edges among them placed, v comes
-    next at pos = |S| + e(S) + 1 and adds -(2 + deg v) * pos, and N(N+1)
-    is added once at the end.  Witness
-    extraction is optional and capped by ``max_witnesses``; witnesses come
-    in lexicographic order from the sequence walk, which places every
-    available edge first and a vertex v only when it keeps the minimum,
-    best[S + v] - (2 + deg v) * pos == best[S].
+    Twins (see :func:`counting._quotient`) have the same degree, so the
+    sweep runs over the twin-class count vectors, ``max_states`` bounding
+    their number prod(n_i + 1) (2^p for a twin-free graph, so the default
+    admits p <= 22).  With S and its e(S) edges placed, a member of class i
+    comes next at pos = |S| + e(S) + 1 and adds -(2 + deg) * pos, so
+    best[x] = min over free i of best[x + r_i] - (2 + deg_i) * pos, and
+    N(N+1) is added once at the end.  The minimizers are then counted
+    forward from the empty state, a level at a time, along the transitions
+    that keep the minimum: a member of class i opening d edges contributes
+    its d! edge orders, and the n_i - k_i members it could be cancel out as
+    in :func:`counting._scaled_completions`, leaving prod(n_j!) at the end.
+    Witness extraction is optional and capped by ``max_witnesses``;
+    witnesses come in lexicographic order from the sequence walk, which
+    places every available edge first and a vertex v only when it keeps the
+    minimum, best[x + r_v] - (2 + deg v) * pos == best[x], where x sums the
+    class radices of the placed vertices.
     """
-    e = _subset_edge_counts(g, max_states=max_states, kernel="optimizer")
+    q = _quotient(g, max_states=max_states, kernel="optimizer")
+    placed = q.placed
+    # Adding a member of class i at pos adds -(2 + deg_i) * pos.
+    weights = [0] * len(q.sizes)
+    for c, d in zip(q.vertex_class, g.degrees()):
+        weights[c] = 2 + d
+    low, high = _free_steps(q, weights)
+    size = len(low)
+    best = [0] * len(placed)  # min over completions of -sum (2 + deg v) * pos(v)
+    down = low[::-1]
+    block = down[1:]  # the full state adds nothing
+    for hi in range(len(high) - 1, -1, -1):
+        up = high[hi]
+        start = hi * size
+        for x, free in zip(range(start + len(block) - 1, start - 1, -1), block):
+            pos = placed[x] + 1
+            least = 0  # every step adds a negative amount
+            for r, weight in free:
+                branch = best[x + r] - weight * pos
+                if branch < least:
+                    least = branch
+            for r, weight in up:
+                branch = best[x + r] - weight * pos
+                if branch < least:
+                    least = branch
+            best[x] = least
+        block = down
+
+    ways = {0: 1}
+    for _ in range(g.p):
+        reached: dict[int, int] = {}
+        for x, count in ways.items():
+            pos = placed[x] + 1
+            target = best[x]
+            for r, weight in low[x % size] + high[x // size]:
+                y = x + r
+                if best[y] - weight * pos == target:
+                    reached[y] = reached.get(y, 0) + count * math.factorial(placed[y] - pos)
+        ways = reached
+
     full = (1 << g.p) - 1
-    # (bit of v, 2 + deg v): placing v at pos adds -(2 + deg v) * pos.
-    steps = [(1 << v, 2 + d) for v, d in enumerate(g.degrees())]
-    best = [0] * (full + 1)  # min over completions of -sum (2 + deg v) * pos(v)
-    ways = [0] * (full + 1)
-    ways[full] = 1
-    for s in range(full - 1, -1, -1):
-        es = e[s]
-        pos = s.bit_count() + es + 1
-        least: int | None = None
-        count = 0
-        for bit, weight in steps:
-            if s & bit:
-                continue
-            t = s | bit
-            branch = best[t] - weight * pos
-            if least is None or branch < least:
-                least, count = branch, math.factorial(e[t] - es) * ways[t]
-            elif branch == least:
-                count += math.factorial(e[t] - es) * ways[t]
-        best[s], ways[s] = least, count  # type: ignore[assignment]
+    vertex_steps = [(q.radix[c], weights[c]) for c in q.vertex_class]
 
     def optimal(placed: int, v: int) -> bool:
-        s = placed & full
-        bit, weight = steps[v]
-        return best[s | bit] - weight * (placed.bit_count() + 1) == best[s]
+        rest = placed & full
+        x = 0
+        while rest:
+            bit = rest & -rest
+            x += vertex_steps[bit.bit_length() - 1][0]
+            rest ^= bit
+        r, weight = vertex_steps[v]
+        return best[x + r] - weight * (placed.bit_count() + 1) == best[x]
 
     walk = _iter_codes(g, _edges_first(g.p, optimal))
     witnesses = tuple(_from_codes(g, itertools.islice(walk, max(max_witnesses, 0))))
     n = g.element_count
-    return OptResult(n * (n + 1) + best[0], ways[0], witnesses)
+    return OptResult(n * (n + 1) + best[0], ways[len(placed) - 1] * q.scale, witnesses)
 
 
 def enumerate_min_cost(

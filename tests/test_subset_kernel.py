@@ -1,31 +1,36 @@
-"""The vertex-subset kernel behind count_dp, count_based and min_cost, and
-the sequence enumerator.
+"""The twin-class subset kernel behind count_dp, count_based and min_cost,
+and the sequence enumerator.
 
 Property tests run on multigraphs with loops, parallel edges, isolated
 vertices and p = 0, which the seeded simple-graph corpus never produces, and
 compare the kernel with the routes that do not use it: the permutation
 oracle, the poset engine and full min-cost enumeration, and check that
-counts survive relabelling and obey the union and wedge laws.  Sequences
-built by the kernels skip validation, so the tests validate them instead.
+counts survive relabelling and obey the union and wedge laws.  Blown-up
+multigraphs, where each vertex becomes an independent set or a clique of
+twins, make the twin classes large.  Sequences built by the kernels skip
+validation, so the tests validate them instead.
 ``validate`` and ``greedy`` work on element codes; each is compared with a
 reference on ``Element`` objects kept here, ``validate`` on mutated
 sequences (swaps, drops, repeats and foreign tokens).
-The edge table is checked against a direct count on larger multigraphs
-with bundles of up to four parallel edges, the rescaled count table
-against the unscaled recurrence and the closed forms, and the cost
+The twin classes are checked against the definition, and the table of
+placed elements against a direct count for every vertex subset, on larger
+multigraphs with bundles of up to four parallel edges; the scaled count
+table against the unscaled recurrence and the closed forms, and the cost
 identity behind the min-cost sweep on every edge-eager sequence.
 """
 import math
 import random
 import sys
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import buildseq as b
-from buildseq.counting import _completions, _subset_edge_counts
-from buildseq.errors import ResourceLimitError, check_subset_limits
+from buildseq.counting import _quotient, _scaled_completions
+from buildseq.errors import ResourceLimitError, check_class_limits, check_subset_limits
 from buildseq.graphs import Element, _UnionFind
 from buildseq.optimize import POLICIES
 
@@ -100,6 +105,51 @@ def test_state_limit_bounds_the_vertex_subsets_before_any_work():
         run(2**10)
 
 
+def test_state_limit_bounds_the_twin_class_states_before_any_work():
+    # star:18 has two twin classes, the hub and 18 leaves: 2 * 19 states.
+    g = b.build_family("star:18")
+    for kernel, run in (
+        ("count DP", lambda limit: b.count_dp(g, max_states=limit)),
+        ("count DP", lambda limit: b.count_based(g, 2, max_states=limit)),
+        ("optimizer", lambda limit: b.min_cost(g, max_states=limit)),
+    ):
+        message = f"^{kernel} needs 38 twin-class states, over the limit 37; raise max_states to continue$"
+        with pytest.raises(ResourceLimitError, match=message):
+            run(37)
+        run(38)
+    # 4,000 isolated vertices are one class, and past 4,096 vertices no
+    # classes are formed: either way the limit fires at once.
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="^count DP needs 4001 twin-class states, over the limit 4000;"):
+        b.count_dp(b.Graph(4000), max_states=4000)
+    b.count_based(b.Graph(4000), 7, max_states=4001)
+    with pytest.raises(ResourceLimitError, match="^optimizer needs 2\\^1000000 vertex-subset states"):
+        b.min_cost(b.Graph(10**6))
+    assert time.perf_counter() - started < 5
+
+
+def test_class_limit_words_a_twin_free_graph_as_the_subset_limit():
+    for sizes, limit in (([1] * 10, 1023), ([], 0)):
+        with pytest.raises(ResourceLimitError, match=f"^count DP needs 2\\^{len(sizes)} vertex-subset"):
+            check_class_limits(sizes, limit, "count DP")
+    check_class_limits([1] * 10, 1024, "count DP")
+    check_class_limits([3, 1, 4], 40, "optimizer")
+    with pytest.raises(ResourceLimitError, match="^optimizer needs 40 twin-class states, over the limit 39;"):
+        check_class_limits([3, 1, 4], 39, "optimizer")
+
+
+def test_twins_unlock_large_symmetric_graphs():
+    star = b.build_family("star:30")
+    assert b.count_dp(star) == b.star_count(30)
+    assert b.count_based(star, 1) == math.factorial(60) // 2**30
+    assert b.min_cost(b.Graph(14)).num_optimal == math.factorial(14)
+    started = time.perf_counter()
+    result = b.min_cost(b.build_family("complete:30"))
+    assert time.perf_counter() - started < 1
+    # K_n: any vertex order is optimal, and the k-th vertex opens k edges.
+    assert result.num_optimal == math.factorial(30) * math.prod(map(math.factorial, range(30)))
+
+
 def test_the_state_limit_is_the_only_subset_limit():
     check_subset_limits(30, 1 << 30, "count DP")  # no vertex cap binds past 24
     check_subset_limits(0, 1, "count DP")
@@ -108,15 +158,52 @@ def test_the_state_limit_is_the_only_subset_limit():
             check_subset_limits(p, limit, "count DP")
 
 
+def are_twins(g: b.Graph, u: int, v: int) -> bool:
+    """The definition: the same multiplicity to every other vertex and the
+    same number of loops (vertices 1-based)."""
+    mult = Counter(g.edges)
+    edge = lambda x, y: mult[(min(x, y), max(x, y))]
+    others = (w for w in range(1, g.p + 1) if w not in (u, v))
+    return edge(u, u) == edge(v, v) and all(edge(u, w) == edge(v, w) for w in others)
+
+
+def twin_states(g: b.Graph) -> int:
+    """prod(n_i + 1) over the twin classes, found from the definition."""
+    leaders = [min(u for u in range(1, v + 1) if u == v or are_twins(g, u, v)) for v in range(1, g.p + 1)]
+    return math.prod(n + 1 for n in Counter(leaders).values())
+
+
+def state(q, s: int) -> int:
+    """The class-count vector of the vertex subset s (bit v-1 for vertex v)."""
+    return sum(q.radix[c] for v, c in enumerate(q.vertex_class) if s >> v & 1)
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(bundled_multigraphs())
 def test_edge_table_counts_the_edges_inside_every_subset(g):
-    e = _subset_edge_counts(g, max_states=1 << 10, kernel="count DP")
-    masks = [(1 << (u - 1)) | (1 << (w - 1)) for u, w in g.edges]
-    assert e == [sum(not mask & ~s for mask in masks) for s in range(1 << g.p)]
+    # At the twin-class state count as the limit the kernel must group the
+    # twins; under a roomy limit it groups them from 8 vertices on.
+    tight = twin_states(g)
+    for limit, grouped in ((tight, True), (1 << 10, g.p >= 8)):
+        q = _quotient(g, max_states=limit, kernel="count DP")
+        for u in range(1, g.p + 1):
+            for v in range(u + 1, g.p + 1):
+                same = q.vertex_class[u - 1] == q.vertex_class[v - 1]
+                assert same == (grouped and are_twins(g, u, v))
+        assert q.sizes == [q.vertex_class.count(i) for i in range(len(q.sizes))]
+        assert len(q.placed) == q.radix[-1] == math.prod(n + 1 for n in q.sizes)
+        assert q.scale == math.prod(map(math.factorial, q.sizes))
+        # Every vertex subset, so every state, against its placed elements.
+        masks = [(1 << (u - 1)) | (1 << (w - 1)) for u, w in g.edges]
+        for s in range(1 << g.p):
+            assert q.placed[state(q, s)] == s.bit_count() + sum(not mask & ~s for mask in masks)
+    with pytest.raises(ResourceLimitError):
+        _quotient(g, max_states=tight - 1, kernel="count DP")
     # Bundles and loops give a vertex many edges to open in one step.
     if g.p:
-        assert sum(b.count_based(g, v) for v in range(1, g.p + 1)) == b.count_dp(g)
+        for limit in (tight, 1 << 10):
+            based = [b.count_based(g, v, max_states=limit) for v in range(1, g.p + 1)]
+            assert sum(based) == b.count_dp(g, max_states=limit)
 
 
 def unscaled_completions(g: b.Graph, base: int) -> dict[int, int]:
@@ -141,15 +228,22 @@ def unscaled_completions(g: b.Graph, base: int) -> dict[int, int]:
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.one_of(multigraphs(), bundled_multigraphs()))
 def test_rescaled_table_is_the_count_times_n_factorial_over_h_factorial(g):
+    # The table holds C(S) * N!/h(S)! divided by prod((n_j - k_j)!), the
+    # orders of the unplaced members of each twin class.
     n = g.element_count
-    e = _subset_edge_counts(g, max_states=1 << 10, kernel="count DP")
-    for base in [0] + [1 << v for v in range(g.p)]:
-        a = _completions(g, e, base)
-        for s, c in unscaled_completions(g, base).items():
-            h = n - s.bit_count() - e[s]
-            assert a[s] * math.factorial(h) == c * math.factorial(n)
+    for base in range(g.p + 1):
+        q = _quotient(g, max_states=twin_states(g), kernel="count DP", last=base)
+        stop = q.radix[-2] if base else 0
+        a = _scaled_completions(q, n, stop)
+        for s, c in unscaled_completions(g, 1 << base >> 1).items():
+            x = state(q, s)
+            h = n - q.placed[x]
+            left = [q.sizes[i] - x // q.radix[i] % (q.sizes[i] + 1) for i in range(len(q.sizes))]
+            assert a[x] * math.prod(map(math.factorial, left)) * math.factorial(h) == c * math.factorial(n)
         if base:
-            assert b.count_based(g, base.bit_length()) * n == a[base]
+            assert b.count_based(g, base) * n * q.sizes[-1] == a[stop] * q.scale
+        else:
+            assert b.count_dp(g) == a[0] * q.scale
 
 
 def test_large_tables_match_the_closed_forms():
@@ -198,6 +292,59 @@ def test_counts_agree_with_oracle_and_poset_engine(g):
     assert count == b.count_bruteforce(g, element_limit=MAX_ELEMENTS)
     assert count == b.count_linear_extensions(b.incidence_poset(g))
     assert [b.count_based(g, v) for v in range(1, g.p + 1)] == based_counts_by_walk(g)
+
+
+@st.composite
+def blown_up_multigraphs(draw) -> b.Graph:
+    """A random multigraph (loops, parallel edges, isolated vertices, p = 0)
+    with each vertex v replaced by t_v twins: an independent set, or a
+    clique whose pairs are joined by c_v >= 1 edges.  Every copy of u is
+    joined to every copy of w as u was to w and keeps u's loops.  Parts are
+    drawn only while the blown-up graph keeps within MAX_ELEMENTS."""
+    p = draw(st.integers(0, 3))
+    budget = MAX_ELEMENTS - p
+    first = [1]
+    for _ in range(p):
+        extra = draw(st.integers(0, min(2, budget)))
+        budget -= extra
+        first.append(first[-1] + 1 + extra)
+    edges = []
+    for v in range(p):
+        members = range(first[v], first[v + 1])
+        pairs = [(x, y) for x in members for y in members if x < y]
+        if pairs and len(pairs) <= budget:
+            multiplicity = draw(st.integers(0, min(2, budget // len(pairs))))
+            edges += pairs * multiplicity
+            budget -= len(pairs) * multiplicity
+    vertex = st.integers(0, p - 1)
+    for u, w in draw(st.lists(st.tuples(vertex, vertex), max_size=4)) if p else ():
+        joined = [(x, y) for x in range(first[u], first[u + 1]) for y in range(first[w], first[w + 1])
+                  if u != w or x == y]
+        if len(joined) <= budget:
+            edges += joined
+            budget -= len(joined)
+    return b.Graph(first[-1] - 1, tuple(edges), multigraph=True)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(blown_up_multigraphs())
+def test_blown_up_twins_agree_with_the_routes_that_ignore_them(g):
+    count = b.count_bruteforce(g, element_limit=MAX_ELEMENTS)
+    assert count == b.count_linear_extensions(b.incidence_poset(g))
+    based = based_counts_by_walk(g)
+    if g.p:
+        assert sum(based) == count
+    minimizers = b.enumerate_min_cost(g, element_limit=MAX_ELEMENTS)
+    # At the twin-class state count as the limit the kernels must group the
+    # twins; under the default limits they sweep these small graphs whole.
+    for limit in (twin_states(g), None):
+        limits = {} if limit is None else {"max_states": limit}
+        assert b.count_dp(g, **limits) == count
+        assert [b.count_based(g, v, **limits) for v in range(1, g.p + 1)] == based
+        result = b.min_cost(g, max_witnesses=WITNESSES, **limits)
+        assert result.min_cost == b.total_cost(minimizers[0])
+        assert result.num_optimal == len(minimizers)
+        assert list(result.witnesses) == minimizers[:WITNESSES]
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
