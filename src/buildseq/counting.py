@@ -29,7 +29,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import check_class_limits, check_limit, check_subset_limits
 from .graphs import Graph
@@ -68,9 +68,10 @@ _STAR_RECURSION_MAX_N = 30_000
 _ZIGZAG_MAX_N = 800
 # Twin classes are formed for TWIN_MIN_VERTICES <= p <= TWIN_VERTICES, and
 # below that only when 2^p states are over the limit: on smaller graphs the
-# bookkeeping costs more than the at most 128 states it saves, and past
-# 2^12 vertices the keys, p bits each, would take p^2 bits while 2^p states
-# are out of any reach.
+# bookkeeping costs more than the at most 128 states it saves.  Past 2^12
+# vertices the limit is 2^p, checked before anything else: the entries are
+# factorials of the element count, so a graph that large fails at once
+# whatever its classes.
 _TWIN_MIN_VERTICES = 8
 _TWIN_VERTICES = 1 << 12
 
@@ -123,148 +124,98 @@ class _Quotient(NamedTuple):
     scale: int  # prod(n_i!): the table's entries are divided by prod((n_i - k_i)!)
 
 
-def _adjacency(g: Graph, label: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
-    """Loops and rows of ``g`` with vertex v renamed label[v - 1] (0-based,
-    v - 1 without ``label``): rows[v] has bit w + j*p set when v and w are
-    joined by more than j edges."""
-    p = g.p
-    loops = [0] * p
-    rows = [0] * p
-    if g.multigraph:
-        name = label or range(p)
-        for (u, w), k in Counter(g.edges).items():
-            u, w = name[u - 1], name[w - 1]
-            if u == w:
-                loops[u] = k
-            else:
-                run = ((1 << k * p) - 1) // ((1 << p) - 1)  # bit 0 of k layers
-                rows[u] |= run << w
-                rows[w] |= run << u
-    elif label is None:
-        for u, w in g.edges:
-            rows[u - 1] |= 1 << w - 1
-            rows[w - 1] |= 1 << u - 1
-    else:
-        for u, w in g.edges:
-            u, w = label[u - 1], label[w - 1]
-            rows[u] |= 1 << w
-            rows[w] |= 1 << u
-    return loops, rows
-
-
 def _quotient(g: Graph, *, max_states: int, kernel: str, last: int = 0) -> _Quotient:
     """Group the vertices into twin classes and tabulate placed[x] = |S| + e(S)
     over the class-count vectors; e(S) counts the edge records with all
     endpoints in S, so loops and parallel edges count with multiplicity.
 
-    Twins u and v with no edge between them have the same neighbours; joined
-    by m edges, they have the same neighbours once each counts itself as its
-    own neighbour m times.  So each vertex gets one key per reading (a bit
-    mask), and the vertices that share a key form a class.  The classes are
-    formed from ``_TWIN_MIN_VERTICES`` up to ``_TWIN_VERTICES`` vertices,
-    and on fewer vertices only when 2^p states are over the limit; otherwise
-    no keys are read and every vertex is a class of its own, which the
-    sweeps handle the same way.  Classes of one vertex come first, then the
-    larger classes by their smallest vertex, and the class of vertex
-    ``last`` (if nonzero) goes last, so the states that contain one of its
-    members form one range.
+    Twins u and v with no edge between them have the same neighbours, with
+    the same multiplicities; joined by m edges, they have the same ones once
+    each counts itself as its own neighbour by m edges.  So each vertex gets
+    a key for its neighbours as they are and one for each multiplicity m at
+    it, each with its loops, and the vertices that share a key form a class.
+    The classes are formed from ``_TWIN_MIN_VERTICES`` up to
+    ``_TWIN_VERTICES`` vertices, and on fewer vertices only when 2^p states
+    are over the limit; otherwise every vertex is a class of its own.
+    Classes of one vertex come first, then the larger classes by their
+    smallest vertex, and the class of vertex ``last`` (if nonzero) goes
+    last, so the states that contain one of its members form one range.
 
     ``max_states`` bounds the states, prod(n_i + 1), and is checked before
-    the table is allocated; ``kernel`` names the caller in the error message.
-    The vertices are renamed in class order.  While every class so far is a
-    single vertex and no edges are parallel, a state is the bit mask of its
-    vertices and placed[x] adds the vertex's loops and its edges to x.  Past
-    that, class i extends the table by placed[x + k * radix[i]]: k members
-    with their loops, the C(k, 2) * m_i edges among them, and k times the
-    edges from one member to sets[x], the vertices of state x in every layer.
+    any table is built; ``kernel`` names the caller in the error message.
+    Class i extends the table by placed[x + k * radix[i]]: k members with
+    their loops, the C(k, 2) * m_ii edges among them, and k times opened[x],
+    the edges from one member to the vertices of state x, which adds m_ij
+    for each member of class j in x.  With no twins and no parallel edges a
+    state is the bit mask of its vertices, and opened[x] is one popcount.
+    The classes come from counting the edges between each pair of vertices,
+    so the limit is checked before any table, however many are parallel.
     """
     p = g.p
     if p > _TWIN_VERTICES:
         check_subset_limits(p, max_states, kernel)
-    loops, rows = _adjacency(g)
-    top = max(rows, default=0)
-    layers = -(-top.bit_length() // p) if top >> p else 1
-    ones = ((1 << layers * p) - 1) // ((1 << p) - 1) if layers > 1 else 1  # bit 0 of every layer
-    # Keys: v's row read open (no bit of v) and closed, with v's loops
-    # above every layer.  Two vertices share a key exactly when they are twins.
-    opens = [row | n << layers * p for row, n in zip(rows, loops)] if any(loops) else rows
-    keyed: list[tuple[int, int]] = []  # (key, vertex)
-    if p > _TWIN_VERTICES or p < _TWIN_MIN_VERTICES and 1 << p <= max_states:
-        repeats = 0  # no classes are formed: no keys are needed
-    elif layers == 1:  # a closed key for m = 1 only; an isolated vertex's is unique
-        closes = [key | 1 << v for v, key in enumerate(opens)]
-        repeats = 2 * p - len({*opens, *closes})
-    else:
-        low_bits = (1 << p) - 1
-        for v, key in enumerate(opens):
-            row, closed, own = rows[v], key, 1 << v
-            keyed.append((key, v))
-            while row:  # closed for each multiplicity m of an edge at v
-                closed |= own
-                if row & ~(row >> p) & low_bits:
-                    keyed.append((closed, v))
-                row >>= p
-                own <<= p
-        repeats = len(keyed) - len(dict(keyed))
-    grouped = repeats > 0
-    if not grouped and not last:
-        check_subset_limits(p, max_states, kernel)
-        sizes, vertex_class, plain = [1] * p, list(range(p)), p if ones == 1 else 0
-    else:
-        classes: list[list[int]] = []  # the classes of two or more, by smallest vertex
-        if grouped:
-            if layers == 1:
-                keyed = [*zip(opens, range(p)), *zip(closes, range(p))]
-            shared: dict[int, list[int]] = {}
-            for key, v in keyed:
-                shared.setdefault(key, []).append(v)
-            classes = sorted(members for members in shared.values() if len(members) > 1)
+    counts = Counter(g.edges) if g.multigraph else dict.fromkeys(g.edges, 1)  # per pair u <= w
+    loops = [0] * p
+    for (u, w), k in counts.items():
+        if u == w:
+            loops[u - 1] = k
+    classes: list[list[int]] = []  # the classes of two or more, by smallest vertex
+    if p <= _TWIN_VERTICES and (p >= _TWIN_MIN_VERTICES or 1 << p > max_states):
+        near: list[dict[int, int]] = [{} for _ in range(p)]  # near[v][w]: the edges joining v and w
+        for (u, w), k in counts.items():
+            if u != w:
+                near[u - 1][w - 1] = near[w - 1][u - 1] = k
+        shared: dict[tuple[int, frozenset], list[int]] = {}
+        for v, row in enumerate(near):
+            key = frozenset(row.items())
+            shared.setdefault((loops[v], key), []).append(v)
+            for m in set(row.values()):
+                shared.setdefault((loops[v], key | {(v, m)}), []).append(v)
+        classes = sorted(members for members in shared.values() if len(members) > 1)
+    if last:
+        mine = next((members for members in classes if last - 1 in members), [last - 1])
+        classes = [members for members in classes if members is not mine] + [mine]
+    if classes:
         twins = {v for members in classes for v in members}
-        if last:
-            mine = next((members for members in classes if last - 1 in members), [last - 1])
-            classes = [members for members in classes if members is not mine] + [mine]
-        singles = [v for v in range(p) if v not in twins and v != last - 1]
-        classes = [[v] for v in singles] + classes
-        sizes = list(map(len, classes))
-        check_class_limits(sizes, max_states, kernel)
-        plain = 0
-        while ones == 1 and plain < len(sizes) and sizes[plain] == 1:
-            plain += 1
+        classes = [[v] for v in range(p) if v not in twins] + classes
         vertex_class = [0] * p
-        label = [0] * p  # the vertices renamed in class order
-        name = 0
-        for c, members in enumerate(classes):
+        for i, members in enumerate(classes):
             for v in members:
-                vertex_class[v] = c
-                label[v] = name
-                name += 1
-        loops, rows = _adjacency(g, label)
+                vertex_class[v] = i
+    else:  # every vertex a class of its own, in order
+        classes, vertex_class = [[v] for v in range(p)], list(range(p))
+    sizes = list(map(len, classes))
+    check_class_limits(sizes, max_states, kernel)
     radix = [1, *itertools.accumulate([n + 1 for n in sizes], operator.mul)]
-
-    # Classes 0..plain-1 are the single vertices 0..plain-1 joined by single
-    # edges: there a state is the bit mask of its vertices.
     placed = [0]
-    for v in range(plain):
-        row, step = rows[v], 1 + loops[v]
-        placed += [z + step + (row & s).bit_count() for s, z in enumerate(placed)]
-    sets = list(range(len(placed))) if plain < len(sizes) else []
-    rep = plain  # the first member of class i
-    for i in range(plain, len(sizes)):
-        row, step, n = rows[rep], 1 + loops[rep], sizes[i]
-        inner = (row >> rep + n - 1 & ones).bit_count()
-        opened = [(row & s).bit_count() for s in sets]
-        placed = [
-            z + k * step + k * (k - 1) // 2 * inner + k * y
-            for k in range(n + 1)
-            for z, y in zip(placed, opened)
-        ]
-        if i + 1 < len(sizes):
-            chosen = [0]
-            for v in range(rep, rep + n):
-                chosen.append(chosen[-1] | ones << v)
-            sets = [s | c for c in chosen for s in sets]
-        rep += n
-    scale = math.prod(map(math.factorial, sizes)) if len(sizes) < p else 1
+    if len(sizes) == p and not (g.multigraph and any(k > 1 for (u, w), k in counts.items() if u != w)):
+        # No twins and no parallel edges: a state is the bit mask of its
+        # vertices in class order, and the edges from v into it one popcount.
+        rows = [0] * p
+        for u, w in counts:
+            u, w = vertex_class[u - 1], vertex_class[w - 1]
+            rows[u] |= 1 << w
+            rows[w] |= 1 << u
+        for (v,), row in zip(classes, rows):
+            step = 1 + loops[v]
+            placed += [z + step + (row & s).bit_count() for s, z in enumerate(placed)]
+    else:
+        for i, members in enumerate(classes):
+            u = members[0] + 1
+            step = 1 + loops[u - 1]
+            inner = counts.get((u, members[-1] + 1), 0)  # m_ii; with one member, k <= 1 leaves it out
+            opened = [0]  # per state of classes 0..i-1: the edges from one member of class i into it
+            for j in range(i):
+                w = classes[j][0] + 1
+                m = counts.get((u, w) if u < w else (w, u), 0)
+                if m:
+                    opened += [y + t for t in range(m, (sizes[j] + 1) * m, m) for y in opened]
+                else:
+                    opened *= sizes[j] + 1
+            for k in range(1, len(members) + 1):
+                a = k * step + k * (k - 1) // 2 * inner
+                placed += [z + a + k * y for z, y in zip(placed, opened)]
+    scale = math.prod(map(math.factorial, sizes))
     # The low half takes about the square root of the states, a few times
     # more on small tables, where each block of the sweep costs more; a
     # table of single vertices with up to 2^8 states is all low half, whose

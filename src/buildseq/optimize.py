@@ -183,16 +183,16 @@ def exhaustive_greedy_set(
 
 
 def _edges_first(
-    p: int, vertex_ok: Callable[[int, int], bool] | None = None
+    p: int, vertices: Callable[[int, list[int]], list[int]] | None = None
 ) -> Callable[[int, list[int]], list[int]]:
     """A ``keep`` filter for :func:`counting._iter_codes`: only the edges
-    when one is placeable (codes >= p), else the vertices that
-    ``vertex_ok(placed, v)`` admits, or all of them."""
+    when one is placeable (codes >= p), else the placeable vertices that
+    ``vertices(placed, free)`` keeps, or all of them."""
 
     def keep(placed: int, free: list[int]) -> list[int]:
         if free[-1] >= p:
             return [c for c in free if c >= p]
-        return [v for v in free if vertex_ok(placed, v)] if vertex_ok else free
+        return vertices(placed, free) if vertices else free
 
     return keep
 
@@ -241,7 +241,7 @@ def min_cost(
     witnesses come in lexicographic order from the sequence walk, which
     places every available edge first and a vertex v only when it keeps the
     minimum, best[x + r_v] - (2 + deg v) * pos == best[x], where x sums the
-    class radices of the placed vertices.
+    class radices of the placed vertices, once for all the candidates.
     """
     q = _quotient(g, max_states=max_states, kernel="optimizer")
     placed = q.placed
@@ -283,18 +283,13 @@ def min_cost(
                     reached[y] = reached.get(y, 0) + count * math.factorial(placed[y] - pos)
         ways = reached
 
-    full = (1 << g.p) - 1
     vertex_steps = [(q.radix[c], weights[c]) for c in q.vertex_class]
 
-    def optimal(placed: int, v: int) -> bool:
-        rest = placed & full
-        x = 0
-        while rest:
-            bit = rest & -rest
-            x += vertex_steps[bit.bit_length() - 1][0]
-            rest ^= bit
-        r, weight = vertex_steps[v]
-        return best[x + r] - weight * (placed.bit_count() + 1) == best[x]
+    def optimal(placed: int, free: list[int]) -> list[int]:
+        x = sum(r for v, (r, _) in enumerate(vertex_steps) if placed >> v & 1)
+        pos = placed.bit_count() + 1
+        least = best[x]
+        return [v for v in free if best[x + vertex_steps[v][0]] - vertex_steps[v][1] * pos == least]
 
     walk = _iter_codes(g, _edges_first(g.p, optimal))
     witnesses = tuple(_from_codes(g, itertools.islice(walk, max(max_witnesses, 0))))

@@ -14,8 +14,8 @@ reference on ``Element`` objects kept here, ``validate`` on mutated
 sequences (swaps, drops, repeats and foreign tokens).
 The twin classes are checked against the definition, and the table of
 placed elements against a direct count for every vertex subset, on larger
-multigraphs with bundles of up to four parallel edges; the scaled count
-table against the unscaled recurrence and the closed forms, and the cost
+multigraphs with bundles of up to four parallel edges and on simple graphs;
+the scaled count table against the unscaled recurrence and the closed forms, and the cost
 identity behind the min-cost sweep on every edge-eager sequence.
 """
 import math
@@ -57,6 +57,15 @@ def bundled_multigraphs(draw) -> b.Graph:
     bundles = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 4)), max_size=12))
     edges = draw(st.permutations([(u, w) for u, w, k in bundles for _ in range(k)]))
     return b.Graph(p, tuple(edges), multigraph=True)
+
+
+@st.composite
+def simple_graphs(draw) -> b.Graph:
+    """Up to 10 vertices with single edges and no loops: without twins the
+    table is built over vertex bit masks."""
+    p = draw(st.integers(0, 10))
+    pairs = [(u, w) for u in range(1, p + 1) for w in range(u + 1, p + 1)]
+    return b.Graph(p, tuple(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else ())
 
 
 def based_counts_by_walk(g: b.Graph) -> list[int]:
@@ -128,6 +137,22 @@ def test_state_limit_bounds_the_twin_class_states_before_any_work():
     assert time.perf_counter() - started < 5
 
 
+def test_heavy_bundles_reach_the_limit_at_once():
+    # The classes come from the edge multiplicities, so 100,000 parallel
+    # edges cost time linear in the edges before the limit is checked.
+    bundle = ((1, 2),) * 100_000
+    twin_free = b.Graph(1000, bundle + tuple((v, v + 1) for v in range(2, 1000)), multigraph=True)
+    grouped = b.Graph(1000, bundle, multigraph=True)  # {1, 2} and 998 isolated vertices: 3 * 999 states
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="^count DP needs 2\\^1000 vertex-subset states"):
+        b.count_dp(twin_free)
+    with pytest.raises(ResourceLimitError, match="^count DP needs 2997 twin-class states, over the limit 2996;"):
+        b.count_based(grouped, 1, max_states=2996)
+    with pytest.raises(ResourceLimitError, match="^optimizer needs 2997 twin-class states, over the limit 2996;"):
+        b.min_cost(grouped, max_states=2996)
+    assert time.perf_counter() - started < 0.5
+
+
 def test_class_limit_words_a_twin_free_graph_as_the_subset_limit():
     for sizes, limit in (([1] * 10, 1023), ([], 0)):
         with pytest.raises(ResourceLimitError, match=f"^count DP needs 2\\^{len(sizes)} vertex-subset"):
@@ -178,14 +203,17 @@ def state(q, s: int) -> int:
     return sum(q.radix[c] for v, c in enumerate(q.vertex_class) if s >> v & 1)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(bundled_multigraphs())
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.one_of(bundled_multigraphs(), simple_graphs()))
 def test_edge_table_counts_the_edges_inside_every_subset(g):
     # At the twin-class state count as the limit the kernel must group the
-    # twins; under a roomy limit it groups them from 8 vertices on.
+    # twins; under a roomy limit it groups them from 8 vertices on.  The
+    # last vertex's class goes last when it is the base.
     tight = twin_states(g)
-    for limit, grouped in ((tight, True), (1 << 10, g.p >= 8)):
-        q = _quotient(g, max_states=limit, kernel="count DP")
+    for limit, grouped, last in ((tight, True, 0), (1 << 10, g.p >= 8, 0), (1 << 10, g.p >= 8, g.p)):
+        q = _quotient(g, max_states=limit, kernel="count DP", last=last)
+        if last:
+            assert q.vertex_class[last - 1] == len(q.sizes) - 1
         for u in range(1, g.p + 1):
             for v in range(u + 1, g.p + 1):
                 same = q.vertex_class[u - 1] == q.vertex_class[v - 1]
