@@ -38,7 +38,7 @@ from .counting import (
 )
 from .errors import IsolatedVertexError, ResourceLimitError, check_limit, check_subset_limits
 from .families import Family
-from .graphs import Graph, _family_size, build_family, parse_graph
+from .graphs import Graph, _check_base, _family_size, build_family, parse_graph
 from .optimize import (
     DEFAULT_GREEDY_VERTEX_LIMIT,
     DEFAULT_OPT_STATE_LIMIT,
@@ -170,8 +170,8 @@ def _count_values(argument: str, base: int | None, args: argparse.Namespace) -> 
     size, and only dp and the oracle build the graph.
     """
     p, size, plain, load = _sized_graph(argument)
-    if base is not None and not 1 <= base <= p:
-        raise ValueError(f"base vertex {base} outside 1..{p}")
+    if base is not None:
+        _check_base(base, p)
     kind, n = plain or ("", 0)
     formula = _FORMULAS.get((kind, base))
     recursion = _RECURSIONS.get(kind) if base is None else None
@@ -327,10 +327,10 @@ def _cmd_family_table(args: argparse.Namespace) -> int:
             }
         )
     payload = {"kind": args.kind, "rows": rows}
+    columns = sorted({name for row in rows for name in row["counts"]})
     if args.format == "json":
         print(json.dumps(payload))
     elif args.format == "csv":
-        columns = sorted({name for row in rows for name in row["counts"]})
         print(",".join(["n", *columns, "agree"]))
         for row in rows:
             cells = [str(row["n"])]
@@ -338,7 +338,6 @@ def _cmd_family_table(args: argparse.Namespace) -> int:
             cells.append(str(row["agree"]).lower())
             print(",".join(cells))
     else:
-        columns = sorted({name for row in rows for name in row["counts"]})
         widths = {
             c: max(len(c), *(len(row["counts"].get(c, "")) for row in rows)) for c in columns
         }

@@ -14,9 +14,10 @@ one another:
   the boustrophedon triangle, Bernoulli numbers, tremolo numbers).
 
 The subset kernel (``_quotient``, ``_free_steps``, ``_scaled_completions``)
-serves ``count_dp``, ``count_based`` and ``optimize.min_cost``; its one
-limit, ``max_states``, bounds the class-count vectors, prod(n_i + 1), which
-is 2^p when no two vertices are twins.  All counts are exact Python
+serves ``count_dp`` and ``optimize.min_cost``; ``count_based`` is the
+``count_dp`` of the graph left after its base.  The kernel's one limit,
+``max_states``, bounds the class-count vectors, prod(n_i + 1), which is 2^p
+when no two vertices are twins.  All counts are exact Python
 integers: the DP's entries are the count scaled by N!/h(S)! and divided by
 the orders of the unplaced twins, which keeps its divisions exact, and the
 Bernoulli route asserts that its final division is.
@@ -31,8 +32,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import check_class_limits, check_limit, check_subset_limits
-from .graphs import Graph
+from .errors import check_class_limits, check_limit, check_range, check_subset_limits
+from .graphs import Graph, _check_base
 from .sequences import CSeq, _from_codes
 
 __all__ = [
@@ -86,8 +87,8 @@ def count_bruteforce(
     """Ground-truth oracle: run through all (p+q)! orderings of the elements
     and count the ones where every edge follows both endpoints.  With
     ``base``, only the orderings that start with that vertex."""
-    if base is not None and not 1 <= base <= g.p:
-        raise ValueError(f"base vertex {base} outside 1..{g.p}")
+    if base is not None:
+        _check_base(base, g.p)
     total_elements = g.element_count
     check_limit(total_elements, "elements", element_limit, "brute-force")
     need = g.endpoint_masks()
@@ -124,7 +125,7 @@ class _Quotient(NamedTuple):
     scale: int  # prod(n_i!): the table's entries are divided by prod((n_i - k_i)!)
 
 
-def _quotient(g: Graph, *, max_states: int, kernel: str, last: int = 0) -> _Quotient:
+def _quotient(g: Graph, *, max_states: int, kernel: str) -> _Quotient:
     """Group the vertices into twin classes and tabulate placed[x] = |S| + e(S)
     over the class-count vectors; e(S) counts the edge records with all
     endpoints in S, so loops and parallel edges count with multiplicity.
@@ -138,8 +139,7 @@ def _quotient(g: Graph, *, max_states: int, kernel: str, last: int = 0) -> _Quot
     ``_TWIN_VERTICES`` vertices, and on fewer vertices only when 2^p states
     are over the limit; otherwise every vertex is a class of its own.
     Classes of one vertex come first, then the larger classes by their
-    smallest vertex, and the class of vertex ``last`` (if nonzero) goes
-    last, so the states that contain one of its members form one range.
+    smallest vertex.
 
     ``max_states`` bounds the states, prod(n_i + 1), and is checked before
     any table is built; ``kernel`` names the caller in the error message.
@@ -172,9 +172,6 @@ def _quotient(g: Graph, *, max_states: int, kernel: str, last: int = 0) -> _Quot
             for m in set(row.values()):
                 shared.setdefault((loops[v], key | {(v, m)}), []).append(v)
         classes = sorted(members for members in shared.values() if len(members) > 1)
-    if last:
-        mine = next((members for members in classes if last - 1 in members), [last - 1])
-        classes = [members for members in classes if members is not mine] + [mine]
     if classes:
         twins = {v for members in classes for v in members}
         classes = [[v] for v in range(p) if v not in twins] + classes
@@ -219,10 +216,9 @@ def _quotient(g: Graph, *, max_states: int, kernel: str, last: int = 0) -> _Quot
     # The low half takes about the square root of the states, a few times
     # more on small tables, where each block of the sweep costs more; a
     # table of single vertices with up to 2^8 states is all low half, whose
-    # free steps a count sweep finds ready in _BIT_STEPS.  The class of
-    # ``last`` stays in the high half.
-    split = min(bisect.bisect_right(radix, math.isqrt(8 * radix[-1])), len(sizes) + (not last)) - 1
-    if not last and radix[-1] == 1 << p and p < len(_BIT_STEPS):
+    # free steps a count sweep finds ready in _BIT_STEPS.
+    split = bisect.bisect_right(radix, math.isqrt(8 * radix[-1])) - 1
+    if radix[-1] == 1 << p and p < len(_BIT_STEPS):
         split = p
     return _Quotient(sizes, radix, vertex_class, placed, split, scale)
 
@@ -257,9 +253,9 @@ def _free_steps(q: _Quotient, weights: list[int] | None = None) -> tuple[list[tu
     return low, _doubled(q.sizes[s:], items[s:])
 
 
-def _scaled_completions(q: _Quotient, n: int, stop: int = 0) -> list[int]:
-    """Ã(x) = A(x) / prod over j of (n_j - k_j)! for every state x >= ``stop``
-    (a multiple of the low half's size), with n = N = p + q.
+def _scaled_completions(q: _Quotient, n: int) -> list[int]:
+    """Ã(x) = A(x) / prod over j of (n_j - k_j)! for every state x, with
+    n = N = p + q.
 
     A(S) = C(S) * N!/h(S)! for a vertex set S, where C(S) counts the ways to
     finish a build that has placed the vertices of S and their e(S) edges,
@@ -284,7 +280,7 @@ def _scaled_completions(q: _Quotient, n: int, stop: int = 0) -> list[int]:
     a[-1] = math.factorial(n)
     down = low[::-1]
     block = down[1:]  # the full state is set
-    for hi in range(len(high) - 1, stop // size - 1, -1):
+    for hi in range(len(high) - 1, -1, -1):
         up = high[hi]
         start = hi * size
         for x, steps in zip(range(start + len(block) - 1, start - 1, -1), block):
@@ -308,21 +304,20 @@ def count_dp(g: Graph, *, max_states: int = DEFAULT_DP_STATE_LIMIT) -> int:
 
 
 def count_based(g: Graph, base: int, *, max_states: int = DEFAULT_DP_STATE_LIMIT) -> int:
-    """Count of sequences whose first element is the vertex ``base``, by
-    the sweep of :func:`count_dp` under the same ``max_states`` bound.
+    """Count of sequences whose first element is the vertex ``base``: the
+    :func:`count_dp` of the rest, the graph without ``base``, whose states
+    ``max_states`` bounds.
 
-    The elements after ``base``, other than its loops, follow in C({base})
-    orders, and the loops at ``base`` take any of the N - 1 later positions:
-    C({base}) * (N-1)!/h({base})!, which is A({base}) / N.  With base's
-    class i last, A({base}) = Ã(r_i) * prod(n_j!) / n_i, and the states
-    with a member of class i placed are the range from r_i up.
+    Once ``base`` is placed, an edge from it to w waits only for w, as a
+    loop at w does, so the rest turns each such edge into a loop at w and
+    shifts the labels above ``base`` down by one.  The L loops at ``base``
+    wait for nothing and take any L of the N - 1 positions after it.
     """
-    if not 1 <= base <= g.p:
-        raise ValueError(f"base vertex {base} outside 1..{g.p}")
-    q = _quotient(g, max_states=max_states, kernel="count DP", last=base)
-    r = q.radix[-2]
-    n = g.element_count
-    return _scaled_completions(q, n, r)[r] * q.scale // (q.sizes[-1] * n)
+    _check_base(base, g.p)
+    shift = [0, *range(1, base), 0, *range(base, g.p)]
+    edges = [(shift[u] or shift[w], shift[w] or shift[u]) for u, w in g.edges]
+    rest = Graph(g.p - 1, tuple(e for e in edges if e[0]), multigraph=True)
+    return count_dp(rest, max_states=max_states) * math.perm(g.element_count - 1, g.q - rest.q)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +395,7 @@ def star_count_recursive(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"star size must be >= 0, got {n}")
-    _check_range("n", n, 0, _STAR_RECURSION_MAX_N)
+    check_range("n", n, 0, _STAR_RECURSION_MAX_N)
     value = 1
     for k in range(1, n + 1):
         value *= 2 * k * k
@@ -438,7 +433,7 @@ def path_count_recursive(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"path size must be >= 1, got {n}")
-    _check_range("n", n, 1, _PATH_RECURSION_MAX_N)
+    check_range("n", n, 1, _PATH_RECURSION_MAX_N)
     counts = [0, 1]
     for m in range(2, n + 1):
         counts.append(
@@ -467,7 +462,7 @@ def zigzag_numbers(n_max: int) -> ZigzagNumbers:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _check_range("n_max", n_max, 1, _ZIGZAG_MAX_N)
+    check_range("n_max", n_max, 1, _ZIGZAG_MAX_N)
     highest = 2 * n_max
     zigzag = [1]
     row = [1]
@@ -519,16 +514,11 @@ def cycle_count_bernoulli(n: int) -> int:
 
     Covers the one- and two-vertex multigraph cycles as well.
     """
-    _check_range("n", n, 1, _BERNOULLI_MAX_N)
+    check_range("n", n, 1, _BERNOULLI_MAX_N)
     value = Fraction(math.comb(2 ** (2 * n), 2)) * abs(bernoulli_number(2 * n))
     if value.denominator != 1:
         raise ArithmeticError(f"cycle count for n={n} did not divide exactly: {value}")
     return value.numerator
-
-
-def _check_range(name: str, value: int, low: int, high: int) -> None:
-    if not low <= value <= high:
-        raise ValueError(f"supported range is {low} <= {name} <= {high}, got {value}")
 
 
 def tremolo_numbers(r_max: int) -> list[int]:

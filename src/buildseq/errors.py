@@ -24,6 +24,12 @@ def check_limit(amount: int, unit: str, limit: int, kernel: str) -> None:
         raise ResourceLimitError(f"{amount} {unit} exceed the {kernel} limit {limit}")
 
 
+def check_range(name: str, value: int, low: int, high: int) -> None:
+    """Raise when a size parameter ``value`` lies outside ``low..high``."""
+    if not low <= value <= high:
+        raise ValueError(f"supported range is {low} <= {name} <= {high}, got {value}")
+
+
 def check_subset_limits(p: int, max_states: int, kernel: str) -> None:
     """The one limit of a sweep over the 2^p vertex subsets: 2^p table
     entries at most ``max_states``.  Compared through the bit length, so a

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .counting import count_dp
+from .errors import check_range
 from .graphs import Graph
 
 __all__ = [
@@ -53,8 +54,7 @@ def _tree_from_word(n: int, word: Sequence[int]) -> Graph:
 def labeled_trees(n: int) -> Iterator[Graph]:
     """All n^(n-2) labeled trees on vertices 1..n, one per word of length
     n-2 over [n], in lexicographic word order."""
-    if not 2 <= n <= MAX_TREE_VERTICES:
-        raise ValueError(f"supported range is 2 <= n <= {MAX_TREE_VERTICES}, got {n}")
+    check_range("n", n, 2, MAX_TREE_VERTICES)
     for word in itertools.product(range(1, n + 1), repeat=n - 2):
         yield _tree_from_word(n, word)
 
@@ -62,8 +62,7 @@ def labeled_trees(n: int) -> Iterator[Graph]:
 def graphs_pq(p: int, q: int) -> Iterator[Graph]:
     """All simple graphs on vertices 1..p with exactly q edges, one per
     q-subset of the possible pairs, in lexicographic order."""
-    if not 1 <= p <= MAX_PQ_VERTICES:
-        raise ValueError(f"supported range is 1 <= p <= {MAX_PQ_VERTICES}, got {p}")
+    check_range("p", p, 1, MAX_PQ_VERTICES)
     pairs = list(itertools.combinations(range(1, p + 1), 2))
     if not 0 <= q <= len(pairs):
         raise ValueError(f"edge count {q} outside 0..{len(pairs)} for p={p}")
@@ -84,14 +83,12 @@ class Family:
 
     @classmethod
     def trees(cls, n: int) -> "Family":
-        if not 2 <= n <= MAX_TREE_VERTICES:
-            raise ValueError(f"supported range is 2 <= n <= {MAX_TREE_VERTICES}, got {n}")
+        check_range("n", n, 2, MAX_TREE_VERTICES)
         return cls("trees", (n,))
 
     @classmethod
     def fixed_size(cls, p: int, q: int) -> "Family":
-        if not 1 <= p <= MAX_PQ_VERTICES:
-            raise ValueError(f"supported range is 1 <= p <= {MAX_PQ_VERTICES}, got {p}")
+        check_range("p", p, 1, MAX_PQ_VERTICES)
         if not 0 <= q <= p * (p - 1) // 2:
             raise ValueError(f"edge count {q} outside 0..{p * (p - 1) // 2} for p={p}")
         return cls("graphs", (p, q))

@@ -1,5 +1,5 @@
-"""The twin-class subset kernel behind count_dp, count_based and min_cost,
-and the sequence enumerator.
+"""The twin-class subset kernel behind count_dp and min_cost, count_based
+(the count_dp of the graph after its base), and the sequence enumerator.
 
 Property tests run on multigraphs with loops, parallel edges, isolated
 vertices and p = 0, which the seeded simple-graph corpus never produces, and
@@ -16,7 +16,9 @@ The twin classes are checked against the definition, and the table of
 placed elements against a direct count for every vertex subset, on larger
 multigraphs with bundles of up to four parallel edges and on simple graphs;
 the scaled count table against the unscaled recurrence and the closed forms, and the cost
-identity behind the min-cost sweep on every edge-eager sequence.
+identity behind the min-cost sweep on every edge-eager sequence.  Based counts
+are checked on multigraphs with loops and bundles at the base against the
+based oracle and the poset engine on the incidence poset without the base.
 """
 import math
 import random
@@ -25,7 +27,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import buildseq as b
@@ -103,9 +105,10 @@ def test_kernels_leave_the_recursion_limit_alone():
 
 def test_state_limit_bounds_the_vertex_subsets_before_any_work():
     g = b.build_family("path:10")  # 2^10 vertex subsets
+    longer = b.build_family("path:11")  # after its base 1, 2^10 vertex subsets
     for kernel, run in (
         ("count DP", lambda limit: b.count_dp(g, max_states=limit)),
-        ("count DP", lambda limit: b.count_based(g, 1, max_states=limit)),
+        ("count DP", lambda limit: b.count_based(longer, 1, max_states=limit)),
         ("optimizer", lambda limit: b.min_cost(g, max_states=limit)),
     ):
         message = f"^{kernel} needs 2\\^10 vertex-subset states, over the limit 1023; raise max_states to continue$"
@@ -116,16 +119,18 @@ def test_state_limit_bounds_the_vertex_subsets_before_any_work():
 
 def test_state_limit_bounds_the_twin_class_states_before_any_work():
     # star:18 has two twin classes, the hub and 18 leaves: 2 * 19 states.
+    # After leaf 2 the hub, with a loop for its edge to 2, and 17 leaves are
+    # left: 2 * 18 states.
     g = b.build_family("star:18")
-    for kernel, run in (
-        ("count DP", lambda limit: b.count_dp(g, max_states=limit)),
-        ("count DP", lambda limit: b.count_based(g, 2, max_states=limit)),
-        ("optimizer", lambda limit: b.min_cost(g, max_states=limit)),
+    for kernel, states, run in (
+        ("count DP", 38, lambda limit: b.count_dp(g, max_states=limit)),
+        ("count DP", 36, lambda limit: b.count_based(g, 2, max_states=limit)),
+        ("optimizer", 38, lambda limit: b.min_cost(g, max_states=limit)),
     ):
-        message = f"^{kernel} needs 38 twin-class states, over the limit 37; raise max_states to continue$"
+        message = f"^{kernel} needs {states} twin-class states, over the limit {states - 1}; raise max_states to continue$"
         with pytest.raises(ResourceLimitError, match=message):
-            run(37)
-        run(38)
+            run(states - 1)
+        run(states)
     # 4,000 isolated vertices are one class, and past 4,096 vertices no
     # classes are formed: either way the limit fires at once.
     started = time.perf_counter()
@@ -146,8 +151,9 @@ def test_heavy_bundles_reach_the_limit_at_once():
     started = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="^count DP needs 2\\^1000 vertex-subset states"):
         b.count_dp(twin_free)
-    with pytest.raises(ResourceLimitError, match="^count DP needs 2997 twin-class states, over the limit 2996;"):
-        b.count_based(grouped, 1, max_states=2996)
+    # After vertex 1, vertex 2 with 100,000 loops and 998 isolated vertices: 2 * 999 states.
+    with pytest.raises(ResourceLimitError, match="^count DP needs 1998 twin-class states, over the limit 1997;"):
+        b.count_based(grouped, 1, max_states=1997)
     with pytest.raises(ResourceLimitError, match="^optimizer needs 2997 twin-class states, over the limit 2996;"):
         b.min_cost(grouped, max_states=2996)
     assert time.perf_counter() - started < 0.5
@@ -207,13 +213,10 @@ def state(q, s: int) -> int:
 @given(st.one_of(bundled_multigraphs(), simple_graphs()))
 def test_edge_table_counts_the_edges_inside_every_subset(g):
     # At the twin-class state count as the limit the kernel must group the
-    # twins; under a roomy limit it groups them from 8 vertices on.  The
-    # last vertex's class goes last when it is the base.
+    # twins; under a roomy limit it groups them from 8 vertices on.
     tight = twin_states(g)
-    for limit, grouped, last in ((tight, True, 0), (1 << 10, g.p >= 8, 0), (1 << 10, g.p >= 8, g.p)):
-        q = _quotient(g, max_states=limit, kernel="count DP", last=last)
-        if last:
-            assert q.vertex_class[last - 1] == len(q.sizes) - 1
+    for limit, grouped in ((tight, True), (1 << 10, g.p >= 8)):
+        q = _quotient(g, max_states=limit, kernel="count DP")
         for u in range(1, g.p + 1):
             for v in range(u + 1, g.p + 1):
                 same = q.vertex_class[u - 1] == q.vertex_class[v - 1]
@@ -259,19 +262,20 @@ def test_rescaled_table_is_the_count_times_n_factorial_over_h_factorial(g):
     # The table holds C(S) * N!/h(S)! divided by prod((n_j - k_j)!), the
     # orders of the unplaced members of each twin class.
     n = g.element_count
-    for base in range(g.p + 1):
-        q = _quotient(g, max_states=twin_states(g), kernel="count DP", last=base)
-        stop = q.radix[-2] if base else 0
-        a = _scaled_completions(q, n, stop)
-        for s, c in unscaled_completions(g, 1 << base >> 1).items():
-            x = state(q, s)
-            h = n - q.placed[x]
-            left = [q.sizes[i] - x // q.radix[i] % (q.sizes[i] + 1) for i in range(len(q.sizes))]
-            assert a[x] * math.prod(map(math.factorial, left)) * math.factorial(h) == c * math.factorial(n)
-        if base:
-            assert b.count_based(g, base) * n * q.sizes[-1] == a[stop] * q.scale
-        else:
-            assert b.count_dp(g) == a[0] * q.scale
+    q = _quotient(g, max_states=twin_states(g), kernel="count DP")
+    a = _scaled_completions(q, n)
+    for s, c in unscaled_completions(g, 0).items():
+        x = state(q, s)
+        h = n - q.placed[x]
+        left = [q.sizes[i] - x // q.radix[i] % (q.sizes[i] + 1) for i in range(len(q.sizes))]
+        assert a[x] * math.prod(map(math.factorial, left)) * math.factorial(h) == c * math.factorial(n)
+    assert b.count_dp(g) == a[0] * q.scale
+    # After the base, the loops at it take any of the N - 1 later positions.
+    for base in range(1, g.p + 1):
+        s = 1 << (base - 1)
+        h = n - 1 - g.edges.count((base, base))
+        c = unscaled_completions(g, s)[s]
+        assert b.count_based(g, base) == c * math.factorial(n - 1) // math.factorial(h)
 
 
 def test_large_tables_match_the_closed_forms():
@@ -373,6 +377,46 @@ def test_blown_up_twins_agree_with_the_routes_that_ignore_them(g):
         assert result.min_cost == b.total_cost(minimizers[0])
         assert result.num_optimal == len(minimizers)
         assert list(result.witnesses) == minimizers[:WITNESSES]
+
+
+@st.composite
+def based_multigraphs(draw) -> tuple[b.Graph, int]:
+    """A multigraph on 1 to 5 vertices and one of its vertices as the base,
+    with up to three loops at the base and a bundle of up to three parallel
+    edges to each other vertex, any of them empty, and random edges on top;
+    at most MAX_ELEMENTS elements in all."""
+    p = draw(st.integers(1, 5))
+    base = draw(st.integers(1, p))
+    budget = MAX_ELEMENTS - p
+    edges = []
+    for w in range(1, p + 1):
+        k = draw(st.integers(0, min(3, budget)))
+        edges += [(base, w)] * k
+        budget -= k
+    vertex = st.integers(1, p)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=budget))
+    return b.Graph(p, tuple(draw(st.permutations(edges))), multigraph=True), base
+
+
+def poset_after(g: b.Graph, base: int) -> b.Poset:
+    """The incidence poset of ``g`` without the minimal element of vertex
+    ``base`` and its covers, the codes above it shifted down by one."""
+    gone = base - 1
+    covers = [(lo - (lo > gone), hi - 1) for lo, hi in b.incidence_poset(g).covers if lo != gone]
+    return b.Poset(g.element_count - 1, tuple(covers))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(based_multigraphs())
+@example((b.Graph(1), 1))
+@example((b.Graph(1, ((1, 1),) * 3, multigraph=True), 1))
+@example((b.Graph(3, ((2, 3), (2, 3)), multigraph=True), 1))
+@example((b.Graph(3, ((1, 1), (1, 3), (1, 3), (2, 2)), multigraph=True), 3))
+def test_based_count_is_the_count_after_the_base(case):
+    g, base = case
+    count = b.count_based(g, base)
+    assert count == b.count_bruteforce(g, base=base, element_limit=MAX_ELEMENTS)
+    assert count == b.count_linear_extensions(poset_after(g, base))
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
