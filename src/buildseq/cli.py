@@ -417,100 +417,93 @@ def _cmd_check_conjecture(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+_GRAPH = ("graph", {})
+_JSON = ("--format", {"choices": ("json", "plain"), "default": "json"})
+_PLAIN = ("--format", {"choices": ("json", "plain"), "default": "plain"})
+_ELEMENTS = ("--limit-elements", {"type": int, "default": DEFAULT_ELEMENT_LIMIT})
+_STATES = ("--limit-states", {"type": int, "default": DEFAULT_DP_STATE_LIMIT})
+_SEED = ("--seed", {"type": int, "default": 0})
 
-def build_parser() -> argparse.ArgumentParser:
+# The subcommands as (name, help, handler, arguments), where each argument
+# is the name and keywords of one add_argument call, in the order help lists.
+_COMMANDS = (
+    ("count", "count construction sequences", _cmd_count, (
+        _GRAPH,
+        ("--route", {"choices": _ROUTES, "default": "dp"}),
+        ("--base", {"type": int, "help": "count sequences starting at this vertex"}),
+        _PLAIN, _ELEMENTS, _STATES,
+    )),
+    ("enumerate", "list every construction sequence", _cmd_enumerate, (_GRAPH, _PLAIN, _ELEMENTS)),
+    ("validate", "check a candidate sequence", _cmd_validate, (_GRAPH, ("sequence", {}), _JSON)),
+    ("cost", "cost report for a sequence", _cmd_cost, (
+        _GRAPH,
+        ("sequence", {}),
+        ("--hub-zero", {"action": "store_true", "help": "display vertex labels shifted down by one"}),
+        _JSON,
+    )),
+    ("optimize", "exact minimum cost and optimal count", _cmd_optimize, (
+        _GRAPH,
+        ("--witnesses", {"type": int, "default": 0, "help": "emit up to N minimum-cost sequences"}),
+        _JSON,
+        # The optimizer's table has a lower default limit than the count DP's.
+        ("--limit-states", {"type": int, "default": DEFAULT_OPT_STATE_LIMIT}),
+    )),
+    ("greedy", "run the greedy builder", _cmd_greedy, (
+        _GRAPH,
+        ("--order", {"help": "vertex order, e.g. 2,1,3"}),
+        ("--tie-break", {"choices": POLICIES, "default": "lexicographic"}),
+        ("--hub-zero", {"action": "store_true"}),
+        _JSON, _SEED,
+    )),
+    ("family-table", "counts per family size across routes", _cmd_family_table, (
+        ("kind", {"help": " | ".join(_TABLE_KINDS)}),
+        ("--max", {"type": int, "required": True}),
+        ("--route", {"choices": _ROUTES, "default": "all"}),
+        ("--format", {"choices": ("json", "csv", "plain"), "default": "plain"}),
+        _ELEMENTS, _STATES,
+    )),
+    ("xi", "constructability over a family", _cmd_xi, (
+        ("family", {"help": "trees:<n> or graphs:<p>:<q>"}),
+        _JSON,
+    )),
+    ("check-conjecture", "do greedy runs reach every minimum-cost sequence?", _cmd_check_conjecture, (
+        _GRAPH,
+        ("--tie-break", {"choices": ("exhaustive", *POLICIES), "default": "exhaustive"}),
+        _JSON, _ELEMENTS, _SEED,
+    )),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only ``command``'s subparser when that names a
+    subcommand, else with every subcommand's (help, unknown commands).
+
+    Building a subparser costs far more than parsing with it.  A parser for
+    one command still names every command in its usage line, so its
+    top-level errors print the same text as the full parser's.
+    """
+    names = [name for name, *_ in _COMMANDS]
+    single = command in names
     parser = argparse.ArgumentParser(
         prog="buildseq",
         description="Count, enumerate, validate, and cost-optimize graph construction sequences.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    shared = {
-        "--limit-elements": DEFAULT_ELEMENT_LIMIT,
-        "--limit-states": DEFAULT_DP_STATE_LIMIT,
-        "--seed": 0,
-    }
-
-    def common(
-        p: argparse.ArgumentParser,
-        *flags: str,
-        fmt_default: str = "json",
-        formats: tuple[str, ...] = ("json", "plain"),
-    ) -> None:
-        """--format, plus those of the shared integer flags the command reads."""
-        p.add_argument("--format", choices=formats, default=fmt_default)
-        for flag in flags:
-            p.add_argument(flag, type=int, default=shared[flag])
-
-    p_count = sub.add_parser("count", help="count construction sequences")
-    p_count.add_argument("graph")
-    p_count.add_argument("--route", choices=_ROUTES, default="dp")
-    p_count.add_argument("--base", type=int, default=None, help="count sequences starting at this vertex")
-    common(p_count, "--limit-elements", "--limit-states", fmt_default="plain")
-    p_count.set_defaults(func=_cmd_count)
-
-    p_enum = sub.add_parser("enumerate", help="list every construction sequence")
-    p_enum.add_argument("graph")
-    common(p_enum, "--limit-elements", fmt_default="plain")
-    p_enum.set_defaults(func=_cmd_enumerate)
-
-    p_val = sub.add_parser("validate", help="check a candidate sequence")
-    p_val.add_argument("graph")
-    p_val.add_argument("sequence")
-    common(p_val)
-    p_val.set_defaults(func=_cmd_validate)
-
-    p_cost = sub.add_parser("cost", help="cost report for a sequence")
-    p_cost.add_argument("graph")
-    p_cost.add_argument("sequence")
-    p_cost.add_argument("--hub-zero", action="store_true", help="display vertex labels shifted down by one")
-    common(p_cost)
-    p_cost.set_defaults(func=_cmd_cost)
-
-    p_opt = sub.add_parser("optimize", help="exact minimum cost and optimal count")
-    p_opt.add_argument("graph")
-    p_opt.add_argument("--witnesses", type=int, default=0, help="emit up to N minimum-cost sequences")
-    common(p_opt, "--limit-states")
-    # The optimizer's table has a lower default limit than the count DP's.
-    p_opt.set_defaults(func=_cmd_optimize, limit_states=DEFAULT_OPT_STATE_LIMIT)
-
-    p_greedy = sub.add_parser("greedy", help="run the greedy builder")
-    p_greedy.add_argument("graph")
-    p_greedy.add_argument("--order", default=None, help="vertex order, e.g. 2,1,3")
-    p_greedy.add_argument("--tie-break", choices=POLICIES, default="lexicographic")
-    p_greedy.add_argument("--hub-zero", action="store_true")
-    common(p_greedy, "--seed")
-    p_greedy.set_defaults(func=_cmd_greedy)
-
-    p_table = sub.add_parser("family-table", help="counts per family size across routes")
-    p_table.add_argument("kind", help=" | ".join(_TABLE_KINDS))
-    p_table.add_argument("--max", type=int, required=True)
-    p_table.add_argument("--route", choices=_ROUTES, default="all")
-    common(
-        p_table,
-        "--limit-elements",
-        "--limit-states",
-        fmt_default="plain",
-        formats=("json", "csv", "plain"),
-    )
-    p_table.set_defaults(func=_cmd_family_table)
-
-    p_xi = sub.add_parser("xi", help="constructability over a family")
-    p_xi.add_argument("family", help="trees:<n> or graphs:<p>:<q>")
-    common(p_xi)
-    p_xi.set_defaults(func=_cmd_xi)
-
-    p_conj = sub.add_parser("check-conjecture", help="do greedy runs reach every minimum-cost sequence?")
-    p_conj.add_argument("graph")
-    p_conj.add_argument("--tie-break", choices=("exhaustive", *POLICIES), default="exhaustive")
-    common(p_conj, "--limit-elements", "--seed")
-    p_conj.set_defaults(func=_cmd_check_conjecture)
-
+    metavar = "{" + ",".join(names) + "}" if single else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, summary, handler, arguments in _COMMANDS:
+        if single and name != command:
+            continue
+        p = sub.add_parser(name, help=summary)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

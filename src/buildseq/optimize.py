@@ -361,21 +361,24 @@ def check_conjecture(
 
 
 def star_schedule(n: int) -> CSeq:
-    """The improved build order for the star with n peripheral vertices.
+    """A minimum-cost build order for the star with n peripheral vertices.
 
-    Place floor(n/2) leaves, then the hub, then the edges those leaves
-    opened, then alternate each remaining leaf with its newly available
-    edge.  Beats the hub-first greedy cost for n >= 2.
+    A minimizer places each edge as soon as it is available (see
+    min_cost), so only j, the number of leaves before the hub, matters:
+    place j leaves, then the hub, then the edges those leaves opened, then
+    alternate each remaining leaf with its newly available edge.  That
+    costs n^2 + 2n + (3j^2 - j)/2 - nj, and j is the least minimizer, near
+    (2n + 1)/6; j = 0 is the hub-first greedy order.
     """
     if n < 1:
         raise ValueError(f"star size must be >= 1, got {n}")
     g = build_family(f"star:{n}")
-    half = n // 2
+    before = min(range(n + 1), key=lambda j: 3 * j * j - j - 2 * n * j)
     elements: list[Element] = []
-    elements.extend(Element.vertex(i + 1) for i in range(1, half + 1))
+    elements.extend(Element.vertex(i + 1) for i in range(1, before + 1))
     elements.append(Element.vertex(1))
-    elements.extend(Element.edge(j) for j in range(1, half + 1))
-    for j in range(half + 1, n + 1):
+    elements.extend(Element.edge(j) for j in range(1, before + 1))
+    for j in range(before + 1, n + 1):
         elements.append(Element.vertex(j + 1))
         elements.append(Element.edge(j))
     return CSeq(g, tuple(elements))

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import time
 from decimal import Decimal
 
@@ -141,6 +142,27 @@ class TestCount:
 
 OVER_600 = "needs 2^600 vertex-subset states, over the limit"
 
+# (command and flags, message) of over-limit requests on family:complete:600.
+OVER_LIMIT = [
+    (("count",), f"count DP {OVER_600} 16777216; raise max_states to continue"),
+    (("count", "--route", "all", "--format", "json"), f"count DP {OVER_600} 16777216; raise max_states to continue"),
+    (("count", "--base", "1"), f"count DP {OVER_600} 16777216; raise max_states to continue"),
+    (("count", "--route", "oracle"), "180300 elements exceed the brute-force limit 11"),
+    (("optimize",), f"optimizer {OVER_600} 4194304; raise max_states to continue"),
+    (("enumerate",), "180300 elements exceed the enumeration limit 11"),
+    (("check-conjecture",), "180300 elements exceed the enumeration limit 11"),
+]
+# (count arguments, exit code, stderr) of bad requests past every limit.
+BAD_COUNT_REQUESTS = [
+    (("family:complete:600", "--base", "0"), 1, "error: base vertex 0 outside 1..600\n"),
+    (("family:complete:600)",), 1, "error: trailing text ')' after family spec\n"),
+    (
+        ("family:complete:600", "--route", "recursion"),
+        2,
+        "usage error: route 'recursion' applies only to family:path/star/cycle graphs without --base\n",
+    ),
+]
+
 
 class TestLimitsBeforeTheGraph:
     """Over-limit requests fail on the spec's size, before any Graph exists."""
@@ -152,18 +174,7 @@ class TestLimitsBeforeTheGraph:
 
         monkeypatch.setattr(b.Graph, "__post_init__", refuse)
 
-    @pytest.mark.parametrize(
-        "argv, err",
-        [
-            (("count",), f"count DP {OVER_600} 16777216; raise max_states to continue"),
-            (("count", "--route", "all", "--format", "json"), f"count DP {OVER_600} 16777216; raise max_states to continue"),
-            (("count", "--base", "1"), f"count DP {OVER_600} 16777216; raise max_states to continue"),
-            (("count", "--route", "oracle"), "180300 elements exceed the brute-force limit 11"),
-            (("optimize",), f"optimizer {OVER_600} 4194304; raise max_states to continue"),
-            (("enumerate",), "180300 elements exceed the enumeration limit 11"),
-            (("check-conjecture",), "180300 elements exceed the enumeration limit 11"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, err", OVER_LIMIT)
     def test_over_limit_exits_three(self, capsys, argv, err):
         command, *flags = argv
         assert run(capsys, command, "family:complete:600", *flags) == (3, "", f"resource limit: {err}\n")
@@ -196,18 +207,7 @@ class TestLimitsBeforeTheGraph:
         monkeypatch.setitem(cli._FORMULAS, ("complete", None), lambda n: n)
         assert run(capsys, "count", "family:complete:600", "--route", "formula") == (0, "600\n", "")
 
-    @pytest.mark.parametrize(
-        "argv, code, err",
-        [
-            (("family:complete:600", "--base", "0"), 1, "error: base vertex 0 outside 1..600\n"),
-            (("family:complete:600)",), 1, "error: trailing text ')' after family spec\n"),
-            (
-                ("family:complete:600", "--route", "recursion"),
-                2,
-                "usage error: route 'recursion' applies only to family:path/star/cycle graphs without --base\n",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("argv, code, err", BAD_COUNT_REQUESTS)
     def test_bad_requests_fail_before_the_limit(self, capsys, argv, code, err):
         assert run(capsys, "count", *argv) == (code, "", err)
 
@@ -229,22 +229,23 @@ def secant_mod(m: int, prime: int) -> int:
     return secant[m]
 
 
+# (count arguments, supported range) of requests past a route's cap.
+PAST_THE_CAP = [
+    (("family:path:100000", "--route", "recursion"), "1 <= n <= 350, got 100000"),
+    (("family:path:351", "--route", "recursion"), "1 <= n <= 350, got 351"),
+    (("family:cycle:351", "--route", "recursion"), "1 <= n <= 350, got 351"),
+    (("family:star:30001", "--route", "recursion"), "0 <= n <= 30000, got 30001"),
+    (("family:star:100000", "--route", "recursion"), "0 <= n <= 30000, got 100000"),
+    (("family:path:801", "--base", "1", "--route", "formula"), "1 <= n_max <= 800, got 801"),
+    (("family:path:1500", "--base", "1", "--route", "formula"), "1 <= n_max <= 800, got 1500"),
+]
+
+
 class TestRouteCaps:
     """The recursions and the based-path triangle refuse an n past their
     cap before any work, and answer at the cap."""
 
-    @pytest.mark.parametrize(
-        "argv, err",
-        [
-            (("family:path:100000", "--route", "recursion"), "1 <= n <= 350, got 100000"),
-            (("family:path:351", "--route", "recursion"), "1 <= n <= 350, got 351"),
-            (("family:cycle:351", "--route", "recursion"), "1 <= n <= 350, got 351"),
-            (("family:star:30001", "--route", "recursion"), "0 <= n <= 30000, got 30001"),
-            (("family:star:100000", "--route", "recursion"), "0 <= n <= 30000, got 100000"),
-            (("family:path:801", "--base", "1", "--route", "formula"), "1 <= n_max <= 800, got 801"),
-            (("family:path:1500", "--base", "1", "--route", "formula"), "1 <= n_max <= 800, got 1500"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, err", PAST_THE_CAP)
     def test_past_the_cap_exits_one_at_once(self, capsys, argv, err):
         start = time.perf_counter()
         assert run(capsys, "count", *argv) == (1, "", f"error: supported range is {err}\n")
@@ -516,24 +517,25 @@ class TestDeterminism:
             assert run(capsys, *argv) == run(capsys, *argv)
 
 
+# Flags that a subcommand does not read, and so rejects.
+IGNORED_FLAGS = [
+    ("count", "family:path:3", "--format", "csv"),
+    ("count", "family:path:3", "--seed", "1"),
+    ("enumerate", "family:path:2", "--limit-states", "9"),
+    ("validate", "family:path:2", "v1 v2 e1", "--limit-elements", "3"),
+    ("cost", "family:path:2", "v1 v2 e1", "--seed", "1"),
+    ("optimize", "family:path:3", "--limit-elements", "3"),
+    ("greedy", "family:path:3", "--limit-states", "9"),
+    ("xi", "trees:3", "--seed", "1"),
+    ("check-conjecture", "family:path:3", "--limit-states", "9"),
+]
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("count", "family:path:3", "--format", "csv"),
-            ("count", "family:path:3", "--seed", "1"),
-            ("enumerate", "family:path:2", "--limit-states", "9"),
-            ("validate", "family:path:2", "v1 v2 e1", "--limit-elements", "3"),
-            ("cost", "family:path:2", "v1 v2 e1", "--seed", "1"),
-            ("optimize", "family:path:3", "--limit-elements", "3"),
-            ("greedy", "family:path:3", "--limit-states", "9"),
-            ("xi", "trees:3", "--seed", "1"),
-            ("check-conjecture", "family:path:3", "--limit-states", "9"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", IGNORED_FLAGS)
     def test_flags_a_subcommand_would_ignore_are_rejected(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
@@ -541,3 +543,81 @@ class TestUsageErrors:
 
     def test_no_subcommand(self, capsys):
         assert run(capsys)[0] == 2
+
+
+# One successful request per subcommand.
+SUCCESS = [
+    ("count", "family:path:3"),
+    ("enumerate", "family:path:2"),
+    ("validate", "family:path:3", "v1 v2 e1 v3 e2"),
+    ("cost", "family:path:3", "v1 v2 e1 v3 e2"),
+    ("optimize", "family:star:3", "--witnesses", "2"),
+    ("greedy", "family:star:3", "--hub-zero"),
+    ("family-table", "path", "--max", "3"),
+    ("xi", "trees:3"),
+    ("check-conjecture", "family:path:3"),
+]
+COMMANDS = [argv[0] for argv in SUCCESS]
+
+
+class TestParserPerCommand:
+    """main builds only the named subcommand's parser, and answers every
+    request byte for byte as it does with all of them built.  The reference
+    is computed in the same interpreter, since argparse's wording differs
+    between Python versions."""
+
+    @pytest.fixture
+    def full(self, capsys, monkeypatch):
+        build = cli.build_parser
+
+        def run_full(call):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "build_parser", lambda command: build())
+                code = call()
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        return run_full
+
+    def test_a_command_gets_only_its_own_subparser(self, capsys):
+        assert COMMANDS == [name for name, *_ in cli._COMMANDS]
+        for name in COMMANDS:
+            parser = cli.build_parser(name)
+            other = next(c for c in SUCCESS if c[0] != name)
+            with pytest.raises(SystemExit):
+                parser.parse_args(other)
+            assert parser.format_usage() == cli.build_parser().format_usage()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *SUCCESS,
+            ("-h",),
+            *((name, "-h") for name in COMMANDS),
+            (),
+            ("frobnicate", "family:path:3"),
+            ("count", "family:path:3", "extra"),
+            ("count", "family:path:3", "--route", "sideways"),
+            ("family-table", "path"),
+            *IGNORED_FLAGS,
+            *((command, "family:complete:600", *flags) for (command, *flags), _ in OVER_LIMIT),
+            *(("count", *argv) for argv, _, _ in BAD_COUNT_REQUESTS),
+            *(("count", *argv) for argv, _ in PAST_THE_CAP),
+        ],
+    )
+    def test_same_bytes_as_the_full_parser(self, capsys, full, argv):
+        lazy = run(capsys, *argv)
+        assert lazy == full(lambda: main(list(argv)))
+        assert (lazy[0] == 0) == (argv in SUCCESS or "-h" in argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("count", "family:path:3"), ("count", "family:path:3", "extra"), ("-h",), ()],
+    )
+    def test_argv_from_sys(self, capsys, monkeypatch, full, argv):
+        monkeypatch.setattr(sys, "argv", ["buildseq", *argv])
+        code = main()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == full(main)
+        assert (code, captured.out, captured.err) == run(capsys, *argv)

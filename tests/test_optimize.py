@@ -351,6 +351,10 @@ class TestStarSchedule:
             if n >= 2:
                 assert schedule_cost < hub_first
 
+    def test_is_a_minimum_cost_sequence(self):
+        for n in range(1, 13):
+            assert b.total_cost(b.star_schedule(n)) == b.min_cost(b.build_family(f"star:{n}")).min_cost
+
     def test_bad_size(self):
         with pytest.raises(ValueError):
             b.star_schedule(0)
