@@ -364,8 +364,6 @@ def _parse_family_argument(argument: str) -> Family:
 def _cmd_xi(args: argparse.Namespace) -> int:
     family = _parse_family_argument(args.family)
     counts = [(index, count_dp(member)) for index, member in enumerate(family)]
-    if not counts:
-        raise ValueError("family is empty")
     total = sum(c for _, c in counts)
     size = len(counts)
     average = Fraction(total, size)

@@ -13,14 +13,15 @@ one another:
 * the integer-sequence helpers behind the closed forms (zigzag numbers via
   the boustrophedon triangle, Bernoulli numbers, tremolo numbers).
 
-The subset kernel (``_quotient``, ``_free_steps``, ``_scaled_completions``)
-serves ``count_dp`` and ``optimize.min_cost``; ``count_based`` is the
-``count_dp`` of the graph left after its base.  The kernel's one limit,
+The subset kernel serves ``count_dp`` and ``optimize.min_cost``;
+``count_based`` is the ``count_dp`` of the graph left after its base.
+``_quotient`` builds the table, ``_free_steps`` plans the sweeps over it,
+and ``_scaled_completions`` is the count sweep.  The kernel's one limit,
 ``max_states``, bounds the class-count vectors, prod(n_i + 1), which is 2^p
-when no two vertices are twins.  All counts are exact Python
-integers: the DP's entries are the count scaled by N!/h(S)! and divided by
-the orders of the unplaced twins, which keeps its divisions exact, and the
-Bernoulli route asserts that its final division is.
+when no two vertices are twins.  All counts are exact Python integers: the
+DP's entries are the count scaled by N!/h(S)! and divided by the orders of
+the unplaced twins, which keeps its divisions exact, and the Bernoulli
+route asserts that its final division is.
 """
 from __future__ import annotations
 
@@ -114,14 +115,14 @@ class _Quotient(NamedTuple):
     build problem depends only on how many members of each class are
     placed: a state is the class-count vector (k_i), stored in mixed radix
     as x = sum of k_i * radix[i].  ``radix`` has one more entry than there
-    are classes, the state count prod(n_i + 1).
+    are classes, the state count prod(n_i + 1), and N = p + q is placed[-1].
+    The sweeps read nothing else; :func:`_free_steps` plans their order.
     """
 
     sizes: list[int]  # n_i, the members of class i
     radix: list[int]
     vertex_class: list[int]  # the class of each vertex (0-based)
     placed: list[int]  # per state: |S| + e(S), the elements placed
-    split: int  # classes 0..split-1 form the low half of a state's digits
     scale: int  # prod(n_i!): the table's entries are divided by prod((n_i - k_i)!)
 
 
@@ -213,14 +214,7 @@ def _quotient(g: Graph, *, max_states: int, kernel: str) -> _Quotient:
                 a = k * step + k * (k - 1) // 2 * inner
                 placed += [z + a + k * y for z, y in zip(placed, opened)]
     scale = math.prod(map(math.factorial, sizes))
-    # The low half takes about the square root of the states, a few times
-    # more on small tables, where each block of the sweep costs more; a
-    # table of single vertices with up to 2^8 states is all low half, whose
-    # free steps a count sweep finds ready in _BIT_STEPS.
-    split = bisect.bisect_right(radix, math.isqrt(8 * radix[-1])) - 1
-    if radix[-1] == 1 << p and p < len(_BIT_STEPS):
-        split = p
-    return _Quotient(sizes, radix, vertex_class, placed, split, scale)
+    return _Quotient(sizes, radix, vertex_class, placed, scale)
 
 
 def _doubled(sizes: list[int], items: list) -> list[tuple]:
@@ -240,12 +234,18 @@ _BIT_STEPS = tuple(_doubled([1] * m, [1 << i for i in range(m)]) for m in range(
 
 
 def _free_steps(q: _Quotient, weights: list[int] | None = None) -> tuple[list[tuple], list[tuple]]:
-    """The steps open at each state, split by halves of its digits: a state
-    x = lo + hi * L (L = radix[split]) can add one member of class i exactly
-    when k_i < n_i, so its free steps are low[lo] + high[hi].  A step is the
-    radix r_i, or (r_i, weights[i]) with ``weights``."""
+    """The sweep plan, made only here: the steps open at each state, split
+    at s by halves of its digits.  A state x = lo + hi * L (L = radix[s]) can
+    add one member of class i exactly when k_i < n_i, so its free steps are
+    low[lo] + high[hi]; a step is the radix r_i, or (r_i, weights[i])."""
+    # The low half takes about the square root of the states, a few times
+    # more on small tables, where each block of the sweep costs more; a
+    # table of single vertices with up to 2^8 states is all low half, whose
+    # free steps a count sweep finds ready in _BIT_STEPS.
+    s = bisect.bisect_right(q.radix, math.isqrt(8 * q.radix[-1])) - 1
+    if q.radix[-1] == 1 << len(q.sizes) and len(q.sizes) < len(_BIT_STEPS):
+        s = len(q.sizes)
     items = q.radix if weights is None else list(zip(q.radix, weights))
-    s = q.split
     if weights is None and s < len(_BIT_STEPS) and q.radix[s] == 1 << s:
         low = _BIT_STEPS[s]
     else:
@@ -253,9 +253,9 @@ def _free_steps(q: _Quotient, weights: list[int] | None = None) -> tuple[list[tu
     return low, _doubled(q.sizes[s:], items[s:])
 
 
-def _scaled_completions(q: _Quotient, n: int) -> list[int]:
+def _scaled_completions(q: _Quotient) -> list[int]:
     """Ã(x) = A(x) / prod over j of (n_j - k_j)! for every state x, with
-    n = N = p + q.
+    n = N = p + q = placed[-1].
 
     A(S) = C(S) * N!/h(S)! for a vertex set S, where C(S) counts the ways to
     finish a build that has placed the vertices of S and their e(S) edges,
@@ -274,6 +274,7 @@ def _scaled_completions(q: _Quotient, n: int) -> list[int]:
     in decreasing order, a block of low digits at a time.
     """
     placed = q.placed
+    n = placed[-1]
     low, high = _free_steps(q)
     size = len(low)
     a = [0] * len(placed)
@@ -300,7 +301,7 @@ def count_dp(g: Graph, *, max_states: int = DEFAULT_DP_STATE_LIMIT) -> int:
     the states, prod(n_i + 1); that is 2^p when no two vertices are twins,
     so the default admits any graph with p <= 24."""
     q = _quotient(g, max_states=max_states, kernel="count DP")
-    return _scaled_completions(q, g.element_count)[0] * q.scale
+    return _scaled_completions(q)[0] * q.scale
 
 
 def count_based(g: Graph, base: int, *, max_states: int = DEFAULT_DP_STATE_LIMIT) -> int:

@@ -293,7 +293,7 @@ def min_cost(
 
     walk = _iter_codes(g, _edges_first(g.p, optimal))
     witnesses = tuple(_from_codes(g, itertools.islice(walk, max(max_witnesses, 0))))
-    n = g.element_count
+    n = placed[-1]
     return OptResult(n * (n + 1) + best[0], ways[len(placed) - 1] * q.scale, witnesses)
 
 

@@ -188,7 +188,7 @@ class ComponentProfile:
 
     @property
     def peak(self) -> int:
-        return max(self.counts)
+        return max(self.counts, default=0)
 
 
 def component_profile(x: CSeq) -> ComponentProfile:

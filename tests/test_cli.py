@@ -340,6 +340,16 @@ class TestCost:
         assert code == 0
         assert json.loads(out)["vertex_cost"] is None
 
+    def test_a_graph_without_vertices(self, capsys, tmp_path):
+        target = tmp_path / "empty.txt"
+        target.write_text("0 0\n")
+        code, out, err = run(capsys, "cost", str(target), "", "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["components"] == []
+        assert payload["peak_components"] == 0
+        assert run(capsys, "cost", str(target), "", "--format", "plain") == (0, "0\n", "")
+
     def test_invalid_sequence_is_a_domain_error(self, capsys):
         code, _, err = run(capsys, "cost", "family:path:3", "e1 v1 v2 v3 e2")
         assert code == 1

@@ -90,6 +90,11 @@ class TestComponentProfile:
         x = seq(PATH2, "v1 v2 e1")
         assert b.component_profile(x).counts == (1, 2, 1)
 
+    def test_a_graph_without_vertices_peaks_at_zero(self):
+        profile = b.component_profile(b.vertices_first_sequence(b.Graph(0)))
+        assert profile.counts == ()
+        assert profile.peak == 0
+
     def test_profile_invariants_exhaustively(self):
         for spec in ("path:3", "star:2", "cycle:3", "cycle:1"):
             g = b.build_family(spec)

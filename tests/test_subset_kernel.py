@@ -15,6 +15,7 @@ sequences (swaps, drops, repeats and foreign tokens).
 The twin classes are checked against the definition, and the table of
 placed elements against a direct count for every vertex subset, on larger
 multigraphs with bundles of up to four parallel edges and on simple graphs;
+the sweep plan's free steps against the classes open at every state;
 the scaled count table against the unscaled recurrence and the closed forms, and the cost
 identity behind the min-cost sweep on every edge-eager sequence.  Based counts
 are checked on multigraphs with loops and bundles at the base against the
@@ -31,7 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import buildseq as b
-from buildseq.counting import _quotient, _scaled_completions
+from buildseq.counting import _BIT_STEPS, _free_steps, _quotient, _scaled_completions
 from buildseq.errors import ResourceLimitError, check_class_limits, check_subset_limits
 from buildseq.graphs import Element, _UnionFind
 from buildseq.optimize import POLICIES
@@ -263,7 +264,7 @@ def test_rescaled_table_is_the_count_times_n_factorial_over_h_factorial(g):
     # orders of the unplaced members of each twin class.
     n = g.element_count
     q = _quotient(g, max_states=twin_states(g), kernel="count DP")
-    a = _scaled_completions(q, n)
+    a = _scaled_completions(q)
     for s, c in unscaled_completions(g, 0).items():
         x = state(q, s)
         h = n - q.placed[x]
@@ -377,6 +378,40 @@ def test_blown_up_twins_agree_with_the_routes_that_ignore_them(g):
         assert result.min_cost == b.total_cost(minimizers[0])
         assert result.num_optimal == len(minimizers)
         assert list(result.witnesses) == minimizers[:WITNESSES]
+
+
+def check_free_steps(q) -> tuple[list[tuple], list[tuple]]:
+    """Every state's free steps are the classes with k_i < n_i, in class
+    order: their radices, or (radix, weight) pairs with weights.  Returns
+    the unweighted halves."""
+    weights = [2 + i for i in range(len(q.sizes))]
+    for items, weighted in ((q.radix, None), (list(zip(q.radix, weights)), weights)):
+        low, high = _free_steps(q, weighted)
+        assert len(low) * len(high) == q.radix[-1]
+        for x in range(q.radix[-1]):
+            free = [items[i] for i, n in enumerate(q.sizes) if x // q.radix[i] % (n + 1) < n]
+            assert list(low[x % len(low)] + high[x // len(low)]) == free
+    return _free_steps(q)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.one_of(multigraphs(), bundled_multigraphs(), blown_up_multigraphs()))
+def test_free_steps_list_the_classes_open_at_every_state(g):
+    # Twins grouped at the twin-class state count, and whole under a roomy limit.
+    for limit in (twin_states(g), 1 << 10):
+        check_free_steps(_quotient(g, max_states=limit, kernel="count DP"))
+
+
+def test_free_steps_of_twin_free_tables_around_two_to_the_eight():
+    # Up to 2^8 states a twin-free table is all low half, ready in
+    # _BIT_STEPS; at 2^9 the low half is the 64 states of 6 vertices.
+    for spec, bits in (("path:8", 8), ("path:9", 6)):
+        g = b.build_family(spec)
+        q = _quotient(g, max_states=1 << 10, kernel="count DP")
+        assert q.sizes == [1] * g.p
+        low, high = check_free_steps(q)
+        assert low is _BIT_STEPS[bits]
+        assert len(high) == 1 << (g.p - bits)
 
 
 @st.composite
