@@ -37,7 +37,7 @@ from .counting import (
     zigzag_numbers,
 )
 from .errors import IsolatedVertexError, ResourceLimitError, check_limit, check_subset_limits
-from .families import Family
+from .families import Family, _graphs_pq_pairs
 from .graphs import Graph, _check_base, _family_size, build_family, parse_graph
 from .optimize import (
     DEFAULT_GREEDY_VERTEX_LIMIT,
@@ -313,6 +313,8 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
 def _cmd_family_table(args: argparse.Namespace) -> int:
     if args.kind not in _TABLE_KINDS:
         raise UsageError(f"kind must be one of {tuple(_TABLE_KINDS)}, got {args.kind!r}")
+    if args.max < 1:
+        raise UsageError(f"--max must be >= 1, got {args.max}")
     kind, base = _TABLE_KINDS[args.kind]
     rows = []
     for n in range(1, args.max + 1):
@@ -365,6 +367,15 @@ def _cmd_xi(args: argparse.Namespace) -> int:
     family = _parse_family_argument(args.family)
     counts = [(index, count_dp(member)) for index, member in enumerate(family)]
     total = sum(c for _, c in counts)
+    if family.kind == "graphs":
+        # The member sum and the walk are independent routes to one total.
+        walk = _graphs_pq_pairs(*family.params)
+        if walk != total:
+            print(
+                f"xi routes disagree: member sum {_digits(total)}, walk {_digits(walk)}",
+                file=sys.stderr,
+            )
+            return 1
     size = len(counts)
     average = Fraction(total, size)
     entries = [

@@ -2,12 +2,15 @@
 
 The constructability of a graph within a family compares its sequence
 count against the family average; both are exact rationals.  Families
-stream their members, so the average folds in O(1) memory.
+stream their members.  The average of a ``graphs:p:q`` family comes from
+one walk over (vertices placed, edges placed) without listing a member;
+other families sum their members' counts in O(1) memory.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -59,13 +62,18 @@ def labeled_trees(n: int) -> Iterator[Graph]:
         yield _tree_from_word(n, word)
 
 
+def _check_pq(p: int, q: int) -> None:
+    check_range("p", p, 1, MAX_PQ_VERTICES)
+    pairs = p * (p - 1) // 2
+    if not 0 <= q <= pairs:
+        raise ValueError(f"edge count {q} outside 0..{pairs} for p={p}")
+
+
 def graphs_pq(p: int, q: int) -> Iterator[Graph]:
     """All simple graphs on vertices 1..p with exactly q edges, one per
     q-subset of the possible pairs, in lexicographic order."""
-    check_range("p", p, 1, MAX_PQ_VERTICES)
-    pairs = list(itertools.combinations(range(1, p + 1), 2))
-    if not 0 <= q <= len(pairs):
-        raise ValueError(f"edge count {q} outside 0..{len(pairs)} for p={p}")
+    _check_pq(p, q)
+    pairs = itertools.combinations(range(1, p + 1), 2)
     for chosen in itertools.combinations(pairs, q):
         yield Graph(p, chosen)
 
@@ -88,9 +96,7 @@ class Family:
 
     @classmethod
     def fixed_size(cls, p: int, q: int) -> "Family":
-        check_range("p", p, 1, MAX_PQ_VERTICES)
-        if not 0 <= q <= p * (p - 1) // 2:
-            raise ValueError(f"edge count {q} outside 0..{p * (p - 1) // 2} for p={p}")
+        _check_pq(p, q)
         return cls("graphs", (p, q))
 
     @classmethod
@@ -127,8 +133,38 @@ class Family:
         return g in self.params
 
 
+def _graphs_pq_pairs(p: int, q: int) -> int:
+    """The number of (member, construction sequence) pairs of ``graphs:p:q``,
+    that is, the sum of ``count_dp`` over its members, in O(p*q) steps."""
+    _check_pq(p, q)
+    # walks[m] counts the walks from (0, 0) to (k, m).  Row k overwrites row
+    # k - 1 in place: (k, m) is reached from (k - 1, m) by a vertex or from
+    # (k, m - 1) by an edge.  An unreachable state (m > C(k, 2)) holds 0, so
+    # its negative choice count adds nothing.
+    walks = [1] + [0] * q
+    for k in range(1, p + 1):
+        walks[0] *= p - k + 1
+        placeable = k * (k - 1) // 2
+        for m in range(1, q + 1):
+            walks[m] = walks[m] * (p - k + 1) + walks[m - 1] * (placeable - m + 1)
+    return walks[q]
+
+
 def family_average(family: Family) -> Fraction:
-    """Exact average sequence count over the family."""
+    """Exact average sequence count over the family.
+
+    A ``graphs:p:q`` family is averaged without listing a member.  A pair
+    (member, construction sequence) is a walk from (0, 0) to (p, q) over
+    states (k vertices placed, m edges placed): a step places one of the
+    p - k vertices left, or one of the C(k, 2) - m pairs of placed vertices
+    not yet an edge.  Each walk picks exactly q pairs, so it names one member
+    and one of its sequences, and every such pair is one walk.  The average
+    is the number of walks over the C(C(p, 2), q) members.  Other families
+    sum their members' counts.
+    """
+    if family.kind == "graphs":
+        p, q = family.params
+        return Fraction(_graphs_pq_pairs(p, q), math.comb(p * (p - 1) // 2, q))
     total = 0
     size = 0
     for member in family:

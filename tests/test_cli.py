@@ -463,6 +463,12 @@ class TestFamilyTable:
         assert code == 2
         assert "usage error" in err
 
+    @pytest.mark.parametrize("top", ("0", "-3"))
+    def test_max_below_one_is_a_usage_error(self, capsys, top):
+        code, out, err = run(capsys, "family-table", "path", "--max", top)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --max must be >= 1, got {top}\n"
+
 
 class TestXi:
     def test_trees_five(self, capsys):
@@ -483,6 +489,19 @@ class TestXi:
         payload = json.loads(out)
         assert payload["alpha"] == "16"
         assert [entry["xi"] for entry in payload["graphs"]] == ["1", "1", "1"]
+
+    def test_routes_disagree_exits_one(self, capsys, monkeypatch):
+        # graphs:3:2 has three paths with 16 sequences each: 48 pairs.
+        monkeypatch.setattr(cli, "_graphs_pq_pairs", lambda p, q: 49)
+        code, out, err = run(capsys, "xi", "graphs:3:2")
+        assert (code, out) == (1, "")
+        assert err == "xi routes disagree: member sum 48, walk 49\n"
+
+    def test_trees_skip_the_walk(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_graphs_pq_pairs", lambda p, q: calls.append((p, q)))
+        code, _, _ = run(capsys, "xi", "trees:4")
+        assert (code, calls) == (0, [])
 
     def test_bad_family(self, capsys):
         code, _, err = run(capsys, "xi", "forests:4")

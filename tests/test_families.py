@@ -1,10 +1,18 @@
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 import buildseq as b
 from buildseq import Family
+
+
+def member_average(family):
+    """The average by the member sum, independent of the graphs walk."""
+    counts = [b.count_dp(g) for g in family]
+    return Fraction(sum(counts), len(counts))
 
 
 class TestLabeledTrees:
@@ -47,12 +55,49 @@ class TestGraphsPQ:
 
     def test_count(self):
         assert sum(1 for _ in b.graphs_pq(4, 3)) == math.comb(6, 3) == 20
+        # The graphs walk divides by this member count.
+        for p in range(1, 7):
+            for q in range(math.comb(p, 2) + 1):
+                assert sum(1 for _ in b.graphs_pq(p, q)) == math.comb(math.comb(p, 2), q)
 
     def test_range(self):
         with pytest.raises(ValueError):
             list(b.graphs_pq(8, 1))
         with pytest.raises(ValueError):
             list(b.graphs_pq(3, 4))
+
+
+class TestGraphsWalk:
+    """``family_average`` on ``graphs:p:q`` counts walks over (vertices
+    placed, edges placed); these compare it with the member sum."""
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_walk_equals_member_sum(self, p):
+        for q in range(math.comb(p, 2) + 1):
+            family = Family.fixed_size(p, q)
+            assert b.family_average(family) == member_average(family), (p, q)
+
+    @pytest.mark.parametrize("q", (0, 1, 2, 19, 20, 21))
+    def test_walk_equals_member_sum_at_seven(self, q):
+        family = Family.fixed_size(7, q)
+        assert b.family_average(family) == member_average(family)
+
+    def test_seven_vertices_ten_edges(self):
+        # 352,716 members: the member sum takes tens of seconds.
+        assert b.family_average(Family.fixed_size(7, 10)) == 159667200000
+
+    def test_constructability_is_count_over_member_average(self):
+        family = Family.fixed_size(5, 4)
+        average = member_average(family)
+        for g in itertools.islice(family, 0, None, 7):
+            assert b.constructability(g, family) == Fraction(b.count_dp(g)) / average
+
+    @pytest.mark.parametrize("p, q", [(8, 1), (3, 4), (0, 0), (3, -1)])
+    def test_rejects_what_graphs_pq_rejects(self, p, q):
+        with pytest.raises(ValueError) as listed:
+            list(b.graphs_pq(p, q))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(listed.value))}$"):
+            b.family_average(Family("graphs", (p, q)))
 
 
 class TestFamilyType:
