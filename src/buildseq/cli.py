@@ -317,7 +317,8 @@ def _cmd_family_table(args: argparse.Namespace) -> int:
         raise UsageError(f"--max must be >= 1, got {args.max}")
     kind, base = _TABLE_KINDS[args.kind]
     rows = []
-    for n in range(1, args.max + 1):
+    # Largest row first, so that a row's cap or limit stops the table at once.
+    for n in range(args.max, 0, -1):
         values = _count_values(f"{FAMILY_PREFIX}{kind}:{n}", base, args)
         # The oracle column, the only one that depends on size, comes last.
         names = sorted(values, key="oracle".__eq__)
@@ -328,6 +329,7 @@ def _cmd_family_table(args: argparse.Namespace) -> int:
                 "agree": len(set(values.values())) == 1,
             }
         )
+    rows.reverse()
     payload = {"kind": args.kind, "rows": rows}
     columns = sorted({name for row in rows for name in row["counts"]})
     if args.format == "json":
@@ -356,9 +358,9 @@ def _cmd_family_table(args: argparse.Namespace) -> int:
 
 def _parse_family_argument(argument: str) -> Family:
     parts = argument.split(":")
-    if parts[0] == "trees" and len(parts) == 2 and parts[1].isdigit():
+    if parts[0] == "trees" and len(parts) == 2 and parts[1].isdecimal():
         return Family.trees(int(parts[1]))
-    if parts[0] == "graphs" and len(parts) == 3 and parts[1].isdigit() and parts[2].isdigit():
+    if parts[0] == "graphs" and len(parts) == 3 and parts[1].isdecimal() and parts[2].isdecimal():
         return Family.fixed_size(int(parts[1]), int(parts[2]))
     raise UsageError(f"family must be trees:<n> or graphs:<p>:<q>, got {argument!r}")
 

@@ -394,8 +394,6 @@ def star_count_recursive(n: int) -> int:
     the next smaller star; the leaf can sit anywhere among the remaining
     2n slots and any of the n edges can be last.
     """
-    if n < 0:
-        raise ValueError(f"star size must be >= 0, got {n}")
     check_range("n", n, 0, _STAR_RECURSION_MAX_N)
     value = 1
     for k in range(1, n + 1):
@@ -432,8 +430,6 @@ def path_count_recursive(n: int) -> int:
     edge splits the path into two subpaths whose sequences interleave freely
     in the remaining positions.
     """
-    if n < 1:
-        raise ValueError(f"path size must be >= 1, got {n}")
     check_range("n", n, 1, _PATH_RECURSION_MAX_N)
     counts = [0, 1]
     for m in range(2, n + 1):
@@ -461,8 +457,6 @@ def zigzag_numbers(n_max: int) -> ZigzagNumbers:
     give the tangent numbers tangent[n] = a(2n-1) and even indices the
     secant numbers secant[n] = a(2n).
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     check_range("n_max", n_max, 1, _ZIGZAG_MAX_N)
     highest = 2 * n_max
     zigzag = [1]

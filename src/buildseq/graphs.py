@@ -66,7 +66,7 @@ class Element:
     @classmethod
     def from_token(cls, token: str) -> "Element":
         """Parse a token such as ``v3`` or ``e12``."""
-        if len(token) < 2 or token[0] not in ("v", "e") or not token[1:].isdigit():
+        if len(token) < 2 or token[0] not in ("v", "e") or not token[1:].isdecimal():
             raise ValueError(f"bad element token {token!r}; expected v<i> or e<j>")
         return cls(token[0], int(token[1:]))
 
@@ -353,7 +353,7 @@ def _take_number(text: str, start: int, error: str, context: int) -> tuple[int, 
     """The decimal number at ``text[start:]`` and the index after it; a
     missing number is an error that quotes the text from ``context`` on."""
     end = start
-    while end < len(text) and text[end].isdigit():
+    while end < len(text) and text[end].isdecimal():
         end += 1
     if end == start:
         raise ValueError(error.format(text[context:]))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import check_limit
-from .graphs import Element, Graph, _UnionFind, build_family
+from .graphs import Graph, _UnionFind, build_family
 from .sequences import CSeq, _from_codes
 from .counting import (
     DEFAULT_ELEMENT_LIMIT,
@@ -338,11 +338,9 @@ def check_conjecture(
     saves 2 + deg(v).  Passing a :class:`TieBreak` restricts the greedy side
     to that single policy over all vertex orders, where it can fail.
     """
-    if isinstance(tie_break, TieBreak):  # both limits, in the CLI's order, before any work
-        check_limit(g.element_count, "elements", element_limit, "enumeration")
-        check_limit(g.p, "vertices", DEFAULT_GREEDY_VERTEX_LIMIT, "greedy-all")
-    minimum = enumerate_min_cost(g, element_limit=element_limit)
+    # Greedy side first: its limits (in the CLI's order) and a bad tie_break raise before any work.
     if isinstance(tie_break, TieBreak):
+        check_limit(g.element_count, "elements", element_limit, "enumeration")
         reachable = greedy_all(g, tie_break)
         policy = f"{tie_break.policy} (seed {tie_break.seed})"
     elif tie_break == "exhaustive":
@@ -350,6 +348,7 @@ def check_conjecture(
         policy = "exhaustive"
     else:
         raise ValueError(f"tie_break must be a TieBreak or 'exhaustive', got {tie_break!r}")
+    minimum = enumerate_min_cost(g, element_limit=element_limit)
     counterexamples = tuple(x for x in minimum if x not in reachable)
     return ConjectureReport(
         holds=not counterexamples,
@@ -365,23 +364,15 @@ def star_schedule(n: int) -> CSeq:
 
     A minimizer places each edge as soon as it is available (see
     min_cost), so only j, the number of leaves before the hub, matters:
-    place j leaves, then the hub, then the edges those leaves opened, then
-    alternate each remaining leaf with its newly available edge.  That
-    costs n^2 + 2n + (3j^2 - j)/2 - nj, and j is the least minimizer, near
-    (2n + 1)/6; j = 0 is the hub-first greedy order.
+    the greedy run on the vertex order of j leaves, the hub, then the
+    remaining leaves.  That costs n^2 + 2n + (3j^2 - j)/2 - nj, and j is
+    the least minimizer, near (2n + 1)/6; j = 0 is the hub-first order.
     """
     if n < 1:
         raise ValueError(f"star size must be >= 1, got {n}")
-    g = build_family(f"star:{n}")
     before = min(range(n + 1), key=lambda j: 3 * j * j - j - 2 * n * j)
-    elements: list[Element] = []
-    elements.extend(Element.vertex(i + 1) for i in range(1, before + 1))
-    elements.append(Element.vertex(1))
-    elements.extend(Element.edge(j) for j in range(1, before + 1))
-    for j in range(before + 1, n + 1):
-        elements.append(Element.vertex(j + 1))
-        elements.append(Element.edge(j))
-    return CSeq(g, tuple(elements))
+    order = (*range(2, before + 2), 1, *range(before + 2, n + 2))
+    return greedy(build_family(f"star:{n}"), order)
 
 
 def economy_vs_count(graphs: Iterable[Graph]) -> list[dict]:

@@ -76,20 +76,23 @@ class Poset:
                     order.append(y)
         if len(order) != self.n:
             raise ValueError("cover relation contains a cycle")
-        for lo, hi in covers:
-            # A second route from lo up to hi would make the direct cover redundant.
-            stack = [y for y in above[lo] if y != hi]
+        # A cover (lo, hi) is redundant when hi also lies two or more covers
+        # above lo, which takes two upper covers of lo: one walk per such lo.
+        redundant = set()
+        for lo, ups in enumerate(above):
+            if len(ups) < 2:
+                continue
+            stack = [z for y in ups for z in above[y]]
             visited = set(stack)
             while stack:
-                x = stack.pop()
-                if x == hi:
-                    raise ValueError(
-                        f"cover ({lo},{hi}) is implied by transitivity and must be omitted"
-                    )
-                for y in above[x]:
+                for y in above[stack.pop()]:
                     if y not in visited:
                         visited.add(y)
                         stack.append(y)
+            redundant.update((lo, hi) for hi in ups if hi in visited)
+        if redundant:
+            lo, hi = next(cover for cover in covers if cover in redundant)
+            raise ValueError(f"cover ({lo},{hi}) is implied by transitivity and must be omitted")
         object.__setattr__(self, "_index", (above, below))
 
     def upper_adjacency(self) -> list[list[int]]:

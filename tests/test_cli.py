@@ -96,6 +96,22 @@ class TestCount:
         assert run(capsys, "count", "family:path :3", "--route", "formula") == (0, "16\n", "")
         assert run(capsys, "count", "family: star:2 ", "--route", "recursion") == (0, "16\n", "")
 
+    def test_spaced_union_spec(self, capsys):
+        assert run(capsys, "count", "family:union( path:2 , star:1 )") == (0, "80\n", "")
+
+    def test_digits_that_int_rejects_get_the_spec_parser_message(self, capsys):
+        assert run(capsys, "count", "family:path:²") == (
+            1, "", "error: family spec 'path:²' is missing its size\n"
+        )
+
+    def test_routes_disagree_prints_json_and_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_dp", lambda g, **_: 15)
+        code, out, err = run(capsys, "count", "family:path:3", "--route", "all", "--format", "plain")
+        counts = {"dp": "15", "oracle": "16", "formula": "16", "recursion": "16"}
+        assert code == 1
+        assert err == f"count routes disagree: {counts}\n"
+        assert json.loads(out) == {"graph": "family:path:3", "counts": counts, "agree": False}
+
     def test_raised_state_limit_lifts_the_vertex_cap(self, capsys, monkeypatch):
         # Stubs stand in for the 2^25 and 2^23 sweeps; the limit checks are real.
         sweeps = []
@@ -463,6 +479,42 @@ class TestFamilyTable:
         assert code == 2
         assert "usage error" in err
 
+    def test_mismatch_row_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._FORMULAS, ("path", None), lambda n: 3 if n == 2 else 1)
+        code, out, err = run(capsys, "family-table", "path", "--max", "2", "--route", "all")
+        assert code == 1
+        assert out.splitlines() == [
+            "   n  dp  formula  oracle  recursion  agree",
+            "   1   1        1       1          1  ok",
+            "   2   2        3       2          2  MISMATCH",
+        ]
+        assert err == "family-table routes disagree\n"
+
+    def test_largest_row_runs_first(self, capsys, monkeypatch):
+        calls = []
+        formula = cli._FORMULAS[("path", None)]
+        monkeypatch.setitem(cli._FORMULAS, ("path", None), lambda n: calls.append(n) or formula(n))
+        code, out, err = run(capsys, "family-table", "path", "--max", "101", "--route", "formula")
+        assert (code, out, calls) == (1, "", [101])
+        assert err == "error: supported range is 1 <= n <= 100, got 101\n"
+        calls.clear()
+        code, out, _ = run(capsys, "family-table", "path", "--max", "3", "--route", "formula", "--format", "csv")
+        assert (code, calls) == (0, [3, 2, 1])
+        assert out == "n,formula,agree\n1,1,true\n2,2,true\n3,16,true\n"
+
+    def test_largest_row_limit_stops_the_table_at_once(self, capsys, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr(cli, "count_dp", lambda g, **_: sweeps.append(g.p))
+        argv = ("family-table", "path", "--max", "21", "--limit-states", "1048576")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, sweeps) == (3, "", [])
+        assert err.startswith("resource limit: count DP needs 2^21 vertex-subset states")
+
+    def test_failing_table_reports_its_largest_row(self, capsys):
+        code, out, err = run(capsys, "family-table", "complete", "--max", "1415")
+        assert (code, out) == (1, "")
+        assert err == "error: family spec needs 1001820 elements, over the guard 1000000\n"
+
     @pytest.mark.parametrize("top", ("0", "-3"))
     def test_max_below_one_is_a_usage_error(self, capsys, top):
         code, out, err = run(capsys, "family-table", "path", "--max", top)
@@ -502,6 +554,22 @@ class TestXi:
         monkeypatch.setattr(cli, "_graphs_pq_pairs", lambda p, q: calls.append((p, q)))
         code, _, _ = run(capsys, "xi", "trees:4")
         assert (code, calls) == (0, [])
+
+    def test_plain_format(self, capsys):
+        code, out, _ = run(capsys, "xi", "graphs:3:2", "--format", "plain")
+        assert code == 0
+        assert out.splitlines() == [
+            "family graphs:3:2 size 3 alpha 16",
+            "     0  c=16  xi=1",
+            "     1  c=16  xi=1",
+            "     2  c=16  xi=1",
+        ]
+
+    def test_digits_that_int_rejects_are_a_usage_error(self, capsys):
+        for family in ("trees:²", "graphs:³:2"):
+            code, out, err = run(capsys, "xi", family)
+            assert (code, out) == (2, "")
+            assert err == f"usage error: family must be trees:<n> or graphs:<p>:<q>, got {family!r}\n"
 
     def test_bad_family(self, capsys):
         code, _, err = run(capsys, "xi", "forests:4")

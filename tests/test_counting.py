@@ -174,6 +174,16 @@ class TestClosedForms:
     def test_path_recursion_matches_zigzag_far_out(self):
         assert b.path_count_recursive(20) == b.zigzag_numbers(20).tangent[20]
 
+    def test_recursions_report_a_low_size_as_their_range(self):
+        cases = [
+            (b.star_count_recursive, -1, "0 <= n <= 30000"),
+            (b.path_count_recursive, 0, "1 <= n <= 350"),
+            (b.zigzag_numbers, 0, "1 <= n_max <= 800"),
+        ]
+        for recursion, size, bounds in cases:
+            with pytest.raises(ValueError, match=f"^supported range is {bounds}, got {size}$"):
+                recursion(size)
+
 
 class TestZigzag:
     def test_tangent_values(self):

@@ -49,6 +49,10 @@ class TestElement:
             with pytest.raises(ValueError):
                 Element.from_token(token)
 
+    def test_digits_that_int_rejects_are_bad_tokens(self):
+        with pytest.raises(ValueError, match="^bad element token 'v²'; expected v<i> or e<j>$"):
+            Element.from_token("v²")
+
     def test_ordering_vertices_before_edges(self):
         assert Element.vertex(2) < Element.edge(1)
         assert Element.vertex(1) < Element.vertex(2)
@@ -123,6 +127,13 @@ class TestFamilies:
         for spec in ("path:0", "path", "blob:3", "path:3)", "union()", "wedge(path:2)", "path:x"):
             with pytest.raises(ValueError):
                 b.build_family(spec)
+
+    def test_digits_that_int_rejects_are_a_missing_size(self):
+        for spec in ("path:²", "union(path:2,star:³)"):
+            with pytest.raises(ValueError, match="is missing its size$"):
+                b.build_family(spec)
+        with pytest.raises(ValueError, match="^bad base point in '@²\\)'$"):
+            b.build_family("wedge(path:2@²)")
 
     def test_deep_nesting_needs_no_recursion(self):
         saved = sys.getrecursionlimit()

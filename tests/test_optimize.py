@@ -329,6 +329,14 @@ class TestConjectureHarness:
         with pytest.raises(ValueError):
             b.check_conjecture(b.build_family("path:3"), "everything")
 
+    def test_bad_tie_break_raises_before_the_enumeration(self, monkeypatch):
+        def refuse(*_, **__):
+            raise AssertionError("minimizers enumerated before the tie_break check")
+
+        monkeypatch.setattr(optimize, "enumerate_min_cost", refuse)
+        with pytest.raises(ValueError, match="^tie_break must be a TieBreak or 'exhaustive', got 'everything'$"):
+            b.check_conjecture(b.build_family("path:6"), "everything")
+
 
 class TestStarSchedule:
     def test_worked_example(self):

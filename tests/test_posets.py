@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +184,13 @@ class TestPosetType:
             for ups in poset.upper_adjacency():
                 ups.append(n)  # a copy: the poset's own index is untouched
             assert poset.upper_adjacency() == above
+
+    def test_wide_star_validates_in_one_walk_per_element(self):
+        # The hub has 20,000 upper covers; a walk per cover took about a minute.
+        start = time.perf_counter()
+        poset = b.incidence_poset(b.build_family("star:20000"))
+        assert time.perf_counter() - start < 5
+        assert poset.n == 40_001
 
     def test_negative_and_empty(self):
         for n in (-1, -5):
