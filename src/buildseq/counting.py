@@ -31,7 +31,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import check_class_limits, check_limit, check_range, check_subset_limits
 from .graphs import Graph, _check_base
@@ -126,10 +126,14 @@ class _Quotient(NamedTuple):
     scale: int  # prod(n_i!): the table's entries are divided by prod((n_i - k_i)!)
 
 
-def _quotient(g: Graph, *, max_states: int, kernel: str) -> _Quotient:
-    """Group the vertices into twin classes and tabulate placed[x] = |S| + e(S)
-    over the class-count vectors; e(S) counts the edge records with all
-    endpoints in S, so loops and parallel edges count with multiplicity.
+def _quotient(
+    p: int, edges: Sequence[tuple[int, int]], *, max_states: int, kernel: str
+) -> _Quotient:
+    """Group the vertices 1..p into twin classes and tabulate
+    placed[x] = |S| + e(S) over the class-count vectors; e(S) counts the
+    records of ``edges``, (u, w) pairs with u <= w as ``Graph`` normalizes
+    them, with all endpoints in S, so loops and parallel edges count with
+    multiplicity.
 
     Twins u and v with no edge between them have the same neighbours, with
     the same multiplicities; joined by m edges, they have the same ones once
@@ -152,10 +156,12 @@ def _quotient(g: Graph, *, max_states: int, kernel: str) -> _Quotient:
     The classes come from counting the edges between each pair of vertices,
     so the limit is checked before any table, however many are parallel.
     """
-    p = g.p
     if p > _TWIN_VERTICES:
         check_subset_limits(p, max_states, kernel)
-    counts = Counter(g.edges) if g.multigraph else dict.fromkeys(g.edges, 1)  # per pair u <= w
+    counts = dict.fromkeys(edges, 1)  # per pair u <= w
+    parallel = len(counts) < len(edges)
+    if parallel:
+        counts = Counter(edges)
     loops = [0] * p
     for (u, w), k in counts.items():
         if u == w:
@@ -186,7 +192,7 @@ def _quotient(g: Graph, *, max_states: int, kernel: str) -> _Quotient:
     check_class_limits(sizes, max_states, kernel)
     radix = [1, *itertools.accumulate([n + 1 for n in sizes], operator.mul)]
     placed = [0]
-    if len(sizes) == p and not (g.multigraph and any(k > 1 for (u, w), k in counts.items() if u != w)):
+    if len(sizes) == p and not (parallel and any(k > 1 for (u, w), k in counts.items() if u != w)):
         # No twins and no parallel edges: a state is the bit mask of its
         # vertices in class order, and the edges from v into it one popcount.
         rows = [0] * p
@@ -300,7 +306,7 @@ def count_dp(g: Graph, *, max_states: int = DEFAULT_DP_STATE_LIMIT) -> int:
     count vectors: Ã(0) * prod(n_j!), as h = N there.  ``max_states`` bounds
     the states, prod(n_i + 1); that is 2^p when no two vertices are twins,
     so the default admits any graph with p <= 24."""
-    q = _quotient(g, max_states=max_states, kernel="count DP")
+    q = _quotient(g.p, g.edges, max_states=max_states, kernel="count DP")
     return _scaled_completions(q)[0] * q.scale
 
 
@@ -312,13 +318,16 @@ def count_based(g: Graph, base: int, *, max_states: int = DEFAULT_DP_STATE_LIMIT
     Once ``base`` is placed, an edge from it to w waits only for w, as a
     loop at w does, so the rest turns each such edge into a loop at w and
     shifts the labels above ``base`` down by one.  The L loops at ``base``
-    wait for nothing and take any L of the N - 1 positions after it.
+    wait for nothing and take any L of the N - 1 positions after it.  The
+    kernel gets the rest's edges as they are, without a ``Graph`` built for
+    them.
     """
     _check_base(base, g.p)
     shift = [0, *range(1, base), 0, *range(base, g.p)]
     edges = [(shift[u] or shift[w], shift[w] or shift[u]) for u, w in g.edges]
-    rest = Graph(g.p - 1, tuple(e for e in edges if e[0]), multigraph=True)
-    return count_dp(rest, max_states=max_states) * math.perm(g.element_count - 1, g.q - rest.q)
+    rest = [e for e in edges if e[0]]
+    q = _quotient(g.p - 1, rest, max_states=max_states, kernel="count DP")
+    return _scaled_completions(q)[0] * q.scale * math.perm(g.element_count - 1, g.q - len(rest))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,16 @@ from one sweep in the telescoped form over the twin-class count vectors of
 the subset kernel in :mod:`counting`, and its multiplicity from a forward
 count along the transitions that keep the minimum.
 
+One lexicographic walk, edges first and then only the vertices that keep
+the minimum, lists the minimizers: ``min_cost`` takes its witnesses from
+it, and ``check_conjecture`` tests each minimizer it yields for whether
+greedy runs reach it.
+
 Also here: the greedy builder (emit an edge as soon as one is available,
-otherwise the next vertex of the input order), enumeration of all
-minimum-cost sequences, the improved star schedule, and the harness that
-checks whether greedy runs reach every minimum-cost sequence.
+otherwise the next vertex of the input order), the improved star schedule,
+and the definitions that the tests check ``check_conjecture`` against:
+full min-cost enumeration, the set of every greedy output, and one
+policy's outputs over all vertex orders.
 """
 from __future__ import annotations
 
@@ -24,13 +30,14 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import check_limit
 from .graphs import Graph, _UnionFind, build_family
 from .sequences import CSeq, _from_codes
 from .counting import (
     DEFAULT_ELEMENT_LIMIT,
+    _Quotient,
     _free_steps,
     _iter_codes,
     _quotient,
@@ -115,9 +122,17 @@ def greedy(
     order = tuple(vertex_order) if vertex_order is not None else tuple(range(1, p + 1))
     if sorted(order) != list(range(1, p + 1)):
         raise ValueError("vertex_order is not a permutation of 1..p")
-    # Edge j becomes available when the later of its endpoints in the order
-    # is placed.  A vertex is placed only once no edge is available, so the
-    # edges it opens, in increasing id, are then the whole available list.
+    return next(_from_codes(g, [_greedy_codes(g, order, tie_break)]))
+
+
+def _greedy_codes(g: Graph, order: Sequence[int], tie_break: TieBreak) -> list[int]:
+    """The element codes :func:`greedy` outputs for a vertex order.
+
+    Edge j becomes available when the later of its endpoints in the order
+    is placed.  A vertex is placed only once no edge is available, so the
+    edges it opens, in increasing id, are then the whole available list.
+    """
+    p = g.p
     rank = {v: i for i, v in enumerate(order)}
     opens: list[list[int]] = [[] for _ in range(p + 1)]
     for j, (u, w) in enumerate(g.edges, start=1):
@@ -128,7 +143,7 @@ def greedy(
     for v in order:
         codes.append(v - 1)
         codes.extend(p + j - 1 for j in _edge_order(g, opens[v], tie_break, components, rng))
-    return next(_from_codes(g, [codes]))
+    return codes
 
 
 def _edge_order(
@@ -237,13 +252,34 @@ def min_cost(
     that keep the minimum: a member of class i opening d edges contributes
     its d! edge orders, and the n_i - k_i members it could be cancel out as
     in :func:`counting._scaled_completions`, leaving prod(n_j!) at the end.
-    Witness extraction is optional and capped by ``max_witnesses``;
-    witnesses come in lexicographic order from the sequence walk, which
-    places every available edge first and a vertex v only when it keeps the
-    minimum, best[x + r_v] - (2 + deg v) * pos == best[x], where x sums the
-    class radices of the placed vertices, once for all the candidates.
+    Witness extraction is optional and capped by ``max_witnesses``; the
+    witnesses are the first minimizers of :func:`_minimizers`' walk.
     """
-    q = _quotient(g, max_states=max_states, kernel="optimizer")
+    q, low, high, best = _least_costs(g, max_states)
+    placed = q.placed
+    size = len(low)
+    ways = {0: 1}
+    for _ in range(g.p):
+        reached: dict[int, int] = {}
+        for x, count in ways.items():
+            pos = placed[x] + 1
+            target = best[x]
+            for r, weight in low[x % size] + high[x // size]:
+                y = x + r
+                if best[y] - weight * pos == target:
+                    reached[y] = reached.get(y, 0) + count * math.factorial(placed[y] - pos)
+        ways = reached
+    minimizers = _minimizers(g, q, best)
+    witnesses = tuple(_from_codes(g, itertools.islice(minimizers, max(max_witnesses, 0))))
+    n = placed[-1]
+    return OptResult(n * (n + 1) + best[0], ways[len(placed) - 1] * q.scale, witnesses)
+
+
+def _least_costs(g: Graph, max_states: int) -> tuple[_Quotient, list[tuple], list[tuple], list[int]]:
+    """:func:`min_cost`'s sweep: the twin quotient, its free steps
+    (r_i, 2 + deg_i), and best[x], the least -sum of (2 + deg v) * pos(v)
+    over the completions of every state x."""
+    q = _quotient(g.p, g.edges, max_states=max_states, kernel="optimizer")
     placed = q.placed
     # Adding a member of class i at pos adds -(2 + deg_i) * pos.
     weights = [0] * len(q.sizes)
@@ -251,7 +287,7 @@ def min_cost(
         weights[c] = 2 + d
     low, high = _free_steps(q, weights)
     size = len(low)
-    best = [0] * len(placed)  # min over completions of -sum (2 + deg v) * pos(v)
+    best = [0] * len(placed)
     down = low[::-1]
     block = down[1:]  # the full state adds nothing
     for hi in range(len(high) - 1, -1, -1):
@@ -270,20 +306,19 @@ def min_cost(
                     least = branch
             best[x] = least
         block = down
+    return q, low, high, best
 
-    ways = {0: 1}
-    for _ in range(g.p):
-        reached: dict[int, int] = {}
-        for x, count in ways.items():
-            pos = placed[x] + 1
-            target = best[x]
-            for r, weight in low[x % size] + high[x // size]:
-                y = x + r
-                if best[y] - weight * pos == target:
-                    reached[y] = reached.get(y, 0) + count * math.factorial(placed[y] - pos)
-        ways = reached
 
-    vertex_steps = [(q.radix[c], weights[c]) for c in q.vertex_class]
+def _minimizers(g: Graph, q: _Quotient, best: list[int]) -> Iterator[tuple[int, ...]]:
+    """Every minimum-cost sequence as element codes, in lexicographic
+    order, from the sweep's ``best`` over the quotient ``q``.
+
+    The walk places every available edge first, as every minimizer does,
+    and a vertex v only when it keeps the minimum,
+    best[x + r_v] - (2 + deg v) * pos == best[x], where x sums the class
+    radices of the placed vertices, once for all the candidates.
+    """
+    vertex_steps = [(q.radix[c], 2 + d) for c, d in zip(q.vertex_class, g.degrees())]
 
     def optimal(placed: int, free: list[int]) -> list[int]:
         x = sum(r for v, (r, _) in enumerate(vertex_steps) if placed >> v & 1)
@@ -291,10 +326,7 @@ def min_cost(
         least = best[x]
         return [v for v in free if best[x + vertex_steps[v][0]] - vertex_steps[v][1] * pos == least]
 
-    walk = _iter_codes(g, _edges_first(g.p, optimal))
-    witnesses = tuple(_from_codes(g, itertools.islice(walk, max(max_witnesses, 0))))
-    n = placed[-1]
-    return OptResult(n * (n + 1) + best[0], ways[len(placed) - 1] * q.scale, witnesses)
+    return _iter_codes(g, _edges_first(g.p, optimal))
 
 
 def enumerate_min_cost(
@@ -331,30 +363,64 @@ def check_conjecture(
 ) -> ConjectureReport:
     """Check that greedy runs produce every minimum-cost sequence.
 
-    With ``tie_break="exhaustive"`` the greedy side ranges over every tie
-    resolution (the strongest reading), and the check holds by theorem:
-    every minimizer places each edge as soon as it becomes available,
-    because swapping a vertex with an already-available edge right after it
-    saves 2 + deg(v).  Passing a :class:`TieBreak` restricts the greedy side
-    to that single policy over all vertex orders, where it can fail.
+    Only the minimizers are walked, by :func:`_minimizers`, and each is
+    tested on its own.  With ``tie_break="exhaustive"`` the greedy side
+    ranges over every tie resolution (the strongest reading): a sequence is
+    reachable exactly when it places no vertex while an edge is available
+    (see :func:`exhaustive_greedy_set`), and ``num_greedy`` counts those by
+    walking them.  The check holds by theorem, because swapping a vertex
+    with an already-available edge right after it saves 2 + deg(v).
+    Passing a :class:`TieBreak` restricts the greedy side to that single
+    policy over all vertex orders, where it can fail.  A greedy output
+    keeps the vertex order it was run on, so a minimizer is reachable
+    exactly when greedy on its own vertex order returns it, and the p!
+    orders give p! distinct outputs.  The element limit bounds both walks.
     """
     # Greedy side first: its limits (in the CLI's order) and a bad tie_break raise before any work.
     if isinstance(tie_break, TieBreak):
         check_limit(g.element_count, "elements", element_limit, "enumeration")
-        reachable = greedy_all(g, tie_break)
+        check_limit(g.p, "vertices", DEFAULT_GREEDY_VERTEX_LIMIT, "greedy-all")
         policy = f"{tie_break.policy} (seed {tie_break.seed})"
+        num_greedy = math.factorial(g.p)
+
+        def reachable(codes: tuple[int, ...]) -> bool:
+            order = [c + 1 for c in codes if c < g.p]
+            return _greedy_codes(g, order, tie_break) == list(codes)
+
     elif tie_break == "exhaustive":
-        reachable = exhaustive_greedy_set(g, element_limit=element_limit)
+        check_limit(g.element_count, "elements", element_limit, "enumeration")
         policy = "exhaustive"
+        num_greedy = sum(1 for _ in _iter_codes(g, _edges_first(g.p)))
+        edge_masks = g.endpoint_masks()[g.p:]
+
+        def reachable(codes: tuple[int, ...]) -> bool:
+            placed = waiting = 0  # waiting: the available edges not yet placed
+            for c in codes:
+                if c >= g.p:
+                    waiting -= 1
+                    continue
+                if waiting:
+                    return False
+                placed |= 1 << c
+                waiting = sum(1 for m in edge_masks if m >> c & 1 and m & placed == m)
+            return True
+
     else:
         raise ValueError(f"tie_break must be a TieBreak or 'exhaustive', got {tie_break!r}")
-    minimum = enumerate_min_cost(g, element_limit=element_limit)
-    counterexamples = tuple(x for x in minimum if x not in reachable)
+    # Within the default element limit the sweep's state limit never binds.
+    q, _, _, best = _least_costs(g, DEFAULT_OPT_STATE_LIMIT)
+    num_min_cost = 0
+    missed: list[tuple[int, ...]] = []
+    for codes in _minimizers(g, q, best):
+        num_min_cost += 1
+        if not reachable(codes):
+            missed.append(codes)
+    counterexamples = tuple(_from_codes(g, missed))
     return ConjectureReport(
         holds=not counterexamples,
         policy=policy,
-        num_min_cost=len(minimum),
-        num_greedy=len(reachable),
+        num_min_cost=num_min_cost,
+        num_greedy=num_greedy,
         counterexamples=counterexamples,
     )
 

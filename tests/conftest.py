@@ -21,6 +21,22 @@ def make_random_graph(rng: random.Random, max_elements: int = 9) -> b.Graph:
     return b.Graph(p, tuple(rng.sample(pairs, q)))
 
 
+def conjecture_by_definition(
+    g: b.Graph, tie_break: b.TieBreak | str = "exhaustive", element_limit: int = 11
+) -> b.ConjectureReport:
+    """The report check_conjecture must give, from the definitions: every
+    minimizer from full enumeration, and the greedy outputs of every tie
+    resolution or of every vertex order under one policy."""
+    minimizers = b.enumerate_min_cost(g, element_limit=element_limit)
+    if tie_break == "exhaustive":
+        policy, reachable = "exhaustive", b.exhaustive_greedy_set(g, element_limit=element_limit)
+    else:
+        policy = f"{tie_break.policy} (seed {tie_break.seed})"
+        reachable = b.greedy_all(g, tie_break)
+    missed = tuple(x for x in minimizers if x not in reachable)
+    return b.ConjectureReport(not missed, policy, len(minimizers), len(reachable), missed)
+
+
 def named_family_graphs() -> dict[str, b.Graph]:
     graphs: dict[str, b.Graph] = {}
     for n in range(1, 6):

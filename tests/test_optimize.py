@@ -8,7 +8,7 @@ from buildseq import Element, TieBreak, optimize
 from buildseq.optimize import POLICIES
 from buildseq.errors import ResourceLimitError
 
-from conftest import make_random_graph
+from conftest import conjecture_by_definition, make_random_graph
 
 
 class TestGreedy:
@@ -313,29 +313,56 @@ class TestConjectureHarness:
             for policy in ("lexicographic", "cycle-avoiding", "seeded-random"):
                 assert b.greedy_all(g, TieBreak(policy, seed=3)) <= exhaustive
 
-    def test_limits_are_checked_before_the_enumeration(self, monkeypatch):
-        def refuse(*_, **__):
-            raise AssertionError("minimizers enumerated before the limit check")
+    @staticmethod
+    def refuse_the_walks(monkeypatch, when):
+        """Make the min-cost sweep and every sequence walk of check_conjecture
+        (the minimizers and the edges-first count) raise."""
 
-        monkeypatch.setattr(optimize, "enumerate_min_cost", refuse)
+        def refuse(*_, **__):
+            raise AssertionError(f"sequences walked before the {when}")
+
+        for name in ("_least_costs", "_minimizers", "_iter_codes"):
+            monkeypatch.setattr(optimize, name, refuse)
+
+    def test_limits_are_checked_before_the_enumeration(self, monkeypatch):
+        self.refuse_the_walks(monkeypatch, "limit check")
         spec = "union(" + ",".join(["path:1"] * 9) + ")"
         with pytest.raises(ResourceLimitError, match="^9 vertices exceed the greedy-all limit 8$"):
             b.check_conjecture(b.build_family(spec), TieBreak("lexicographic"))
         # Over both limits: the element limit is reported, as the CLI does.
+        over = b.build_family("union(path:5,path:4)")
         with pytest.raises(ResourceLimitError, match="^16 elements exceed the enumeration limit 11$"):
-            b.check_conjecture(b.build_family("union(path:5,path:4)"), TieBreak("lexicographic"))
+            b.check_conjecture(over, TieBreak("lexicographic"))
+        with pytest.raises(ResourceLimitError, match="^16 elements exceed the enumeration limit 11$"):
+            b.check_conjecture(over)
 
     def test_bad_tie_break_argument(self):
         with pytest.raises(ValueError):
             b.check_conjecture(b.build_family("path:3"), "everything")
 
     def test_bad_tie_break_raises_before_the_enumeration(self, monkeypatch):
-        def refuse(*_, **__):
-            raise AssertionError("minimizers enumerated before the tie_break check")
-
-        monkeypatch.setattr(optimize, "enumerate_min_cost", refuse)
+        self.refuse_the_walks(monkeypatch, "tie_break check")
         with pytest.raises(ValueError, match="^tie_break must be a TieBreak or 'exhaustive', got 'everything'$"):
             b.check_conjecture(b.build_family("path:6"), "everything")
+
+    def test_runs_without_the_definitional_routes(self, monkeypatch):
+        # The definitions stay the tests' independent routes: check_conjecture
+        # walks only the minimizers and never lists every sequence or every
+        # greedy run.
+        cases = [
+            (b.build_family(spec), tie_break)
+            for spec in ("path:5", "star:4")
+            for tie_break in ("exhaustive", *(TieBreak(policy, seed=5) for policy in POLICIES))
+        ]
+        expected = [conjecture_by_definition(g, tie_break) for g, tie_break in cases]
+
+        def refuse(*_, **__):
+            raise AssertionError("check_conjecture used a definitional route")
+
+        for name in ("enumerate_min_cost", "greedy_all", "exhaustive_greedy_set"):
+            monkeypatch.setattr(optimize, name, refuse)
+        assert [b.check_conjecture(g, tie_break) for g, tie_break in cases] == expected
+        assert any(not report.holds for report in expected)
 
 
 class TestStarSchedule:

@@ -20,6 +20,8 @@ the scaled count table against the unscaled recurrence and the closed forms, and
 identity behind the min-cost sweep on every edge-eager sequence.  Based counts
 are checked on multigraphs with loops and bundles at the base against the
 based oracle and the poset engine on the incidence poset without the base.
+``check_conjecture``, which walks only the minimizers, must give the report
+built from full min-cost enumeration and the sets of greedy outputs.
 """
 import math
 import random
@@ -36,6 +38,7 @@ from buildseq.counting import _BIT_STEPS, _free_steps, _quotient, _scaled_comple
 from buildseq.errors import ResourceLimitError, check_class_limits, check_subset_limits
 from buildseq.graphs import Element, _UnionFind
 from buildseq.optimize import POLICIES
+from conftest import conjecture_by_definition
 
 MAX_ELEMENTS = 9
 WITNESSES = 7
@@ -217,7 +220,7 @@ def test_edge_table_counts_the_edges_inside_every_subset(g):
     # twins; under a roomy limit it groups them from 8 vertices on.
     tight = twin_states(g)
     for limit, grouped in ((tight, True), (1 << 10, g.p >= 8)):
-        q = _quotient(g, max_states=limit, kernel="count DP")
+        q = _quotient(g.p, g.edges, max_states=limit, kernel="count DP")
         for u in range(1, g.p + 1):
             for v in range(u + 1, g.p + 1):
                 same = q.vertex_class[u - 1] == q.vertex_class[v - 1]
@@ -230,7 +233,7 @@ def test_edge_table_counts_the_edges_inside_every_subset(g):
         for s in range(1 << g.p):
             assert q.placed[state(q, s)] == s.bit_count() + sum(not mask & ~s for mask in masks)
     with pytest.raises(ResourceLimitError):
-        _quotient(g, max_states=tight - 1, kernel="count DP")
+        _quotient(g.p, g.edges, max_states=tight - 1, kernel="count DP")
     # Bundles and loops give a vertex many edges to open in one step.
     if g.p:
         for limit in (tight, 1 << 10):
@@ -263,7 +266,7 @@ def test_rescaled_table_is_the_count_times_n_factorial_over_h_factorial(g):
     # The table holds C(S) * N!/h(S)! divided by prod((n_j - k_j)!), the
     # orders of the unplaced members of each twin class.
     n = g.element_count
-    q = _quotient(g, max_states=twin_states(g), kernel="count DP")
+    q = _quotient(g.p, g.edges, max_states=twin_states(g), kernel="count DP")
     a = _scaled_completions(q)
     for s, c in unscaled_completions(g, 0).items():
         x = state(q, s)
@@ -399,7 +402,7 @@ def check_free_steps(q) -> tuple[list[tuple], list[tuple]]:
 def test_free_steps_list_the_classes_open_at_every_state(g):
     # Twins grouped at the twin-class state count, and whole under a roomy limit.
     for limit in (twin_states(g), 1 << 10):
-        check_free_steps(_quotient(g, max_states=limit, kernel="count DP"))
+        check_free_steps(_quotient(g.p, g.edges, max_states=limit, kernel="count DP"))
 
 
 def test_free_steps_of_twin_free_tables_around_two_to_the_eight():
@@ -407,7 +410,7 @@ def test_free_steps_of_twin_free_tables_around_two_to_the_eight():
     # _BIT_STEPS; at 2^9 the low half is the 64 states of 6 vertices.
     for spec, bits in (("path:8", 8), ("path:9", 6)):
         g = b.build_family(spec)
-        q = _quotient(g, max_states=1 << 10, kernel="count DP")
+        q = _quotient(g.p, g.edges, max_states=1 << 10, kernel="count DP")
         assert q.sizes == [1] * g.p
         low, high = check_free_steps(q)
         assert low is _BIT_STEPS[bits]
@@ -482,6 +485,22 @@ def test_kernel_built_sequences_are_valid(g):
     for policy in POLICIES:
         for order in (None, range(g.p, 0, -1)):
             check([b.greedy(g, order, b.TieBreak(policy, seed=3))])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.one_of(multigraphs(), blown_up_multigraphs()), st.integers(0, 99))
+def test_conjecture_reports_follow_the_definitions(g, seed):
+    # check_conjecture walks only the minimizers; the definitions list every
+    # sequence and every greedy run.  Policies run over all p! orders, so
+    # they are compared up to 6 vertices, the largest p of multigraphs().
+    tie_breaks: list = ["exhaustive"]
+    if g.p <= 6:
+        tie_breaks += [b.TieBreak(policy, seed) for policy in POLICIES]
+    for tie_break in tie_breaks:
+        expected = conjecture_by_definition(g, tie_break, element_limit=MAX_ELEMENTS)
+        report = b.check_conjecture(g, tie_break, element_limit=MAX_ELEMENTS)
+        assert report == expected
+    assert report.num_min_cost == b.min_cost(g).num_optimal
 
 
 def reference_validate(graph, elements):
