@@ -13,9 +13,10 @@ the subset kernel in :mod:`counting`, and its multiplicity from a forward
 count along the transitions that keep the minimum.
 
 One lexicographic walk, edges first and then only the vertices that keep
-the minimum, lists the minimizers: ``min_cost`` takes its witnesses from
-it, and ``check_conjecture`` tests each minimizer it yields for whether
-greedy runs reach it.
+the minimum, lists the minimizers for ``min_cost``'s witnesses and for
+``check_conjecture`` under one greedy policy.  Its default report walks
+nothing: with every weight 0 the forward count gives the edge-eager
+sequences, the outputs of every greedy run.
 
 Also here: the greedy builder (emit an edge as soon as one is available,
 otherwise the next vertex of the input order), the improved star schedule,
@@ -247,32 +248,20 @@ def min_cost(
     admits p <= 22).  With S and its e(S) edges placed, a member of class i
     comes next at pos = |S| + e(S) + 1 and adds -(2 + deg) * pos, so
     best[x] = min over free i of best[x + r_i] - (2 + deg_i) * pos, and
-    N(N+1) is added once at the end.  The minimizers are then counted
-    forward from the empty state, a level at a time, along the transitions
-    that keep the minimum: a member of class i opening d edges contributes
-    its d! edge orders, and the n_i - k_i members it could be cancel out as
-    in :func:`counting._scaled_completions`, leaving prod(n_j!) at the end.
+    N(N+1) is added once at the end.  :func:`_count_optimal` then counts
+    the minimizers forward from the empty state, a level at a time, along
+    the transitions that keep the minimum: a member of class i opening d
+    edges contributes its d! edge orders, and the n_i - k_i members it
+    could be cancel out as in :func:`counting._scaled_completions`, leaving
+    prod(n_j!) at the end.
     Witness extraction is optional and capped by ``max_witnesses``; the
     witnesses are the first minimizers of :func:`_minimizers`' walk.
     """
     q, low, high, best = _least_costs(g, max_states)
-    placed = q.placed
-    size = len(low)
-    ways = {0: 1}
-    for _ in range(g.p):
-        reached: dict[int, int] = {}
-        for x, count in ways.items():
-            pos = placed[x] + 1
-            target = best[x]
-            for r, weight in low[x % size] + high[x // size]:
-                y = x + r
-                if best[y] - weight * pos == target:
-                    reached[y] = reached.get(y, 0) + count * math.factorial(placed[y] - pos)
-        ways = reached
     minimizers = _minimizers(g, q, best)
     witnesses = tuple(_from_codes(g, itertools.islice(minimizers, max(max_witnesses, 0))))
-    n = placed[-1]
-    return OptResult(n * (n + 1) + best[0], ways[len(placed) - 1] * q.scale, witnesses)
+    n = q.placed[-1]
+    return OptResult(n * (n + 1) + best[0], _count_optimal(q, low, high, best), witnesses)
 
 
 def _least_costs(g: Graph, max_states: int) -> tuple[_Quotient, list[tuple], list[tuple], list[int]]:
@@ -307,6 +296,26 @@ def _least_costs(g: Graph, max_states: int) -> tuple[_Quotient, list[tuple], lis
             best[x] = least
         block = down
     return q, low, high, best
+
+
+def _count_optimal(q: _Quotient, low: list[tuple], high: list[tuple], best: list[int]) -> int:
+    """The sequences that place every edge as soon as it is available and
+    keep the minimum ``best``, counted forward from the empty state, a level
+    at a time, over the free steps (r_i, weight_i) of :func:`_least_costs`."""
+    placed = q.placed
+    size = len(low)
+    ways = {0: 1}
+    for _ in q.vertex_class:
+        reached: dict[int, int] = {}
+        for x, count in ways.items():
+            pos = placed[x] + 1
+            target = best[x]
+            for r, weight in low[x % size] + high[x // size]:
+                y = x + r
+                if best[y] - weight * pos == target:
+                    reached[y] = reached.get(y, 0) + count * math.factorial(placed[y] - pos)
+        ways = reached
+    return ways[len(placed) - 1] * q.scale
 
 
 def _minimizers(g: Graph, q: _Quotient, best: list[int]) -> Iterator[tuple[int, ...]]:
@@ -363,63 +372,45 @@ def check_conjecture(
 ) -> ConjectureReport:
     """Check that greedy runs produce every minimum-cost sequence.
 
-    Only the minimizers are walked, by :func:`_minimizers`, and each is
-    tested on its own.  With ``tie_break="exhaustive"`` the greedy side
-    ranges over every tie resolution (the strongest reading): a sequence is
-    reachable exactly when it places no vertex while an edge is available
-    (see :func:`exhaustive_greedy_set`), and ``num_greedy`` counts those by
-    walking them.  The check holds by theorem, because swapping a vertex
-    with an already-available edge right after it saves 2 + deg(v).
-    Passing a :class:`TieBreak` restricts the greedy side to that single
-    policy over all vertex orders, where it can fail.  A greedy output
-    keeps the vertex order it was run on, so a minimizer is reachable
-    exactly when greedy on its own vertex order returns it, and the p!
-    orders give p! distinct outputs.  The element limit bounds both walks.
+    With ``tie_break="exhaustive"`` the greedy side ranges over every tie
+    resolution (the strongest reading): a sequence is reachable exactly
+    when it places no vertex while an edge is available (see
+    :func:`exhaustive_greedy_set`).  Every minimizer is, since swapping a
+    vertex with an available edge right after it saves 2 + deg(v), so
+    nothing is walked: :func:`_count_optimal` gives both counts,
+    ``num_greedy`` with every weight 0.  The element limit stays, so that
+    the CLI's limits do not depend on the tie-break.  A :class:`TieBreak`
+    restricts the greedy side to one policy over all vertex orders, where
+    it can fail: a greedy output keeps the vertex order it was run on, so
+    a minimizer from :func:`_minimizers` is reachable exactly when greedy
+    on its own vertex order returns it, and the p! orders give p! distinct
+    outputs.
     """
-    # Greedy side first: its limits (in the CLI's order) and a bad tie_break raise before any work.
-    if isinstance(tie_break, TieBreak):
-        check_limit(g.element_count, "elements", element_limit, "enumeration")
+    # Its limits (in the CLI's order) and a bad tie_break raise before any work.
+    exhaustive = tie_break == "exhaustive"
+    if not exhaustive and not isinstance(tie_break, TieBreak):
+        raise ValueError(f"tie_break must be a TieBreak or 'exhaustive', got {tie_break!r}")
+    check_limit(g.element_count, "elements", element_limit, "enumeration")
+    if not exhaustive:
         check_limit(g.p, "vertices", DEFAULT_GREEDY_VERTEX_LIMIT, "greedy-all")
+    # Within the default element limit the sweep's state limit never binds.
+    q, low, high, best = _least_costs(g, DEFAULT_OPT_STATE_LIMIT)
+    if exhaustive:
+        policy, missed = "exhaustive", []
+        num_greedy = _count_optimal(q, *_free_steps(q, [0] * len(q.sizes)), [0] * len(best))
+    else:
         policy = f"{tie_break.policy} (seed {tie_break.seed})"
         num_greedy = math.factorial(g.p)
-
-        def reachable(codes: tuple[int, ...]) -> bool:
-            order = [c + 1 for c in codes if c < g.p]
-            return _greedy_codes(g, order, tie_break) == list(codes)
-
-    elif tie_break == "exhaustive":
-        check_limit(g.element_count, "elements", element_limit, "enumeration")
-        policy = "exhaustive"
-        num_greedy = sum(1 for _ in _iter_codes(g, _edges_first(g.p)))
-        edge_masks = g.endpoint_masks()[g.p:]
-
-        def reachable(codes: tuple[int, ...]) -> bool:
-            placed = waiting = 0  # waiting: the available edges not yet placed
-            for c in codes:
-                if c >= g.p:
-                    waiting -= 1
-                    continue
-                if waiting:
-                    return False
-                placed |= 1 << c
-                waiting = sum(1 for m in edge_masks if m >> c & 1 and m & placed == m)
-            return True
-
-    else:
-        raise ValueError(f"tie_break must be a TieBreak or 'exhaustive', got {tie_break!r}")
-    # Within the default element limit the sweep's state limit never binds.
-    q, _, _, best = _least_costs(g, DEFAULT_OPT_STATE_LIMIT)
-    num_min_cost = 0
-    missed: list[tuple[int, ...]] = []
-    for codes in _minimizers(g, q, best):
-        num_min_cost += 1
-        if not reachable(codes):
-            missed.append(codes)
+        missed = [
+            codes
+            for codes in _minimizers(g, q, best)
+            if _greedy_codes(g, [c + 1 for c in codes if c < g.p], tie_break) != list(codes)
+        ]
     counterexamples = tuple(_from_codes(g, missed))
     return ConjectureReport(
         holds=not counterexamples,
         policy=policy,
-        num_min_cost=num_min_cost,
+        num_min_cost=_count_optimal(q, low, high, best),
         num_greedy=num_greedy,
         counterexamples=counterexamples,
     )

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -315,8 +316,8 @@ class TestConjectureHarness:
 
     @staticmethod
     def refuse_the_walks(monkeypatch, when):
-        """Make the min-cost sweep and every sequence walk of check_conjecture
-        (the minimizers and the edges-first count) raise."""
+        """Make the min-cost sweep and the minimizer walk, which
+        check_conjecture runs only under a single policy, raise."""
 
         def refuse(*_, **__):
             raise AssertionError(f"sequences walked before the {when}")
@@ -363,6 +364,40 @@ class TestConjectureHarness:
             monkeypatch.setattr(optimize, name, refuse)
         assert [b.check_conjecture(g, tie_break) for g, tie_break in cases] == expected
         assert any(not report.holds for report in expected)
+
+    def test_exhaustive_walks_no_sequence(self, monkeypatch):
+        # Every minimizer is edge-eager, and both counts come from the
+        # min-cost table, so the default report lists nothing.
+        graphs = [b.build_family("path:5"), b.build_family("star:4"), b.Graph(0)]
+        expected = [conjecture_by_definition(g) for g in graphs]
+
+        def refuse(*_, **__):
+            raise AssertionError("the exhaustive check walked sequences")
+
+        for name in ("_minimizers", "_iter_codes"):
+            monkeypatch.setattr(optimize, name, refuse)
+        assert [b.check_conjecture(g) for g in graphs] == expected
+
+    def test_complete_graphs_past_the_walks(self):
+        # Every vertex order of K_n opens k - 1 edges at its k-th vertex,
+        # and every edge-eager sequence of K_n costs the same.
+        for n in range(1, 8):
+            report = b.check_conjecture(b.build_family(f"complete:{n}"), element_limit=100)
+            expected = math.prod(math.factorial(k) for k in range(1, n + 1))
+            assert report.num_min_cost == report.num_greedy == expected
+            assert report.holds
+        assert expected == 125411328000
+
+    def test_cycles_past_the_walks(self):
+        for n in range(3, 11):
+            report = b.check_conjecture(b.build_family(f"cycle:{n}"), element_limit=100)
+            assert report.num_min_cost == n * 2 ** (n - 1)
+            assert report.holds
+
+    def test_edgeless_eleven_vertices(self):
+        report = b.check_conjecture(b.Graph(11))
+        assert report.num_min_cost == report.num_greedy == math.factorial(11)
+        assert report.holds and report.counterexamples == ()
 
 
 class TestStarSchedule:

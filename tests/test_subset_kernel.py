@@ -20,8 +20,9 @@ the scaled count table against the unscaled recurrence and the closed forms, and
 identity behind the min-cost sweep on every edge-eager sequence.  Based counts
 are checked on multigraphs with loops and bundles at the base against the
 based oracle and the poset engine on the incidence poset without the base.
-``check_conjecture``, which walks only the minimizers, must give the report
-built from full min-cost enumeration and the sets of greedy outputs.
+``check_conjecture``, which counts both sides from the min-cost table by
+default and walks only the minimizers under a single policy, must give the
+report built from full min-cost enumeration and the sets of greedy outputs.
 """
 import math
 import random
