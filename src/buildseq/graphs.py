@@ -214,27 +214,23 @@ class Graph:
 # Families
 
 
-def _path(n: int) -> Graph:
-    return Graph(n, tuple((i, i + 1) for i in range(1, n)))
+def _path(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, i + 1) for i in range(1, n))
 
 
-def _star(n: int) -> Graph:
-    return Graph(n + 1, tuple((1, i + 1) for i in range(1, n + 1)))
+def _star(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((1, i + 1) for i in range(1, n + 1))
 
 
-def _cycle(n: int) -> Graph:
-    if n == 1:
-        return Graph(1, ((1, 1),), multigraph=True)
-    if n == 2:
-        return Graph(2, ((1, 2), (1, 2)), multigraph=True)
-    return Graph(n, tuple((i, i + 1) for i in range(1, n)) + ((n, 1),))
+def _cycle(n: int) -> tuple[tuple[int, int], ...]:
+    return _path(n) + ((n, 1),)  # a loop for n = 1, a doubled edge for n = 2
 
 
-def _complete(n: int) -> Graph:
-    return Graph(n, tuple(itertools.combinations(range(1, n + 1), 2)))
+def _complete(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(itertools.combinations(range(1, n + 1), 2))
 
 
-# Builder and shape (vertex count, edge count) of each base family.
+# Edge builder and shape (vertex count, edge count) of each base family.
 _BASE_FAMILIES = {
     "path": (_path, lambda n: (n, n - 1)),
     "star": (_star, lambda n: (n + 1, n)),
@@ -257,17 +253,19 @@ def build_family(spec: str) -> Graph:
     joining {i, i+1}; star hub 1 with edge i joining {1, i+1}; cycle as the
     path plus closing edge n joining {n, 1}; complete with edges in
     lexicographic endpoint order.  ``cycle:1`` and ``cycle:2`` come out as
-    multigraphs (a loop, resp. a doubled edge).
+    multigraphs (a loop, resp. a doubled edge).  Parts fold as (p, edges)
+    pairs into one :class:`Graph`, validated once; each level relabels the
+    edges below it, so nesting depth d over E edges costs O(d * E).
     """
-    stack: list[Graph] = []
-    for name, arg, _ in _family_plan(spec):
+    stack: list[tuple[int, tuple[tuple[int, int], ...]]] = []  # (p, edges) per part
+    multigraph = False
+    for name, arg, (p, _) in _family_plan(spec):
         if name in _BASE_FAMILIES:
-            stack.append(_BASE_FAMILIES[name][0](arg))
-            continue
-        parts = stack[-len(arg) :]
-        del stack[-len(arg) :]
-        stack.append(disjoint_union(parts) if name == "union" else wedge(list(zip(parts, arg))))
-    return stack[0]
+            stack.append((p, _BASE_FAMILIES[name][0](arg)))
+            multigraph = multigraph or (name == "cycle" and arg <= 2)
+        else:  # the parts on top of the stack become their union or wedge
+            stack[-len(arg) :] = [_compose(stack[-len(arg) :], arg if name == "wedge" else None)]
+    return Graph(*stack[0], multigraph=multigraph)
 
 
 def _family_size(spec: str) -> tuple[int, int, tuple[str, int] | None]:
@@ -368,12 +366,8 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     """Disjoint union with block-wise shifted labels and edge ids."""
     if not graphs:
         raise ValueError("disjoint_union needs at least one graph")
-    edges: list[tuple[int, int]] = []
-    offset = 0
-    for g in graphs:
-        edges.extend((u + offset, w + offset) for u, w in g.edges)
-        offset += g.p
-    return Graph(offset, tuple(edges), multigraph=any(g.multigraph for g in graphs))
+    composed = _compose([(g.p, g.edges) for g in graphs], None)
+    return Graph(*composed, multigraph=any(g.multigraph for g in graphs))
 
 
 def wedge(parts: Sequence[tuple[Graph, int]]) -> Graph:
@@ -384,19 +378,25 @@ def wedge(parts: Sequence[tuple[Graph, int]]) -> Graph:
     """
     if not parts:
         raise ValueError("wedge needs at least one part")
-    edges: list[tuple[int, int]] = []
-    offset = 1
     for g, base in parts:
         _check_base(base, g.p)
-        mapping = {base: 1}
-        next_label = offset + 1
-        for v in range(1, g.p + 1):
-            if v != base:
-                mapping[v] = next_label
-                next_label += 1
-        edges.extend((mapping[u], mapping[w]) for u, w in g.edges)
-        offset += g.p - 1
-    return Graph(offset, tuple(edges), multigraph=any(g.multigraph for g, _ in parts))
+    composed = _compose([(g.p, g.edges) for g, _ in parts], [base for _, base in parts])
+    return Graph(*composed, multigraph=any(g.multigraph for g, _ in parts))
+
+
+def _compose(
+    parts: Sequence[tuple[int, tuple[tuple[int, int], ...]]], bases: Sequence[int] | None
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(p, edges) of the :func:`disjoint_union` of the (p, edges) parts or,
+    given their base points, of their :func:`wedge`."""
+    edges: list[tuple[int, int]] = []
+    top = 0 if bases is None else 1  # the highest label in use; a wedge's bases take 1
+    for i, (p, part) in enumerate(parts):
+        base = p + 1 if bases is None else bases[i]  # past the last vertex: no base
+        label = [*range(top, top + base), 1, *range(top + base, top + p)]  # v -> label[v]
+        edges.extend((label[u], label[w]) for u, w in part)
+        top += p - (base <= p)
+    return top, tuple(edges)
 
 
 def _check_base(base: int, p: int) -> None:

@@ -138,8 +138,8 @@ def _greedy_codes(g: Graph, order: Sequence[int], tie_break: TieBreak) -> list[i
     opens: list[list[int]] = [[] for _ in range(p + 1)]
     for j, (u, w) in enumerate(g.edges, start=1):
         opens[u if rank[u] >= rank[w] else w].append(j)
-    rng = random.Random(tie_break.seed)
-    components = _UnionFind(p)
+    rng = random.Random(tie_break.seed) if tie_break.policy == "seeded-random" else None
+    components = _UnionFind(p) if tie_break.policy == "cycle-avoiding" else None
     codes: list[int] = []
     for v in order:
         codes.append(v - 1)
@@ -151,11 +151,12 @@ def _edge_order(
     g: Graph,
     available: list[int],
     tie_break: TieBreak,
-    components: _UnionFind,
-    rng: random.Random,
+    components: _UnionFind | None,
+    rng: random.Random | None,
 ) -> list[int]:
     """The order in which greedy places the available edges, given in
-    increasing id; consumes ``available``."""
+    increasing id; consumes ``available``.  ``rng`` is set only under
+    ``seeded-random`` and ``components`` only under ``cycle-avoiding``."""
     if tie_break.policy == "lexicographic":
         return available
     if tie_break.policy == "seeded-random":

@@ -23,6 +23,38 @@ def assert_shape_agrees(spec):
         assert graphs._family_size(spec) == (g.p, g.q, plain)
 
 
+def reference_family(spec):
+    """build_family's (p, edges, multigraph), folded level by level from the
+    canonical labelings, each part relabeled through an explicit dict."""
+    families = {
+        "path": lambda n: (n, [(i, i + 1) for i in range(1, n)], False),
+        "star": lambda n: (n + 1, [(1, i + 1) for i in range(1, n + 1)], False),
+        "cycle": lambda n: (n, [(i, i + 1) for i in range(1, n)] + [(1, n)], n <= 2),
+        "complete": lambda n: (n, [(u, w) for u in range(1, n + 1) for w in range(u + 1, n + 1)], False),
+    }
+    stack = []
+    for name, arg, _ in graphs._family_plan(spec):
+        if name in families:
+            stack.append(families[name](arg))
+            continue
+        parts = stack[-len(arg) :]
+        del stack[-len(arg) :]
+        p, edges, multigraph = (1 if name == "wedge" else 0), [], False
+        for (part_p, part_edges, part_multigraph), base in zip(parts, arg):
+            mapping = {}
+            for v in range(1, part_p + 1):
+                if name == "wedge" and v == base:
+                    mapping[v] = 1
+                else:
+                    p += 1
+                    mapping[v] = p
+            edges += [tuple(sorted((mapping[u], mapping[w]))) for u, w in part_edges]
+            multigraph = multigraph or part_multigraph
+        stack.append((p, edges, multigraph))
+    p, edges, multigraph = stack[0]
+    return p, tuple(edges), multigraph
+
+
 # Nested specs; wedge base points go past some parts' vertex counts.
 base_specs = st.builds(
     "{}:{}".format, st.sampled_from(["path", "star", "cycle", "complete"]), st.integers(1, 5)
@@ -203,6 +235,32 @@ class TestFamilyShape:
         monkeypatch.setattr(Graph, "__post_init__", no_graph)
         assert graphs._family_size("complete:1413") == (1413, 997_578, ("complete", 1413))
         assert graphs._family_size("wedge(union(star:3,cycle:2)@6,complete:4@2)") == (9, 11, None)
+
+
+class TestFamilyEdges:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(family_specs)
+    def test_nested_specs_match_a_level_by_level_relabel(self, spec):
+        try:
+            g = b.build_family(spec)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                reference_family(spec)
+            assert str(info.value) == str(exc)
+        else:
+            assert (g.p, g.edges, g.multigraph) == reference_family(spec)
+
+    def test_a_spec_builds_one_graph(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return Graph(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "Graph", counting)
+        g = b.build_family("union(wedge(path:3@2,star:2@1),cycle:2)")
+        assert (g.p, g.edges, g.multigraph) == (7, ((1, 2), (1, 3), (1, 4), (1, 5), (6, 7), (6, 7)), True)
+        assert len(built) == 1
 
 
 class TestComposition:

@@ -135,6 +135,26 @@ class TestGreedy:
         assert str(lex) == "v1 v2 e2 v4 v3 e1 e3 e4"
         assert str(avoid) == "v1 v2 e2 v4 v3 e1 e4 e3"
 
+    def assert_policies_run_without(self, monkeypatch, owner, name, policies):
+        g = b.build_family("union(cycle:3,star:2)")
+        order = (4, 1, 5, 3, 2, 6)
+        ties = [TieBreak(policy, seed=5) for policy in policies]
+        expected = [(b.greedy(g, order, tie), b.check_conjecture(g, tie)) for tie in ties]
+
+        def refuse(*_):
+            raise AssertionError(f"{name} was built for a policy that never reads it")
+
+        monkeypatch.setattr(owner, name, refuse)
+        assert [(b.greedy(g, order, tie), b.check_conjecture(g, tie)) for tie in ties] == expected
+
+    def test_only_seeded_random_builds_a_generator(self, monkeypatch):
+        policies = ("lexicographic", "cycle-avoiding")
+        self.assert_policies_run_without(monkeypatch, optimize.random, "Random", policies)
+
+    def test_only_cycle_avoiding_builds_a_union_find(self, monkeypatch):
+        policies = ("lexicographic", "seeded-random")
+        self.assert_policies_run_without(monkeypatch, optimize, "_UnionFind", policies)
+
     def test_bad_order(self):
         with pytest.raises(ValueError):
             b.greedy(b.build_family("path:2"), (1, 1))
