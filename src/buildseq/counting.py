@@ -63,6 +63,9 @@ DEFAULT_DP_STATE_LIMIT = 1 << 24
 # Largest n of the Bernoulli forms for paths and cycles, which need B_2n.
 # B_200 takes about 0.1 s, and no subset sweep reaches 100 vertices.
 _BERNOULLI_MAX_N = 100
+# Largest n of the complete-graph product, which the CLI computes and
+# prints in about a second there (n = 800: about 1.5 s).
+_COMPLETE_MAX_N = 700
 # Largest n of the path and star recursions and of the zigzag triangle:
 # each takes about a second there, and its time grows faster than n^2.
 _PATH_RECURSION_MAX_N = 350
@@ -420,8 +423,7 @@ def complete_count(n: int) -> int:
     edges are placed, the next vertex opens k edges that take any k of the
     other N - k - C(k,2) - 1 positions left.
     """
-    if n < 1:
-        raise ValueError(f"complete graph size must be >= 1, got {n}")
+    check_range("n", n, 1, _COMPLETE_MAX_N)
     total = n + math.comb(n, 2)
     factors = [math.factorial(n)]
     factors.extend(math.perm(total - k - math.comb(k, 2) - 1, k) for k in range(1, n))

@@ -2,14 +2,15 @@
 
 A linear extension is a total order on the elements in which every element
 is preceded by everything below it in the partial order.  Counting sweeps
-forward by size, keeping two levels.  A state is a pair (D, k): D a downset
-of the non-maximal ("core") elements and k the number of maximal elements
-placed so far.  Which maximal elements those are does not matter, since a
-maximal element blocks nothing.  Each state maps to the number of ways to
-build it, to the addable core elements of D (the minimal elements of its
-complement in the core) and to a(D), the number of maximal elements whose
-lower covers all lie in D.  ``max_states`` still bounds the downsets of the
-poset, counted 2^a(D) at a time as each core downset D is first stored.
+forward by size over the downsets D of the non-maximal ("core") elements,
+keeping two levels.  A maximal element blocks nothing, so it floats: once
+its lower covers are placed it may take any later position, and no state
+records it.  Each D maps to the number of ways to build it, to its addable
+core elements (the minimal elements of its complement in the core) and to
+a(D), the number of maximal elements whose lower covers all lie in D.  A
+step D -> D+x that makes d maximal elements available multiplies the count
+by perm(h(D) - 1, d), where h(D) = n - |D| - a(D).  ``max_states`` still
+bounds the downsets of the poset, counted 2^a(D) as each D is first stored.
 
 A :class:`Poset` validates its covers on a cover index built in one pass,
 upper-cover lists and lower-cover masks, and keeps it for the sweep.
@@ -19,6 +20,7 @@ elements appear *earlier* in an extension; no reversed reading is supported.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -102,12 +104,15 @@ class Poset:
 
 def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIMIT) -> int:
     """Exact number of linear extensions of ``poset``, by the level sweep
-    over the states (D, k) of the module docstring.
+    over the core downsets D of the module docstring.
 
     Adding a core element x to D keeps D's other addable elements, adds each
-    core upper cover of x whose lower covers all lie in D+x, and adds 1 to
-    a(D) for each such maximal one.  Placing one of the a(D) - k available
-    maximal elements not yet placed multiplies the count by a(D) - k.
+    core upper cover of x whose lower covers all lie in D+x, and makes each
+    such maximal one available, d of them.  x precedes every other element
+    neither placed nor available, so it takes the first of their h(D) free
+    positions, and its d maximal elements any d of the other h(D) - 1, in
+    perm(h(D) - 1, d) ways.  The isolated elements start the count at
+    perm(n, isolated), and it ends at the one D that is the whole core.
 
     ``max_states`` bounds the downsets of the poset, each D counting 2^a(D)
     when first stored, the empty one included.  Raises
@@ -124,40 +129,34 @@ def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIM
     stored = 1 << isolated
     if 1 << (minimal.bit_count() + isolated) > max_states:
         raise _too_many_downsets(max_states)
-    step = 1 << n  # the key of state (D, k) is D | k << n
-    level = {0: [1, minimal, isolated]}
-    for _ in range(n):
+    level = {0: [math.perm(n, isolated), minimal, isolated]}
+    for size in range(core.bit_count()):
         grown_level: dict[int, list[int]] = {}
-        for key, (count, mask, avail) in level.items():
-            placed = key >> n
-            if placed < avail:
-                if key + step in grown_level:
-                    grown_level[key + step][0] += count * (avail - placed)
-                else:
-                    grown_level[key + step] = [count * (avail - placed), mask, avail]
+        for downset, (count, mask, avail) in level.items():
+            free = n - size - avail - 1  # h(D) - 1
             rest = mask
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                grown = key | bit
-                if grown in grown_level:
-                    grown_level[grown][0] += count
-                    continue
-                grown_mask = mask ^ bit
-                grown_avail = avail
-                for y in above[bit.bit_length() - 1]:
-                    if not below[y] & ~grown:
-                        if above[y]:
-                            grown_mask |= 1 << y
-                        else:
-                            grown_avail += 1
-                if not placed:
+                grown = downset | bit
+                entry = grown_level.get(grown)
+                if entry is None:
+                    grown_mask = mask ^ bit
+                    grown_avail = avail
+                    for y in above[bit.bit_length() - 1]:
+                        if not below[y] & ~grown:
+                            if above[y]:
+                                grown_mask |= 1 << y
+                            else:
+                                grown_avail += 1
                     stored += 1 << grown_avail
                     if stored > max_states or 1 << (grown_mask.bit_count() + grown_avail) > max_states:
                         raise _too_many_downsets(max_states)
-                grown_level[grown] = [count, grown_mask, grown_avail]
+                    entry = grown_level[grown] = [0, grown_mask, grown_avail]
+                opened = entry[2] - avail
+                entry[0] += count * math.perm(free, opened) if opened else count
         level = grown_level
-    return level[core | (n - core.bit_count()) << n][0]
+    return level[core][0]
 
 
 def _too_many_downsets(max_states: int) -> ResourceLimitError:

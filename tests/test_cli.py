@@ -254,6 +254,8 @@ PAST_THE_CAP = [
     (("family:star:100000", "--route", "recursion"), "0 <= n <= 30000, got 100000"),
     (("family:path:801", "--base", "1", "--route", "formula"), "1 <= n_max <= 800, got 801"),
     (("family:path:1500", "--base", "1", "--route", "formula"), "1 <= n_max <= 800, got 1500"),
+    (("family:complete:701", "--route", "formula"), "1 <= n <= 700, got 701"),
+    (("family:complete:1413", "--route", "formula"), "1 <= n <= 700, got 1413"),
 ]
 
 

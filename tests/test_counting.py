@@ -179,6 +179,7 @@ class TestClosedForms:
             (b.star_count_recursive, -1, "0 <= n <= 30000"),
             (b.path_count_recursive, 0, "1 <= n <= 350"),
             (b.zigzag_numbers, 0, "1 <= n_max <= 800"),
+            (b.complete_count, 0, "1 <= n <= 700"),
         ]
         for recursion, size, bounds in cases:
             with pytest.raises(ValueError, match=f"^supported range is {bounds}, got {size}$"):

@@ -346,6 +346,33 @@ class TestCounting:
         poset = b.incidence_poset(b.build_family("complete:8"))
         assert b.count_linear_extensions(poset, max_states=1 << 30) == b.complete_count(8)
 
+    def test_fences_count_the_zigzag_numbers(self):
+        # A fence of n elements alternates covers up and down; its linear
+        # extensions are the alternating permutations of n, in either
+        # orientation.
+        zigzag = b.zigzag_numbers(15)
+        for n in range(1, 31):
+            euler = zigzag.tangent[(n + 1) // 2] if n % 2 else zigzag.secant[n // 2]
+            for up in (0, 1):
+                covers = tuple((i, i + 1) if i % 2 == up else (i + 1, i) for i in range(n - 1))
+                assert b.count_linear_extensions(Poset(n, covers)) == euler
+
+    def test_maximal_elements_over_one_bottom_count_every_order(self):
+        # The bottom's one core downset past the empty one stands for 2^m
+        # downsets: m = 25 is the widest the default limit admits.
+        for m in range(26):
+            star = Poset(m + 1, tuple((0, x) for x in range(1, m + 1)))
+            assert b.count_linear_extensions(star) == math.factorial(m)
+        with pytest.raises(ResourceLimitError, match="exceeded 67108864 downsets"):
+            b.count_linear_extensions(Poset(27, tuple((0, x) for x in range(1, 27))))
+
+    def test_one_core_step_opening_two_maximal_elements(self):
+        # Whichever of vertices 1 and 2 comes second opens both (1, 2)
+        # hyperedges at once.
+        poset = b.poset_from_hypergraph(3, [(1, 2), (1, 2), (2, 3)])
+        assert b.count_linear_extensions(poset) == 52
+        assert count_extensions_by_permutation_filter(poset) == 52
+
     def test_long_chain_needs_no_recursion(self):
         chain = Poset(3000, tuple((i, i + 1) for i in range(2999)))
         saved = sys.getrecursionlimit()
