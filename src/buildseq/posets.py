@@ -9,8 +9,8 @@ records it.  Each D maps to the number of ways to build it, to its addable
 core elements (the minimal elements of its complement in the core) and to
 a(D), the number of maximal elements whose lower covers all lie in D.  A
 step D -> D+x that makes d maximal elements available multiplies the count
-by perm(h(D) - 1, d), where h(D) = n - |D| - a(D).  ``max_states`` still
-bounds the downsets of the poset, counted 2^a(D) as each D is first stored.
+by perm(h(D) - 1, d), where h(D) = n - |D| - a(D).  ``max_states`` bounds
+the states stored, one per core downset, as in the subset kernels.
 
 A :class:`Poset` validates its covers on a cover index built in one pass,
 upper-cover lists and lower-cover masks, and keeps it for the sweep.
@@ -37,7 +37,7 @@ __all__ = [
     "DEFAULT_STATE_LIMIT",
 ]
 
-DEFAULT_STATE_LIMIT = 1 << 26
+DEFAULT_STATE_LIMIT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -114,21 +114,19 @@ def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIM
     perm(h(D) - 1, d) ways.  The isolated elements start the count at
     perm(n, isolated), and it ends at the one D that is the whole core.
 
-    ``max_states`` bounds the downsets of the poset, each D counting 2^a(D)
-    when first stored, the empty one included.  Raises
-    :class:`ResourceLimitError` at the first D that takes the count past
+    ``max_states`` bounds the states stored, one per core downset, the empty
+    one included.  Raises :class:`ResourceLimitError` at the first D past
     ``max_states``, or earlier, as soon as some D has c addable core elements
-    with 2^(c + a(D)) > ``max_states``: those c + a(D) elements form an
-    antichain, so D plus any subset of them is a downset, and the limit
-    would be hit.
+    with 2^c > ``max_states``: D plus any subset of them is a core downset,
+    so the limit would be hit.
     """
     n, (above, below) = poset.n, poset._index
     core = sum(1 << x for x in range(n) if above[x])
     minimal = sum(1 << x for x in range(n) if above[x] and not below[x])
     isolated = sum(not above[x] and not below[x] for x in range(n))
-    stored = 1 << isolated
-    if 1 << (minimal.bit_count() + isolated) > max_states:
-        raise _too_many_downsets(max_states)
+    stored = 1
+    if 1 << minimal.bit_count() > max_states:
+        raise _too_many_states(max_states)
     level = {0: [math.perm(n, isolated), minimal, isolated]}
     for size in range(core.bit_count()):
         grown_level: dict[int, list[int]] = {}
@@ -149,9 +147,9 @@ def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIM
                                 grown_mask |= 1 << y
                             else:
                                 grown_avail += 1
-                    stored += 1 << grown_avail
-                    if stored > max_states or 1 << (grown_mask.bit_count() + grown_avail) > max_states:
-                        raise _too_many_downsets(max_states)
+                    stored += 1
+                    if stored > max_states or 1 << grown_mask.bit_count() > max_states:
+                        raise _too_many_states(max_states)
                     entry = grown_level[grown] = [0, grown_mask, grown_avail]
                 opened = entry[2] - avail
                 entry[0] += count * math.perm(free, opened) if opened else count
@@ -159,9 +157,9 @@ def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIM
     return level[core][0]
 
 
-def _too_many_downsets(max_states: int) -> ResourceLimitError:
+def _too_many_states(max_states: int) -> ResourceLimitError:
     return ResourceLimitError(
-        f"linear-extension sweep exceeded {max_states} downsets; raise max_states to continue"
+        f"linear-extension sweep exceeded {max_states} states; raise max_states to continue"
     )
 
 

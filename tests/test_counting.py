@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import buildseq as b
+from buildseq import counting
 from buildseq.errors import ResourceLimitError
 
 from conftest import make_random_graph
@@ -144,6 +145,8 @@ class TestClosedForms:
         assert b.star_count(0) == 1
         assert b.star_count(3) == 288
         assert b.star_count(5) == 460800
+        with pytest.raises(ValueError, match="star size must be >= 0"):
+            b.star_count(-1)
 
     def test_star_recursion_agrees(self):
         for n in range(0, 9):
@@ -238,6 +241,14 @@ class TestBernoulli:
             g = b.build_family(f"cycle:{n}")
             assert b.cycle_count_bernoulli(n) == b.count_dp(g)
 
+    def test_an_inexact_division_is_reported(self, monkeypatch):
+        monkeypatch.setattr(counting, "bernoulli_number", lambda m: Fraction(1, 7))
+        with pytest.raises(ArithmeticError, match="cycle count for n=1 did not divide exactly"):
+            b.cycle_count_bernoulli(1)
+        monkeypatch.setattr(counting, "cycle_count_bernoulli", lambda n: 1)
+        with pytest.raises(ArithmeticError, match="path count for n=2 did not divide exactly"):
+            b.path_count_bernoulli(2)
+
 
 class TestTremolo:
     def test_small_values(self):
@@ -246,6 +257,8 @@ class TestTremolo:
         assert values[3] == 2
         assert values[4] == 0
         assert values[7] == 272
+        with pytest.raises(ValueError, match="r_max must be >= 0"):
+            b.tremolo_numbers(-1)
 
     def test_even_indices_vanish(self):
         values = b.tremolo_numbers(12)

@@ -36,6 +36,8 @@ class TestLabeledTrees:
         trees = list(b.labeled_trees(5))
         assert sum(1 for g in trees if b.is_star_graph(g)) == 5
         assert sum(1 for g in trees if b.is_path_graph(g)) == 60
+        cycle = b.build_family("cycle:4")
+        assert not b.is_path_graph(cycle) and not b.is_star_graph(cycle)
 
     def test_range(self):
         for n in (1, 9):
@@ -118,6 +120,7 @@ class TestFamilyType:
     def test_labels(self):
         assert Family.trees(5).label == "trees:5"
         assert Family.fixed_size(4, 3).label == "graphs:4:3"
+        assert Family.explicit((b.build_family("path:2"),)).label == "explicit:1"
 
 
 class TestConstructability:

@@ -77,9 +77,11 @@ class TestElement:
             assert str(Element.from_token(token)) == token
 
     def test_bad_tokens(self):
-        for token in ("x1", "v", "e", "v-1", "1", "ve2"):
+        for token in ("x1", "v", "e", "v-1", "1", "ve2", "v0"):
             with pytest.raises(ValueError):
                 Element.from_token(token)
+        with pytest.raises(ValueError, match="element kind must be 'v' or 'e'"):
+            Element("x", 1)
 
     def test_digits_that_int_rejects_are_bad_tokens(self):
         with pytest.raises(ValueError, match="^bad element token 'v²'; expected v<i> or e<j>$"):
@@ -90,6 +92,8 @@ class TestElement:
         assert Element.vertex(1) < Element.vertex(2)
         assert Element.edge(1) < Element.edge(2)
         assert not Element.edge(1) < Element.vertex(9)
+        with pytest.raises(TypeError):
+            Element.vertex(1) < 1
 
 
 class TestGraphType:
@@ -108,6 +112,14 @@ class TestGraphType:
     def test_out_of_range_endpoint(self):
         with pytest.raises(ValueError):
             Graph(2, ((1, 3),))
+        with pytest.raises(ValueError, match="vertex count must be >= 0"):
+            Graph(-1)
+        g = b.build_family("path:3")
+        for lookup in (g.endpoints, g.degree, g.incident_edges):
+            with pytest.raises(ValueError, match="outside 1.."):
+                lookup(0)
+        with pytest.raises(ValueError, match="no vertices"):
+            Graph(0).max_degree()
 
     def test_degree_counts_loops_twice(self):
         g = Graph(1, ((1, 1),), multigraph=True)
@@ -280,6 +292,8 @@ class TestComposition:
         parts = [b.build_family(s) for s in ("path:3", "star:2", "cycle:3")]
         g = b.disjoint_union(parts)
         assert g.element_count == sum(part.element_count for part in parts)
+        with pytest.raises(ValueError, match="at least one graph"):
+            b.disjoint_union([])
 
     def test_wedge_of_two_edges_is_a_path(self):
         g = b.build_family("wedge(path:2@1,path:2@1)")
@@ -301,6 +315,8 @@ class TestComposition:
     def test_wedge_bad_base(self):
         with pytest.raises(ValueError):
             b.wedge([(b.build_family("path:2"), 3)])
+        with pytest.raises(ValueError, match="at least one part"):
+            b.wedge([])
 
 
 class TestRelabel:

@@ -19,6 +19,6 @@ def test_the_limits_are_package_attributes():
     assert buildseq.DEFAULT_GREEDY_VERTEX_LIMIT == 8
     assert buildseq.DEFAULT_DP_STATE_LIMIT == 1 << 24
     assert buildseq.DEFAULT_OPT_STATE_LIMIT == 1 << 22
-    assert buildseq.DEFAULT_STATE_LIMIT == 1 << 26
+    assert buildseq.DEFAULT_STATE_LIMIT == 1 << 18
     assert buildseq.MAX_FAMILY_SIZE == 1_000_000
     assert buildseq.POLICIES == ("lexicographic", "cycle-avoiding", "seeded-random")

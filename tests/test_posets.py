@@ -140,9 +140,13 @@ def two_pass_validation(n: int, covers: list[tuple[int, int]]) -> list[list[int]
     return upper_adjacency()
 
 
-def downsets_by_brute_force(poset: Poset) -> int:
+def core_downsets_by_brute_force(poset: Poset) -> int:
+    """Downsets of the non-maximal elements: the states the sweep stores."""
+    core = sum({1 << lo for lo, _ in poset.covers})
     return sum(
-        all(s >> hi & 1 <= s >> lo & 1 for lo, hi in poset.covers) for s in range(1 << poset.n)
+        all(s >> hi & 1 <= s >> lo & 1 for lo, hi in poset.covers)
+        for s in range(1 << poset.n)
+        if not s & ~core
     )
 
 
@@ -282,24 +286,36 @@ class TestCounting:
             rng.shuffle(perm)
             relabeled = b.relabel_poset(base, perm)
             assert b.count_linear_extensions(relabeled) == reference
+        with pytest.raises(ValueError, match="not a permutation"):
+            b.relabel_poset(base, [0] * base.n)
 
     def test_state_cap(self):
-        wide = Poset(24, ())
+        # 10 disjoint 2-chains have 2^10 core downsets.
+        wide = Poset(20, tuple((2 * i, 2 * i + 1) for i in range(10)))
         with pytest.raises(ResourceLimitError):
             b.count_linear_extensions(wide, max_states=1000)
 
     def test_state_cap_stops_the_sweep_within_a_level(self):
-        # The middle level of a 60-antichain has C(60, 30) > 10^17 downsets.
-        with pytest.raises(ResourceLimitError):
-            b.count_linear_extensions(Poset(60, ()), max_states=10_000)
+        # 13 disjoint 5-chains have 5^13 core downsets but at most 13 addable
+        # core elements, so the antichain check (2^13 <= 10,000) passes and
+        # the count of stored states must stop the sweep.
+        chains = Poset(65, tuple((i, i + 1) for i in range(65) if i % 5 != 4))
+        with pytest.raises(ResourceLimitError, match="exceeded 10000 states"):
+            b.count_linear_extensions(chains, max_states=10_000)
 
     def test_wide_poset_fails_at_once_under_the_default_limit(self):
-        # 60 addable elements prove 2^60 downsets, far past the default 2^26:
-        # at the empty downset of an antichain, or once a common bottom is in.
-        # Without that check either poset would exhaust memory.
+        # 19 disjoint 2-chains have 19 addable core elements at the empty
+        # downset: 2^19 core downsets, past the default 2^18.  Without that
+        # check the sweep would store 2^18 states before raising.
+        chains = Poset(38, tuple((2 * i, 2 * i + 1) for i in range(19)))
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="exceeded 262144 states"):
+            b.count_linear_extensions(chains)
+        assert time.perf_counter() - start < 0.1
+        # Maximal elements are not stored: an antichain, or one bottom under
+        # them, is one or two states.
         for wide in (Poset(60, ()), Poset(61, tuple((0, x) for x in range(1, 61)))):
-            with pytest.raises(ResourceLimitError, match="exceeded 67108864 downsets"):
-                b.count_linear_extensions(wide)
+            assert b.count_linear_extensions(wide) == math.factorial(60)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(posets(), st.randoms(use_true_random=False))
@@ -313,8 +329,8 @@ class TestCounting:
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(posets(max_n=10))
     def test_state_cap_bounds_the_downsets(self, poset):
-        downsets = downsets_by_brute_force(poset)
-        for limit in range(max(1, downsets - 2), downsets + 2):
+        downsets = core_downsets_by_brute_force(poset)
+        for limit in {0, 1, *range(max(0, downsets - 2), downsets + 2)}:
             if downsets > limit:
                 with pytest.raises(ResourceLimitError):
                     b.count_linear_extensions(poset, max_states=limit)
@@ -326,7 +342,7 @@ class TestCounting:
     def test_many_maximal_elements_match_the_oracle_and_the_limit(self, poset):
         count = b.count_linear_extensions(poset)
         assert count == count_extensions_by_permutation_filter(poset)
-        downsets = downsets_by_brute_force(poset)
+        downsets = core_downsets_by_brute_force(poset)
         assert b.count_linear_extensions(poset, max_states=downsets) == count
         with pytest.raises(ResourceLimitError):
             b.count_linear_extensions(poset, max_states=downsets - 1)
@@ -342,9 +358,19 @@ class TestCounting:
 
     def test_complete_eight_past_two_to_the_28_downsets(self):
         # K_8's incidence poset has more than 2^28 downsets, but only 2^8
-        # of them hold no edge.
+        # of them hold no edge: 256 states, far inside the default.
         poset = b.incidence_poset(b.build_family("complete:8"))
-        assert b.count_linear_extensions(poset, max_states=1 << 30) == b.complete_count(8)
+        assert b.count_linear_extensions(poset) == b.complete_count(8)
+
+    def test_incidence_posets_store_one_state_per_vertex_subset(self):
+        # Every vertex of a path is minimal and every edge maximal, so the
+        # core downsets are the 2^p vertex subsets.
+        path = b.build_family("path:10")
+        poset = b.incidence_poset(path)
+        assert b.count_linear_extensions(poset, max_states=2**10) == b.count_dp(path)
+        longer = b.incidence_poset(b.build_family("path:11"))
+        with pytest.raises(ResourceLimitError, match="exceeded 1024 states"):
+            b.count_linear_extensions(longer, max_states=2**10)
 
     def test_fences_count_the_zigzag_numbers(self):
         # A fence of n elements alternates covers up and down; its linear
@@ -358,13 +384,11 @@ class TestCounting:
                 assert b.count_linear_extensions(Poset(n, covers)) == euler
 
     def test_maximal_elements_over_one_bottom_count_every_order(self):
-        # The bottom's one core downset past the empty one stands for 2^m
-        # downsets: m = 25 is the widest the default limit admits.
-        for m in range(26):
+        # The bottom's core downsets are the empty one and itself: two
+        # states, whatever the number m of maximal elements above it.
+        for m in (*range(26), 200):
             star = Poset(m + 1, tuple((0, x) for x in range(1, m + 1)))
-            assert b.count_linear_extensions(star) == math.factorial(m)
-        with pytest.raises(ResourceLimitError, match="exceeded 67108864 downsets"):
-            b.count_linear_extensions(Poset(27, tuple((0, x) for x in range(1, 27))))
+            assert b.count_linear_extensions(star, max_states=2) == math.factorial(m)
 
     def test_one_core_step_opening_two_maximal_elements(self):
         # Whichever of vertices 1 and 2 comes second opens both (1, 2)
@@ -406,6 +430,8 @@ class TestHypergraphs:
             b.poset_from_hypergraph(2, [set()])
         with pytest.raises(ValueError):
             b.poset_from_hypergraph(2, [{3}])
+        with pytest.raises(ValueError, match="vertex count must be >= 0"):
+            b.poset_from_hypergraph(-1, [])
 
 
 TRIANGLE_BOUNDARY = [
@@ -443,6 +469,8 @@ class TestFacePosets:
     def test_missing_singleton_rejected(self):
         with pytest.raises(ValueError):
             b.poset_from_faces([("a", {1}), ("ab", {1, 2})])
+        with pytest.raises(ValueError, match="face 'ab' has no vertices"):
+            b.poset_from_faces([("a", {1}), ("ab", set())])
 
 
 class TestAgainstGraphCounts:

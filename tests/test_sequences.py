@@ -264,6 +264,7 @@ class TestUpDown:
         assert b.is_updown((1, 3, 2))
         assert not b.is_updown((2, 1, 3))
         assert not b.is_updown((1, 2, 3))
+        assert not b.is_updown([])
 
     def test_worked_nine_element_example(self):
         x = seq(b.build_family("path:5"), "v3 v5 v4 e3 v2 e4 e2 v1 e1")
