@@ -13,8 +13,10 @@ error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import shutil
 import sys
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -35,6 +37,9 @@ from .counting import (
     star_count_recursive,
     cycle_count_bernoulli,
     zigzag_numbers,
+    _cycle_counts_bernoulli,
+    _path_counts_bernoulli,
+    _path_counts_recursive,
 )
 from .errors import IsolatedVertexError, ResourceLimitError, check_limit, check_subset_limits
 from .families import Family, _graphs_pq_pairs
@@ -147,6 +152,17 @@ _RECURSIONS: dict[str, Callable[[int], int]] = {
     "star": star_count_recursive,
     "cycle": lambda n: n * path_count_recursive(n),
 }
+# The per-n routes above whose value at n is built from every smaller size,
+# each with its whole column: column(n_max)[n] is its value at n <= n_max,
+# and the cap is checked on n_max.  family-table reads its rows from these,
+# so a table costs one column, not the sum of its rows.
+_COLUMNS: dict[Callable[[int], int], Callable[[int], list[int]]] = {
+    path_count_bernoulli: _path_counts_bernoulli,
+    cycle_count_bernoulli: _cycle_counts_bernoulli,
+    _FORMULAS["path", 1]: lambda n: [0, *zigzag_numbers(n).secant],
+    path_count_recursive: _path_counts_recursive,
+    _RECURSIONS["cycle"]: lambda n: [k * f for k, f in enumerate(_path_counts_recursive(n))],
+}
 
 # family-table kinds: "path" for ("path", None), "based-path" for ("path", 1).
 _TABLE_KINDS = {
@@ -159,7 +175,12 @@ _ROUTE_SCOPE = {
 }
 
 
-def _count_values(argument: str, base: int | None, args: argparse.Namespace) -> dict[str, int]:
+def _count_values(
+    argument: str,
+    base: int | None,
+    args: argparse.Namespace,
+    value: Callable[[Callable[[int], int], int], int] = lambda route, n: route(n),
+) -> dict[str, int]:
     """The value of each count route run for ``--route``: every applicable
     one for "all", else the named one.
 
@@ -167,7 +188,9 @@ def _count_values(argument: str, base: int | None, args: argparse.Namespace) -> 
     formula and recursion only to a family spec with a base they cover.  A
     named route that does not apply is a usage error, except the oracle
     past its limit.  The limits are checked after that, on the argument's
-    size, and only dp and the oracle build the graph.
+    size, and only dp and the oracle build the graph.  The formula and
+    recursion give ``value(route, n)``, which family-table reads from a
+    column.
     """
     p, size, plain, load = _sized_graph(argument)
     if base is not None:
@@ -186,8 +209,8 @@ def _count_values(argument: str, base: int | None, args: argparse.Namespace) -> 
             size <= args.limit_elements,
             lambda g: count_bruteforce(g, base=base, element_limit=args.limit_elements),
         ),
-        "formula": (formula is not None, lambda g: formula(n)),
-        "recursion": (recursion is not None, lambda g: recursion(n)),
+        "formula": (formula is not None, lambda g: value(formula, n)),
+        "recursion": (recursion is not None, lambda g: value(recursion, n)),
     }
     if args.route == "all":
         routes = {name: compute for name, (applies, compute) in table.items() if applies}
@@ -316,10 +339,19 @@ def _cmd_family_table(args: argparse.Namespace) -> int:
     if args.max < 1:
         raise UsageError(f"--max must be >= 1, got {args.max}")
     kind, base = _TABLE_KINDS[args.kind]
+    columns: dict[Callable[[int], int], list[int]] = {}
+
+    def value(route: Callable[[int], int], n: int) -> int:
+        if route not in _COLUMNS:
+            return route(n)
+        if route not in columns:  # at the largest row, where route(n) would check the cap
+            columns[route] = _COLUMNS[route](args.max)
+        return columns[route][n]
+
     rows = []
     # Largest row first, so that a row's cap or limit stops the table at once.
     for n in range(args.max, 0, -1):
-        values = _count_values(f"{FAMILY_PREFIX}{kind}:{n}", base, args)
+        values = _count_values(f"{FAMILY_PREFIX}{kind}:{n}", base, args, value)
         # The oracle column, the only one that depends on size, comes last.
         names = sorted(values, key="oracle".__eq__)
         rows.append(
@@ -437,6 +469,8 @@ _SEED = ("--seed", {"type": int, "default": 0})
 
 # The subcommands as (name, help, handler, arguments), where each argument
 # is the name and keywords of one add_argument call, in the order help lists.
+# A command's own parser and its subparser in the full parser are built
+# from the same row, so both print the same help, usage and errors.
 _COMMANDS = (
     ("count", "count construction sequences", _cmd_count, (
         _GRAPH,
@@ -485,25 +519,18 @@ _COMMANDS = (
 )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with only ``command``'s subparser when that names a
-    subcommand, else with every subcommand's (help, unknown commands).
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand's subparser.
 
-    Building a subparser costs far more than parsing with it.  A parser for
-    one command still names every command in its usage line, so its
-    top-level errors print the same text as the full parser's.
+    ``main`` builds it only for help, a missing or unknown command and
+    arguments that the named command's own parser leaves over.
     """
-    names = [name for name, *_ in _COMMANDS]
-    single = command in names
     parser = argparse.ArgumentParser(
         prog="buildseq",
         description="Count, enumerate, validate, and cost-optimize graph construction sequences.",
     )
-    metavar = "{" + ",".join(names) + "}" if single else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, summary, handler, arguments in _COMMANDS:
-        if single and name != command:
-            continue
         p = sub.add_parser(name, help=summary)
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -511,12 +538,38 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The request in ``argv``, parsed by the named command's own parser.
+
+    That parser prints the same help, usage and errors as the command's
+    subparser in the full parser, and building it costs far less.  Only
+    the full parser words the top-level errors, so it parses whatever the
+    command's parser leaves over, and every request that names no command.
+    """
+    for name, _, handler, arguments in _COMMANDS:
+        if argv and argv[0] == name:
+            # One terminal query for the whole parser, where the default
+            # formatter queries the terminal once per argument added.
+            parser = argparse.ArgumentParser(
+                prog=f"buildseq {name}",
+                formatter_class=functools.partial(
+                    argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+                ),
+            )
+            for flag, options in arguments:
+                parser.add_argument(flag, **options)
+            args, extra = parser.parse_known_args(argv[1:])
+            if not extra:
+                args.command, args.func = name, handler
+                return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

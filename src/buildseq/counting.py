@@ -441,16 +441,21 @@ def path_count_recursive(n: int) -> int:
     edge splits the path into two subpaths whose sequences interleave freely
     in the remaining positions.
     """
-    check_range("n", n, 1, _PATH_RECURSION_MAX_N)
+    return _path_counts_recursive(n)[n]
+
+
+def _path_counts_recursive(n_max: int) -> list[int]:
+    """[0, f(1), ..., f(n_max)] by ``path_count_recursive``'s recursion."""
+    check_range("n", n_max, 1, _PATH_RECURSION_MAX_N)
     counts = [0, 1]
-    for m in range(2, n + 1):
+    for m in range(2, n_max + 1):
         counts.append(
             sum(
                 counts[k] * counts[m - k] * math.comb(2 * m - 2, 2 * k - 1)
                 for k in range(1, m)
             )
         )
-    return counts[n]
+    return counts
 
 
 class ZigzagNumbers(NamedTuple):
@@ -484,23 +489,25 @@ def zigzag_numbers(n_max: int) -> ZigzagNumbers:
 
 
 def bernoulli_number(m: int) -> Fraction:
-    """Exact Bernoulli number B_m for even m with 2 <= m <= 200.
-
-    Uses the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0 with the
-    convention B_1 = -1/2 (irrelevant to even indices beyond the shared
-    recurrence).
-    """
+    """Exact Bernoulli number B_m for even m with 2 <= m <= 200."""
     if m % 2 != 0 or not 2 <= m <= 2 * _BERNOULLI_MAX_N:
         raise ValueError(
             f"supported range is even m with 2 <= m <= {2 * _BERNOULLI_MAX_N}, got {m}"
         )
+    return _bernoulli_numbers(m)[m]
+
+
+def _bernoulli_numbers(m_max: int) -> list[Fraction]:
+    """[B_0, ..., B_m_max] by the defining recurrence
+    sum_{j<=m} C(m+1, j) B_j = 0, with the convention B_1 = -1/2
+    (irrelevant to even indices beyond the shared recurrence)."""
     values = [Fraction(1)]
-    for k in range(1, m + 1):
+    for k in range(1, m_max + 1):
         acc = Fraction(0)
         for j in range(k):
             acc += math.comb(k + 1, j) * values[j]
         values.append(-acc / (k + 1))
-    return values[m]
+    return values
 
 
 def path_count_bernoulli(n: int) -> int:
@@ -509,10 +516,18 @@ def path_count_bernoulli(n: int) -> int:
 
     The division must come out exact; a remainder signals a bug.
     """
-    value = Fraction(cycle_count_bernoulli(n), n)
-    if value.denominator != 1:
-        raise ArithmeticError(f"path count for n={n} did not divide exactly: {value}")
-    return value.numerator
+    return _path_counts_bernoulli(n)[n]
+
+
+def _path_counts_bernoulli(n_max: int) -> list[int]:
+    """[0, path count at 1, ..., at n_max] by ``path_count_bernoulli``."""
+    counts = [0]
+    for n, cycles in enumerate(_cycle_counts_bernoulli(n_max)[1:], 1):
+        value = Fraction(cycles, n)
+        if value.denominator != 1:
+            raise ArithmeticError(f"path count for n={n} did not divide exactly: {value}")
+        counts.append(value.numerator)
+    return counts
 
 
 def cycle_count_bernoulli(n: int) -> int:
@@ -520,11 +535,20 @@ def cycle_count_bernoulli(n: int) -> int:
 
     Covers the one- and two-vertex multigraph cycles as well.
     """
-    check_range("n", n, 1, _BERNOULLI_MAX_N)
-    value = Fraction(math.comb(2 ** (2 * n), 2)) * abs(bernoulli_number(2 * n))
-    if value.denominator != 1:
-        raise ArithmeticError(f"cycle count for n={n} did not divide exactly: {value}")
-    return value.numerator
+    return _cycle_counts_bernoulli(n)[n]
+
+
+def _cycle_counts_bernoulli(n_max: int) -> list[int]:
+    """[0, cycle count at 1, ..., at n_max] by ``cycle_count_bernoulli``."""
+    check_range("n", n_max, 1, _BERNOULLI_MAX_N)
+    bernoulli = _bernoulli_numbers(2 * n_max)
+    counts = [0]
+    for n in range(1, n_max + 1):
+        value = Fraction(math.comb(2 ** (2 * n), 2)) * abs(bernoulli[2 * n])
+        if value.denominator != 1:
+            raise ArithmeticError(f"cycle count for n={n} did not divide exactly: {value}")
+        counts.append(value.numerator)
+    return counts
 
 
 def tremolo_numbers(r_max: int) -> list[int]:

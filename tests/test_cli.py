@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import random
@@ -517,6 +518,51 @@ class TestFamilyTable:
         assert (code, out) == (1, "")
         assert err == "error: family spec needs 1001820 elements, over the guard 1000000\n"
 
+    # The routes that family-table reads from one column, with the per-n
+    # function each row must match.
+    COLUMNS = [
+        ("path", "formula", 60, b.path_count_bernoulli),
+        ("cycle", "formula", 60, b.cycle_count_bernoulli),
+        ("based-path", "formula", 60, lambda n: b.zigzag_numbers(n).secant[n - 1]),
+        ("path", "recursion", 60, b.path_count_recursive),
+        ("cycle", "recursion", 60, lambda n: n * b.path_count_recursive(n)),
+    ]
+
+    @pytest.mark.parametrize("kind, route, top, per_n", COLUMNS)
+    def test_a_column_gives_the_per_n_values(self, capsys, kind, route, top, per_n):
+        code, out, _ = run(capsys, "family-table", kind, "--max", str(top), "--route", route, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1:] == [f"{n},{per_n(n)},true" for n in range(1, top + 1)]
+
+    @pytest.mark.parametrize("kind, route", [(kind, route) for kind, route, _, _ in COLUMNS])
+    def test_a_table_builds_each_column_once(self, capsys, monkeypatch, kind, route):
+        calls = []
+        for per_n, column in list(cli._COLUMNS.items()):
+            monkeypatch.setitem(
+                cli._COLUMNS, per_n, lambda n, column=column: calls.append(n) or column(n)
+            )
+        assert run(capsys, "family-table", kind, "--max", "7", "--route", route)[0] == 0
+        assert calls == [7]
+        calls.clear()
+        argv = ("family-table", kind, "--max", "7", "--route", "all", "--limit-elements", "1")
+        assert run(capsys, *argv)[0] == 0
+        assert calls == ([7, 7] if kind != "based-path" else [7])
+
+    @pytest.mark.parametrize(
+        "kind, route, top, name",
+        [
+            ("path", "recursion", 351, "n"),
+            ("cycle", "recursion", 351, "n"),
+            ("path", "formula", 101, "n"),
+            ("cycle", "formula", 101, "n"),
+            ("based-path", "formula", 801, "n_max"),
+        ],
+    )
+    def test_a_column_past_its_cap_stops_the_table_at_once(self, capsys, kind, route, top, name):
+        code, out, err = run(capsys, "family-table", kind, "--max", str(top), "--route", route)
+        assert (code, out) == (1, "")
+        assert err == f"error: supported range is 1 <= {name} <= {top - 1}, got {top}\n"
+
     @pytest.mark.parametrize("top", ("0", "-3"))
     def test_max_below_one_is_a_usage_error(self, capsys, top):
         code, out, err = run(capsys, "family-table", "path", "--max", top)
@@ -660,10 +706,10 @@ COMMANDS = [argv[0] for argv in SUCCESS]
 
 
 class TestParserPerCommand:
-    """main builds only the named subcommand's parser, and answers every
-    request byte for byte as it does with all of them built.  The reference
-    is computed in the same interpreter, since argparse's wording differs
-    between Python versions."""
+    """main parses a request with only the named command's own parser, and
+    answers every request byte for byte as the parser with all commands
+    does.  The reference is computed in the same interpreter, since
+    argparse's wording differs between Python versions."""
 
     @pytest.fixture
     def full(self, capsys, monkeypatch):
@@ -671,22 +717,53 @@ class TestParserPerCommand:
 
         def run_full(call):
             with monkeypatch.context() as patch:
-                patch.setattr(cli, "build_parser", lambda command: build())
+                patch.setattr(cli, "_parse", lambda argv: build().parse_args(argv))
                 code = call()
             captured = capsys.readouterr()
             return code, captured.out, captured.err
 
         return run_full
 
-    def test_a_command_gets_only_its_own_subparser(self, capsys):
+    @pytest.fixture
+    def parsers(self, monkeypatch):
+        """The ArgumentParser instances built while the test runs."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return built
+
+    def test_a_command_gets_only_its_own_subparser(self, capsys, parsers):
         assert COMMANDS == [name for name, *_ in cli._COMMANDS]
-        for name in COMMANDS:
-            parser = cli.build_parser(name)
-            other = next(c for c in SUCCESS if c[0] != name)
-            with pytest.raises(SystemExit):
-                parser.parse_args(other)
-            assert parser.format_usage() == cli.build_parser().format_usage()
+        flags = {
+            name: {flag for flag, _ in arguments if flag.startswith("--")}
+            for name, _, _, arguments in cli._COMMANDS
+        }
+        for argv in SUCCESS:
+            del parsers[:]
+            run(capsys, *argv)
+            (own,) = parsers
+            assert own.format_usage().startswith(f"usage: buildseq {argv[0]} [-h]")
+            for flag in set().union(*flags.values()) - flags[argv[0]]:
+                with pytest.raises(SystemExit):
+                    own.parse_args([*argv[1:], flag, "1"])
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", SUCCESS)
+    def test_a_valid_request_builds_one_parser(self, capsys, parsers, argv):
+        assert run(capsys, *argv)[0] == 0
+        assert [parser.prog for parser in parsers] == [f"buildseq {argv[0]}"]
+
+    def test_arguments_left_over_reach_the_full_parser(self, capsys, parsers):
+        code, out, err = run(capsys, "count", "family:path:3", "extra")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: buildseq [-h]")
+        assert err.endswith("buildseq: error: unrecognized arguments: extra\n")
+        assert [parser.prog for parser in parsers[:2]] == ["buildseq count", "buildseq"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -242,10 +242,10 @@ class TestBernoulli:
             assert b.cycle_count_bernoulli(n) == b.count_dp(g)
 
     def test_an_inexact_division_is_reported(self, monkeypatch):
-        monkeypatch.setattr(counting, "bernoulli_number", lambda m: Fraction(1, 7))
+        monkeypatch.setattr(counting, "_bernoulli_numbers", lambda m: [Fraction(1, 7)] * (m + 1))
         with pytest.raises(ArithmeticError, match="cycle count for n=1 did not divide exactly"):
             b.cycle_count_bernoulli(1)
-        monkeypatch.setattr(counting, "cycle_count_bernoulli", lambda n: 1)
+        monkeypatch.setattr(counting, "_cycle_counts_bernoulli", lambda n: [0] + [1] * n)
         with pytest.raises(ArithmeticError, match="path count for n=2 did not divide exactly"):
             b.path_count_bernoulli(2)
 
