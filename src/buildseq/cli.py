@@ -41,11 +41,10 @@ from .counting import (
     _path_counts_bernoulli,
     _path_counts_recursive,
 )
-from .errors import IsolatedVertexError, ResourceLimitError, check_limit, check_subset_limits
+from .errors import LIMITS, IsolatedVertexError, ResourceLimitError
 from .families import Family, _graphs_pq_pairs
 from .graphs import Graph, _check_base, _family_size, build_family, parse_graph
 from .optimize import (
-    DEFAULT_GREEDY_VERTEX_LIMIT,
     DEFAULT_OPT_STATE_LIMIT,
     POLICIES,
     TieBreak,
@@ -145,7 +144,7 @@ _FORMULAS: dict[tuple[str, int | None], Callable[[int], int]] = {
     ("cycle", None): cycle_count_bernoulli,
     ("complete", None): complete_count,
     ("path", 1): lambda n: zigzag_numbers(n).secant[n - 1],
-    ("star", 1): lambda n: math.factorial(2 * n) // 2**n,
+    ("star", 1): lambda n: math.factorial(2 * LIMITS["star_formula"].check(n)) >> n,  # exact: 2^n divides (2n)!
 }
 _RECURSIONS: dict[str, Callable[[int], int]] = {
     "path": path_count_recursive,
@@ -220,9 +219,9 @@ def _count_values(
             raise UsageError(f"route {args.route!r} applies only to {_ROUTE_SCOPE[args.route]}")
         routes = {args.route: compute}
     if "dp" in routes:
-        check_subset_limits(p, args.limit_states, "count DP")
+        LIMITS["count_dp"].check_subsets(p, args.limit_states)
     if "oracle" in routes:
-        check_limit(size, "elements", args.limit_elements, "brute-force")
+        LIMITS["oracle"].check(size, args.limit_elements)
     g = load() if routes.keys() & {"dp", "oracle"} else None
     return {name: compute(g) for name, compute in routes.items()}
 
@@ -245,7 +244,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _, size, _, load = _sized_graph(args.graph)
-    check_limit(size, "elements", args.limit_elements, "enumeration")
+    LIMITS["enumerators"].check(size, args.limit_elements)
     sequences = (
         format_sequence(x.elements)
         for x in enumerate_csequences(load(), element_limit=args.limit_elements)
@@ -301,7 +300,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     p, _, _, load = _sized_graph(args.graph)
-    check_subset_limits(p, args.limit_states, "optimizer")
+    LIMITS["min_cost"].check_subsets(p, args.limit_states)
     result = min_cost(load(), max_states=args.limit_states, max_witnesses=args.witnesses)
     payload = {
         "graph": args.graph,
@@ -339,14 +338,14 @@ def _cmd_family_table(args: argparse.Namespace) -> int:
     if args.max < 1:
         raise UsageError(f"--max must be >= 1, got {args.max}")
     kind, base = _TABLE_KINDS[args.kind]
-    columns: dict[Callable[[int], int], list[int]] = {}
+    computed: dict[Callable[[int], int], list[int]] = {}  # per route, its column up to --max
 
     def value(route: Callable[[int], int], n: int) -> int:
         if route not in _COLUMNS:
             return route(n)
-        if route not in columns:  # at the largest row, where route(n) would check the cap
-            columns[route] = _COLUMNS[route](args.max)
-        return columns[route][n]
+        if route not in computed:  # at the largest row, where route(n) would check the cap
+            computed[route] = _COLUMNS[route](args.max)
+        return computed[route][n]
 
     rows = []
     # Largest row first, so that a row's cap or limit stops the table at once.
@@ -433,13 +432,13 @@ def _cmd_xi(args: argparse.Namespace) -> int:
 
 def _cmd_check_conjecture(args: argparse.Namespace) -> int:
     p, size, _, load = _sized_graph(args.graph)
-    check_limit(size, "elements", args.limit_elements, "enumeration")
+    LIMITS["enumerators"].check(size, args.limit_elements)
     tie: TieBreak | str
     if args.tie_break == "exhaustive":
         tie = "exhaustive"
     else:
         tie = TieBreak(args.tie_break, args.seed)
-        check_limit(p, "vertices", DEFAULT_GREEDY_VERTEX_LIMIT, "greedy-all")
+        LIMITS["greedy_all"].check(p)
     report = check_conjecture(load(), tie, element_limit=args.limit_elements)
     payload = {
         "graph": args.graph,

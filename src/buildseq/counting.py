@@ -33,7 +33,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import check_class_limits, check_limit, check_range, check_subset_limits
+from .errors import LIMITS, Limit
 from .graphs import Graph, _check_base
 from .sequences import CSeq, _from_codes
 
@@ -58,19 +58,8 @@ __all__ = [
     "DEFAULT_DP_STATE_LIMIT",
 ]
 
-DEFAULT_ELEMENT_LIMIT = 11
-DEFAULT_DP_STATE_LIMIT = 1 << 24
-# Largest n of the Bernoulli forms for paths and cycles, which need B_2n.
-# B_200 takes about 0.1 s, and no subset sweep reaches 100 vertices.
-_BERNOULLI_MAX_N = 100
-# Largest n of the complete-graph product, which the CLI computes and
-# prints in about a second there (n = 800: about 1.5 s).
-_COMPLETE_MAX_N = 700
-# Largest n of the path and star recursions and of the zigzag triangle:
-# each takes about a second there, and its time grows faster than n^2.
-_PATH_RECURSION_MAX_N = 350
-_STAR_RECURSION_MAX_N = 30_000
-_ZIGZAG_MAX_N = 800
+DEFAULT_ELEMENT_LIMIT = LIMITS["oracle"].value
+DEFAULT_DP_STATE_LIMIT = LIMITS["count_dp"].value
 # Twin classes are formed for TWIN_MIN_VERTICES <= p <= TWIN_VERTICES, and
 # below that only when 2^p states are over the limit: on smaller graphs the
 # bookkeeping costs more than the at most 128 states it saves.  Past 2^12
@@ -94,7 +83,7 @@ def count_bruteforce(
     if base is not None:
         _check_base(base, g.p)
     total_elements = g.element_count
-    check_limit(total_elements, "elements", element_limit, "brute-force")
+    LIMITS["oracle"].check(total_elements, element_limit)
     need = g.endpoint_masks()
     start = 0 if base is None else 1 << (base - 1)
     count = 0
@@ -130,7 +119,7 @@ class _Quotient(NamedTuple):
 
 
 def _quotient(
-    p: int, edges: Sequence[tuple[int, int]], *, max_states: int, kernel: str
+    p: int, edges: Sequence[tuple[int, int]], *, max_states: int, kernel: Limit
 ) -> _Quotient:
     """Group the vertices 1..p into twin classes and tabulate
     placed[x] = |S| + e(S) over the class-count vectors; e(S) counts the
@@ -150,7 +139,7 @@ def _quotient(
     smallest vertex.
 
     ``max_states`` bounds the states, prod(n_i + 1), and is checked before
-    any table is built; ``kernel`` names the caller in the error message.
+    any table is built, by ``kernel``, the caller's record in ``LIMITS``.
     Class i extends the table by placed[x + k * radix[i]]: k members with
     their loops, the C(k, 2) * m_ii edges among them, and k times opened[x],
     the edges from one member to the vertices of state x, which adds m_ij
@@ -160,7 +149,7 @@ def _quotient(
     so the limit is checked before any table, however many are parallel.
     """
     if p > _TWIN_VERTICES:
-        check_subset_limits(p, max_states, kernel)
+        kernel.check_subsets(p, max_states)
     counts = dict.fromkeys(edges, 1)  # per pair u <= w
     parallel = len(counts) < len(edges)
     if parallel:
@@ -192,7 +181,7 @@ def _quotient(
     else:  # every vertex a class of its own, in order
         classes, vertex_class = [[v] for v in range(p)], list(range(p))
     sizes = list(map(len, classes))
-    check_class_limits(sizes, max_states, kernel)
+    kernel.check_classes(sizes, max_states)
     radix = [1, *itertools.accumulate([n + 1 for n in sizes], operator.mul)]
     placed = [0]
     if len(sizes) == p and not (parallel and any(k > 1 for (u, w), k in counts.items() if u != w)):
@@ -309,7 +298,7 @@ def count_dp(g: Graph, *, max_states: int = DEFAULT_DP_STATE_LIMIT) -> int:
     count vectors: Ã(0) * prod(n_j!), as h = N there.  ``max_states`` bounds
     the states, prod(n_i + 1); that is 2^p when no two vertices are twins,
     so the default admits any graph with p <= 24."""
-    q = _quotient(g.p, g.edges, max_states=max_states, kernel="count DP")
+    q = _quotient(g.p, g.edges, max_states=max_states, kernel=LIMITS["count_dp"])
     return _scaled_completions(q)[0] * q.scale
 
 
@@ -329,7 +318,7 @@ def count_based(g: Graph, base: int, *, max_states: int = DEFAULT_DP_STATE_LIMIT
     shift = [0, *range(1, base), 0, *range(base, g.p)]
     edges = [(shift[u] or shift[w], shift[w] or shift[u]) for u, w in g.edges]
     rest = [e for e in edges if e[0]]
-    q = _quotient(g.p - 1, rest, max_states=max_states, kernel="count DP")
+    q = _quotient(g.p - 1, rest, max_states=max_states, kernel=LIMITS["count_dp"])
     return _scaled_completions(q)[0] * q.scale * math.perm(g.element_count - 1, g.q - len(rest))
 
 
@@ -384,7 +373,7 @@ def enumerate_csequences(
     g: Graph, *, element_limit: int = DEFAULT_ELEMENT_LIMIT
 ) -> Iterator[CSeq]:
     """Stream every construction sequence in lexicographic element order."""
-    check_limit(g.element_count, "elements", element_limit, "enumeration")
+    LIMITS["enumerators"].check(g.element_count, element_limit)
     return _from_codes(g, _iter_codes(g))
 
 
@@ -396,6 +385,7 @@ def star_count(n: int) -> int:
     """Count for the star with n peripheral vertices: 2^n * (n!)^2."""
     if n < 0:
         raise ValueError(f"star size must be >= 0, got {n}")
+    LIMITS["star_formula"].check(n)
     return 2**n * math.factorial(n) ** 2
 
 
@@ -406,7 +396,7 @@ def star_count_recursive(n: int) -> int:
     the next smaller star; the leaf can sit anywhere among the remaining
     2n slots and any of the n edges can be last.
     """
-    check_range("n", n, 0, _STAR_RECURSION_MAX_N)
+    LIMITS["star_recursion"].check(n)
     value = 1
     for k in range(1, n + 1):
         value *= 2 * k * k
@@ -423,7 +413,7 @@ def complete_count(n: int) -> int:
     edges are placed, the next vertex opens k edges that take any k of the
     other N - k - C(k,2) - 1 positions left.
     """
-    check_range("n", n, 1, _COMPLETE_MAX_N)
+    LIMITS["complete"].check(n)
     total = n + math.comb(n, 2)
     factors = [math.factorial(n)]
     factors.extend(math.perm(total - k - math.comb(k, 2) - 1, k) for k in range(1, n))
@@ -446,7 +436,7 @@ def path_count_recursive(n: int) -> int:
 
 def _path_counts_recursive(n_max: int) -> list[int]:
     """[0, f(1), ..., f(n_max)] by ``path_count_recursive``'s recursion."""
-    check_range("n", n_max, 1, _PATH_RECURSION_MAX_N)
+    LIMITS["path_recursion"].check(n_max)
     counts = [0, 1]
     for m in range(2, n_max + 1):
         counts.append(
@@ -473,7 +463,7 @@ def zigzag_numbers(n_max: int) -> ZigzagNumbers:
     give the tangent numbers tangent[n] = a(2n-1) and even indices the
     secant numbers secant[n] = a(2n).
     """
-    check_range("n_max", n_max, 1, _ZIGZAG_MAX_N)
+    LIMITS["zigzag"].check(n_max)
     highest = 2 * n_max
     zigzag = [1]
     row = [1]
@@ -490,10 +480,9 @@ def zigzag_numbers(n_max: int) -> ZigzagNumbers:
 
 def bernoulli_number(m: int) -> Fraction:
     """Exact Bernoulli number B_m for even m with 2 <= m <= 200."""
-    if m % 2 != 0 or not 2 <= m <= 2 * _BERNOULLI_MAX_N:
-        raise ValueError(
-            f"supported range is even m with 2 <= m <= {2 * _BERNOULLI_MAX_N}, got {m}"
-        )
+    high = 2 * LIMITS["bernoulli"].value
+    if m % 2 != 0 or not 2 <= m <= high:
+        raise ValueError(f"supported range is even m with 2 <= m <= {high}, got {m}")
     return _bernoulli_numbers(m)[m]
 
 
@@ -540,7 +529,7 @@ def cycle_count_bernoulli(n: int) -> int:
 
 def _cycle_counts_bernoulli(n_max: int) -> list[int]:
     """[0, cycle count at 1, ..., at n_max] by ``cycle_count_bernoulli``."""
-    check_range("n", n_max, 1, _BERNOULLI_MAX_N)
+    LIMITS["bernoulli"].check(n_max)
     bernoulli = _bernoulli_numbers(2 * n_max)
     counts = [0]
     for n in range(1, n_max + 1):

@@ -1,7 +1,8 @@
-"""Shared exception types and the limit checks that the kernels and the
-CLI (on a spec's size, before building) both run."""
+"""Shared exception types and ``LIMITS``, the one table of caps, which every limit check reads."""
 
 import math
+import re
+from typing import NamedTuple
 
 __all__ = ["ResourceLimitError", "IsolatedVertexError"]
 
@@ -18,40 +19,77 @@ class IsolatedVertexError(ValueError):
     """Vertex-attributed cost is undefined when some vertex has degree zero."""
 
 
-def check_limit(amount: int, unit: str, limit: int, kernel: str) -> None:
-    """Raise when ``amount`` (of vertices or elements) exceeds ``limit``."""
-    if amount > limit:
-        raise ResourceLimitError(f"{amount} {unit} exceed the {kernel} limit {limit}")
+_OVER = "{amount} {unit} exceed the {kernel} limit {limit}"
+_STATES = "{kernel} needs {amount} {unit}, over the limit {limit}; raise max_states to continue"
+_RANGE = "supported range is {low} <= {unit} <= {limit}, got {amount}"
 
 
-def check_range(name: str, value: int, low: int, high: int) -> None:
-    """Raise when a size parameter ``value`` lies outside ``low..high``."""
-    if not low <= value <= high:
-        raise ValueError(f"supported range is {low} <= {name} <= {high}, got {value}")
+class Limit(NamedTuple):
+    """One cap and its message's words: ``unit``, what is counted or the
+    parameter bounded, and ``kernel``, what is bounded.  With a ``low`` end
+    it raises ``ValueError`` (CLI exit 1), by default as a range, else
+    :class:`ResourceLimitError` (exit 3).  ``admits`` is the largest input
+    admitted, a CLI request or a statement on the package ``b``, taking
+    ``seconds`` end to end; :attr:`refuses`, its first number raised by one, is not."""
+
+    value: int
+    unit: str
+    kernel: str
+    admits: str
+    seconds: float
+    low: int | None = None
+    message: str = ""
+
+    @property
+    def refuses(self) -> str:
+        return re.sub(r"\d+", lambda size: str(int(size[0]) + 1), self.admits, count=1)
+
+    def error(self, amount: object, limit: int | None = None) -> Exception:
+        """The error for ``amount`` over ``limit``, by default the cap."""
+        words = self.message or (_OVER if self.low is None else _RANGE)
+        text = words.format(amount=amount, limit=self.value if limit is None else limit, **self._asdict())
+        return ResourceLimitError(text) if self.low is None else ValueError(text)
+
+    def check(self, amount: int, limit: int | None = None) -> int:
+        """``amount``, unless it is over ``limit``, by default the cap, or under ``low``."""
+        if amount > (self.value if limit is None else limit) or self.low is not None and amount < self.low:
+            raise self.error(amount, limit)
+        return amount
+
+    def check_subsets(self, p: int, max_states: int) -> None:
+        """2^p subset states at most ``max_states``, compared by bit length: no 2^p integer is built."""
+        if p >= max(max_states, 0).bit_length():
+            raise self.error(f"2^{p} vertex-subset", max_states)
+
+    def check_classes(self, sizes: list[int], max_states: int) -> None:
+        """prod(n_i + 1) twin-class states at most ``max_states``, as 2^p if every n_i is 1."""
+        if sum(sizes) == len(sizes):
+            return self.check_subsets(len(sizes), max_states)
+        states = math.prod(n + 1 for n in sizes)
+        if states > max_states:
+            raise self.error(f"{states} twin-class", max_states)
 
 
-def check_subset_limits(p: int, max_states: int, kernel: str) -> None:
-    """The one limit of a sweep over the 2^p vertex subsets: 2^p table
-    entries at most ``max_states``.  Compared through the bit length, so a
-    huge p costs no 2^p integer."""
-    if p >= max(max_states, 0).bit_length():
-        raise ResourceLimitError(
-            f"{kernel} needs 2^{p} vertex-subset states, over the limit {max_states}; "
-            "raise max_states to continue"
-        )
-
-
-def check_class_limits(sizes: list[int], max_states: int, kernel: str) -> None:
-    """The one limit of a sweep over twin-class count vectors: the
-    prod(n_i + 1) states for classes of sizes n_i at most ``max_states``.
-    With every class a single vertex that is 2^p, checked and worded as by
-    :func:`check_subset_limits`."""
-    if sum(sizes) == len(sizes):  # every class a single vertex
-        check_subset_limits(len(sizes), max_states, kernel)
-        return
-    states = math.prod(n + 1 for n in sizes)
-    if states > max_states:
-        raise ResourceLimitError(
-            f"{kernel} needs {states} twin-class states, over the limit {max_states}; "
-            "raise max_states to continue"
-        )
+_ELEMENTS = Limit(11, "elements", "brute-force", "count family:path:6 --route oracle", 5.2)
+#: Every cap by name, in the order of README's Limits table (a test checks it).
+LIMITS = {
+    "oracle": _ELEMENTS,
+    "enumerators": _ELEMENTS._replace(kernel="enumeration", admits="enumerate family:path:6", seconds=1.8),
+    "greedy_all": Limit(8, "vertices", "greedy-all", "b.greedy_all(b.build_family('complete:8'))", 2.0),
+    "count_dp": Limit(1 << 24, "states", "count DP", "count family:path:24", 11.3, message=_STATES),
+    "min_cost": Limit(1 << 22, "states", "optimizer", "optimize family:path:22", 2.6, message=_STATES),
+    "poset_sweep": Limit(1 << 18, "states", "linear-extension sweep",
+                         "b.count_linear_extensions(b.incidence_poset(b.build_family('complete:18')))", 1.0,
+                         message="{kernel} exceeded {limit} {unit}; raise max_states to continue"),
+    "bernoulli": Limit(100, "n", "Bernoulli forms", "count family:cycle:100 --route formula", 0.1, 1),
+    "complete": Limit(700, "n", "complete product", "count family:complete:700 --route formula", 1.0, 1),
+    "path_recursion": Limit(350, "n", "path recursion", "count family:path:350 --route recursion", 0.4, 1),
+    "star_recursion": Limit(30_000, "n", "star recursion", "count family:star:30000 --route recursion", 0.4, 0),
+    "zigzag": Limit(800, "n_max", "zigzag triangle", "count family:path:800 --base 1 --route formula", 0.4, 1),
+    "star_formula": Limit(120_000, "n", "star forms", "count family:star:120000 --base 1 --route formula",
+                          0.8, 0),
+    "trees": Limit(8, "n", "labeled trees", "xi trees:8", 24.0, 2),
+    "graphs_pq": Limit(7, "p", "graphs:p:q", "xi graphs:7:10", 16.8, 1),
+    "family_spec": Limit(1_000_000, "elements", "family spec", "b.build_family('path:500000')", 0.4, 0,
+                         "{kernel} needs {amount} {unit}, over the guard {limit}"),
+}

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .counting import count_dp
-from .errors import check_range
+from .errors import LIMITS
 from .graphs import Graph
 
 __all__ = [
@@ -28,9 +28,6 @@ __all__ = [
     "is_path_graph",
     "is_star_graph",
 ]
-
-MAX_TREE_VERTICES = 8
-MAX_PQ_VERTICES = 7
 
 
 def _tree_from_word(n: int, word: Sequence[int]) -> Graph:
@@ -57,13 +54,13 @@ def _tree_from_word(n: int, word: Sequence[int]) -> Graph:
 def labeled_trees(n: int) -> Iterator[Graph]:
     """All n^(n-2) labeled trees on vertices 1..n, one per word of length
     n-2 over [n], in lexicographic word order."""
-    check_range("n", n, 2, MAX_TREE_VERTICES)
+    LIMITS["trees"].check(n)
     for word in itertools.product(range(1, n + 1), repeat=n - 2):
         yield _tree_from_word(n, word)
 
 
 def _check_pq(p: int, q: int) -> None:
-    check_range("p", p, 1, MAX_PQ_VERTICES)
+    LIMITS["graphs_pq"].check(p)
     pairs = p * (p - 1) // 2
     if not 0 <= q <= pairs:
         raise ValueError(f"edge count {q} outside 0..{pairs} for p={p}")
@@ -91,7 +88,7 @@ class Family:
 
     @classmethod
     def trees(cls, n: int) -> "Family":
-        check_range("n", n, 2, MAX_TREE_VERTICES)
+        LIMITS["trees"].check(n)
         return cls("trees", (n,))
 
     @classmethod

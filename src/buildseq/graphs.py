@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Any, Iterator, Sequence
 
+from .errors import LIMITS
 from .posets import Poset, poset_from_hypergraph
 
 __all__ = [
@@ -31,9 +32,8 @@ __all__ = [
     "MAX_FAMILY_SIZE",
 ]
 
-#: Most elements (vertices plus edges) one family spec may build, summed
-#: over its base parts and checked before each part is built.
-MAX_FAMILY_SIZE = 1_000_000
+#: Most elements (vertices plus edges) one family spec builds, summed over its base parts.
+MAX_FAMILY_SIZE = LIMITS["family_spec"].value
 
 
 @total_ordering
@@ -308,8 +308,7 @@ def _family_plan(spec: str) -> Iterator[tuple[str, Any, tuple[int, int]]]:
         at = end
         shape = _BASE_FAMILIES[name][1](n)
         elements += sum(shape)
-        if elements > MAX_FAMILY_SIZE:
-            raise ValueError(f"family spec needs {elements} elements, over the guard {MAX_FAMILY_SIZE}")
+        LIMITS["family_spec"].check(elements)
         yield name, n, shape
         # Hand the part to the innermost open call; each ')' closes one.
         while calls:

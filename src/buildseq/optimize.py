@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import check_limit
+from .errors import LIMITS
 from .graphs import Graph, _UnionFind, build_family
 from .sequences import CSeq, _from_codes
 from .counting import (
@@ -63,8 +63,8 @@ __all__ = [
 ]
 
 POLICIES = ("lexicographic", "cycle-avoiding", "seeded-random")
-DEFAULT_OPT_STATE_LIMIT = 1 << 22
-DEFAULT_GREEDY_VERTEX_LIMIT = 8
+DEFAULT_OPT_STATE_LIMIT = LIMITS["min_cost"].value
+DEFAULT_GREEDY_VERTEX_LIMIT = LIMITS["greedy_all"].value
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def _edge_order(
 def greedy_all(g: Graph, tie_break: TieBreak = TieBreak()) -> set[CSeq]:
     """Deduplicated greedy outputs over every vertex order (p! runs), for
     at most ``DEFAULT_GREEDY_VERTEX_LIMIT`` vertices."""
-    check_limit(g.p, "vertices", DEFAULT_GREEDY_VERTEX_LIMIT, "greedy-all")
+    LIMITS["greedy_all"].check(g.p)
     return {
         greedy(g, order, tie_break)
         for order in itertools.permutations(range(1, g.p + 1))
@@ -195,7 +195,7 @@ def exhaustive_greedy_set(
     swap with that edge for a saving of 2 + deg(v) (see :func:`min_cost`).
     The whole set is materialized, so keep the element limit modest.
     """
-    check_limit(g.element_count, "elements", element_limit, "enumeration")
+    LIMITS["enumerators"].check(g.element_count, element_limit)
     return set(_from_codes(g, _iter_codes(g, _edges_first(g.p))))
 
 
@@ -269,7 +269,7 @@ def _least_costs(g: Graph, max_states: int) -> tuple[_Quotient, list[tuple], lis
     """:func:`min_cost`'s sweep: the twin quotient, its free steps
     (r_i, 2 + deg_i), and best[x], the least -sum of (2 + deg v) * pos(v)
     over the completions of every state x."""
-    q = _quotient(g.p, g.edges, max_states=max_states, kernel="optimizer")
+    q = _quotient(g.p, g.edges, max_states=max_states, kernel=LIMITS["min_cost"])
     placed = q.placed
     # Adding a member of class i at pos adds -(2 + deg_i) * pos.
     weights = [0] * len(q.sizes)
@@ -347,7 +347,7 @@ def enumerate_min_cost(
     Independent of the dynamic program: walks every valid sequence and keeps
     the cost minimizers, in lexicographic order.
     """
-    check_limit(g.element_count, "elements", element_limit, "enumeration")
+    LIMITS["enumerators"].check(g.element_count, element_limit)
     weights = _weights(g)
     positions = range(1, g.element_count + 1)
     best_cost: int | None = None
@@ -391,9 +391,9 @@ def check_conjecture(
     exhaustive = tie_break == "exhaustive"
     if not exhaustive and not isinstance(tie_break, TieBreak):
         raise ValueError(f"tie_break must be a TieBreak or 'exhaustive', got {tie_break!r}")
-    check_limit(g.element_count, "elements", element_limit, "enumeration")
+    LIMITS["enumerators"].check(g.element_count, element_limit)
     if not exhaustive:
-        check_limit(g.p, "vertices", DEFAULT_GREEDY_VERTEX_LIMIT, "greedy-all")
+        LIMITS["greedy_all"].check(g.p)
     # Within the default element limit the sweep's state limit never binds.
     q, low, high, best = _least_costs(g, DEFAULT_OPT_STATE_LIMIT)
     if exhaustive:

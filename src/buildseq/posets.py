@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .errors import ResourceLimitError
+from .errors import LIMITS
 
 __all__ = [
     "Poset",
@@ -37,7 +37,7 @@ __all__ = [
     "DEFAULT_STATE_LIMIT",
 ]
 
-DEFAULT_STATE_LIMIT = 1 << 18
+DEFAULT_STATE_LIMIT = LIMITS["poset_sweep"].value
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,7 @@ def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIM
     minimal = sum(1 << x for x in range(n) if above[x] and not below[x])
     isolated = sum(not above[x] and not below[x] for x in range(n))
     stored = 1
-    if 1 << minimal.bit_count() > max_states:
-        raise _too_many_states(max_states)
+    LIMITS["poset_sweep"].check(1 << minimal.bit_count(), max_states)
     level = {0: [math.perm(n, isolated), minimal, isolated]}
     for size in range(core.bit_count()):
         grown_level: dict[int, list[int]] = {}
@@ -149,18 +148,12 @@ def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIM
                                 grown_avail += 1
                     stored += 1
                     if stored > max_states or 1 << grown_mask.bit_count() > max_states:
-                        raise _too_many_states(max_states)
+                        raise LIMITS["poset_sweep"].error(stored, max_states)
                     entry = grown_level[grown] = [0, grown_mask, grown_avail]
                 opened = entry[2] - avail
                 entry[0] += count * math.perm(free, opened) if opened else count
         level = grown_level
     return level[core][0]
-
-
-def _too_many_states(max_states: int) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"linear-extension sweep exceeded {max_states} states; raise max_states to continue"
-    )
 
 
 def poset_from_hypergraph(p: int, hyperedges: Sequence[Iterable[int]]) -> Poset:

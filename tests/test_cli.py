@@ -257,6 +257,8 @@ PAST_THE_CAP = [
     (("family:path:1500", "--base", "1", "--route", "formula"), "1 <= n_max <= 800, got 1500"),
     (("family:complete:701", "--route", "formula"), "1 <= n <= 700, got 701"),
     (("family:complete:1413", "--route", "formula"), "1 <= n <= 700, got 1413"),
+    (("family:star:499999", "--route", "formula"), "0 <= n <= 120000, got 499999"),
+    (("family:star:499999", "--base", "1", "--route", "formula"), "0 <= n <= 120000, got 499999"),
 ]
 
 
@@ -275,6 +277,10 @@ class TestRouteCaps:
         assert run(capsys, "count", "family:path:350", "--route", "recursion") == (0, f"{tangent}\n", "")
         star = cli._digits(b.star_count(30000))
         assert run(capsys, "count", "family:star:30000", "--route", "recursion") == (0, f"{star}\n", "")
+
+    def test_based_star_shift_is_the_exact_quotient(self):
+        for n in range(1, 300):
+            assert cli._FORMULAS["star", 1](n) == math.factorial(2 * n) // 2**n
 
     def test_largest_based_path_matches_the_euler_recurrence(self, capsys):
         code, out, err = run(capsys, "count", "family:path:800", "--base", "1", "--route", "formula")

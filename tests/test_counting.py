@@ -147,6 +147,8 @@ class TestClosedForms:
         assert b.star_count(5) == 460800
         with pytest.raises(ValueError, match="star size must be >= 0"):
             b.star_count(-1)
+        with pytest.raises(ValueError, match="^supported range is 0 <= n <= 120000, got 120001$"):
+            b.star_count(120_001)
 
     def test_star_recursion_agrees(self):
         for n in range(0, 9):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import buildseq as b
 from buildseq import Element, Graph, graphs
+from buildseq.errors import LIMITS
 
 
 def assert_shape_agrees(spec):
@@ -191,7 +192,7 @@ class TestFamilies:
             sys.setrecursionlimit(saved)
 
     def test_element_budget_counts_every_part_before_building(self, monkeypatch):
-        monkeypatch.setattr(graphs, "MAX_FAMILY_SIZE", 10)
+        monkeypatch.setitem(LIMITS, "family_spec", LIMITS["family_spec"]._replace(value=10))
         # path 2n-1, star 2n+1, cycle 2n, complete n + n(n-1)/2 elements
         for spec in ("cycle:5", "complete:4", "union(path:5,path:1)", "union(star:4,path:1)"):
             assert b.build_family(spec).element_count == 10
@@ -234,7 +235,7 @@ class TestFamilyShape:
         assert_shape_agrees(spec)
 
     def test_over_budget_parts_fail_alike(self, monkeypatch):
-        monkeypatch.setattr(graphs, "MAX_FAMILY_SIZE", 10)
+        monkeypatch.setitem(LIMITS, "family_spec", LIMITS["family_spec"]._replace(value=10))
         for spec in ("union(path:5,path:2)", "wedge(cycle:5@1,path:1@1)", "union(wedge(path:2@3),star:9)"):
             with pytest.raises(ValueError):
                 b.build_family(spec)

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 import buildseq as b
 from buildseq.counting import _BIT_STEPS, _free_steps, _quotient, _scaled_completions
-from buildseq.errors import ResourceLimitError, check_class_limits, check_subset_limits
+from buildseq.errors import LIMITS, ResourceLimitError
 from buildseq.graphs import Element, _UnionFind
 from buildseq.optimize import POLICIES
 from conftest import conjecture_by_definition
@@ -167,11 +167,11 @@ def test_heavy_bundles_reach_the_limit_at_once():
 def test_class_limit_words_a_twin_free_graph_as_the_subset_limit():
     for sizes, limit in (([1] * 10, 1023), ([], 0)):
         with pytest.raises(ResourceLimitError, match=f"^count DP needs 2\\^{len(sizes)} vertex-subset"):
-            check_class_limits(sizes, limit, "count DP")
-    check_class_limits([1] * 10, 1024, "count DP")
-    check_class_limits([3, 1, 4], 40, "optimizer")
+            LIMITS["count_dp"].check_classes(sizes, limit)
+    LIMITS["count_dp"].check_classes([1] * 10, 1024)
+    LIMITS["min_cost"].check_classes([3, 1, 4], 40)
     with pytest.raises(ResourceLimitError, match="^optimizer needs 40 twin-class states, over the limit 39;"):
-        check_class_limits([3, 1, 4], 39, "optimizer")
+        LIMITS["min_cost"].check_classes([3, 1, 4], 39)
 
 
 def test_twins_unlock_large_symmetric_graphs():
@@ -187,11 +187,11 @@ def test_twins_unlock_large_symmetric_graphs():
 
 
 def test_the_state_limit_is_the_only_subset_limit():
-    check_subset_limits(30, 1 << 30, "count DP")  # no vertex cap binds past 24
-    check_subset_limits(0, 1, "count DP")
+    LIMITS["count_dp"].check_subsets(30, 1 << 30)  # no vertex cap binds past 24
+    LIMITS["count_dp"].check_subsets(0, 1)
     for p, limit in ((31, 1 << 30), (31, (1 << 31) - 1), (0, 0), (3, -8), (10**12, 1 << 24)):
         with pytest.raises(ResourceLimitError, match=f"^count DP needs 2\\^{p} vertex-subset states"):
-            check_subset_limits(p, limit, "count DP")
+            LIMITS["count_dp"].check_subsets(p, limit)
 
 
 def are_twins(g: b.Graph, u: int, v: int) -> bool:
@@ -221,7 +221,7 @@ def test_edge_table_counts_the_edges_inside_every_subset(g):
     # twins; under a roomy limit it groups them from 8 vertices on.
     tight = twin_states(g)
     for limit, grouped in ((tight, True), (1 << 10, g.p >= 8)):
-        q = _quotient(g.p, g.edges, max_states=limit, kernel="count DP")
+        q = _quotient(g.p, g.edges, max_states=limit, kernel=LIMITS["count_dp"])
         for u in range(1, g.p + 1):
             for v in range(u + 1, g.p + 1):
                 same = q.vertex_class[u - 1] == q.vertex_class[v - 1]
@@ -234,7 +234,7 @@ def test_edge_table_counts_the_edges_inside_every_subset(g):
         for s in range(1 << g.p):
             assert q.placed[state(q, s)] == s.bit_count() + sum(not mask & ~s for mask in masks)
     with pytest.raises(ResourceLimitError):
-        _quotient(g.p, g.edges, max_states=tight - 1, kernel="count DP")
+        _quotient(g.p, g.edges, max_states=tight - 1, kernel=LIMITS["count_dp"])
     # Bundles and loops give a vertex many edges to open in one step.
     if g.p:
         for limit in (tight, 1 << 10):
@@ -267,7 +267,7 @@ def test_rescaled_table_is_the_count_times_n_factorial_over_h_factorial(g):
     # The table holds C(S) * N!/h(S)! divided by prod((n_j - k_j)!), the
     # orders of the unplaced members of each twin class.
     n = g.element_count
-    q = _quotient(g.p, g.edges, max_states=twin_states(g), kernel="count DP")
+    q = _quotient(g.p, g.edges, max_states=twin_states(g), kernel=LIMITS["count_dp"])
     a = _scaled_completions(q)
     for s, c in unscaled_completions(g, 0).items():
         x = state(q, s)
@@ -403,7 +403,7 @@ def check_free_steps(q) -> tuple[list[tuple], list[tuple]]:
 def test_free_steps_list_the_classes_open_at_every_state(g):
     # Twins grouped at the twin-class state count, and whole under a roomy limit.
     for limit in (twin_states(g), 1 << 10):
-        check_free_steps(_quotient(g.p, g.edges, max_states=limit, kernel="count DP"))
+        check_free_steps(_quotient(g.p, g.edges, max_states=limit, kernel=LIMITS["count_dp"]))
 
 
 def test_free_steps_of_twin_free_tables_around_two_to_the_eight():
@@ -411,7 +411,7 @@ def test_free_steps_of_twin_free_tables_around_two_to_the_eight():
     # _BIT_STEPS; at 2^9 the low half is the 64 states of 6 vertices.
     for spec, bits in (("path:8", 8), ("path:9", 6)):
         g = b.build_family(spec)
-        q = _quotient(g.p, g.edges, max_states=1 << 10, kernel="count DP")
+        q = _quotient(g.p, g.edges, max_states=1 << 10, kernel=LIMITS["count_dp"])
         assert q.sizes == [1] * g.p
         low, high = check_free_steps(q)
         assert low is _BIT_STEPS[bits]
