@@ -31,11 +31,8 @@ from .counting import (
     count_bruteforce,
     count_dp,
     enumerate_csequences,
-    path_count_bernoulli,
-    path_count_recursive,
     star_count,
     star_count_recursive,
-    cycle_count_bernoulli,
     zigzag_numbers,
     _cycle_counts_bernoulli,
     _path_counts_bernoulli,
@@ -136,36 +133,37 @@ def _rational(value: Fraction) -> str:
 # Subcommands
 
 
-# Closed forms by (family kind, base) and recursions by family kind, the
-# count routes that exist only for plain family specs.
-_FORMULAS: dict[tuple[str, int | None], Callable[[int], int]] = {
-    ("path", None): path_count_bernoulli,
-    ("star", None): star_count,
-    ("cycle", None): cycle_count_bernoulli,
-    ("complete", None): complete_count,
-    ("path", 1): lambda n: zigzag_numbers(n).secant[n - 1],
-    ("star", 1): lambda n: math.factorial(2 * LIMITS["star_formula"].check(n)) >> n,  # exact: 2^n divides (2n)!
-}
-_RECURSIONS: dict[str, Callable[[int], int]] = {
-    "path": path_count_recursive,
-    "star": star_count_recursive,
-    "cycle": lambda n: n * path_count_recursive(n),
-}
-# The per-n routes above whose value at n is built from every smaller size,
-# each with its whole column: column(n_max)[n] is its value at n <= n_max,
-# and the cap is checked on n_max.  family-table reads its rows from these,
-# so a table costs one column, not the sum of its rows.
-_COLUMNS: dict[Callable[[int], int], Callable[[int], list[int]]] = {
-    path_count_bernoulli: _path_counts_bernoulli,
-    cycle_count_bernoulli: _cycle_counts_bernoulli,
-    _FORMULAS["path", 1]: lambda n: [0, *zigzag_numbers(n).secant],
-    path_count_recursive: _path_counts_recursive,
-    _RECURSIONS["cycle"]: lambda n: [k * f for k, f in enumerate(_path_counts_recursive(n))],
+_Rows = Sequence[int] | dict[int, int]  # a route's values, indexed by n
+
+
+def _one_row(value: Callable[[int], int]) -> Callable[[int], _Rows]:
+    """A closed form as rows: its value at n and no other."""
+    return lambda n: {n: value(n)}
+
+
+# The count routes that exist only for plain family specs, by (family kind,
+# base) and route name.  rows(n)[n] is the route's value at n.  A route built
+# from every smaller size gives its whole column, so rows(n_max)[n] holds
+# every n <= n_max and the cap is checked on n_max; a closed form gives
+# {n: value}.  family-table keeps each route's last rows, so a table costs
+# one column, not the sum of its rows.
+_FAMILY_ROUTES: dict[tuple[str, int | None], dict[str, Callable[[int], _Rows]]] = {
+    ("path", None): {"formula": _path_counts_bernoulli, "recursion": _path_counts_recursive},
+    ("star", None): {"formula": _one_row(star_count), "recursion": _one_row(star_count_recursive)},
+    ("cycle", None): {
+        "formula": _cycle_counts_bernoulli,
+        "recursion": lambda n: [k * f for k, f in enumerate(_path_counts_recursive(n))],
+    },
+    ("complete", None): {"formula": _one_row(complete_count)},
+    ("path", 1): {"formula": lambda n: [0, *zigzag_numbers(n).secant]},
+    ("star", 1): {  # exact: 2^n divides (2n)!
+        "formula": _one_row(lambda n: math.factorial(2 * LIMITS["star_formula"].check(n)) >> n)
+    },
 }
 
 # family-table kinds: "path" for ("path", None), "based-path" for ("path", 1).
 _TABLE_KINDS = {
-    kind if base is None else f"based-{kind}": (kind, base) for kind, base in _FORMULAS
+    kind if base is None else f"based-{kind}": (kind, base) for kind, base in _FAMILY_ROUTES
 }
 _ROUTES = ("dp", "oracle", "formula", "recursion", "all")
 _ROUTE_SCOPE = {
@@ -178,56 +176,53 @@ def _count_values(
     argument: str,
     base: int | None,
     args: argparse.Namespace,
-    value: Callable[[Callable[[int], int], int], int] = lambda route, n: route(n),
+    kept: dict[str, _Rows],
 ) -> dict[str, int]:
     """The value of each count route run for ``--route``: every applicable
     one for "all", else the named one.
 
-    dp always applies, the oracle up to ``--limit-elements`` elements, the
-    formula and recursion only to a family spec with a base they cover.  A
-    named route that does not apply is a usage error, except the oracle
-    past its limit.  The limits are checked after that, on the argument's
-    size, and only dp and the oracle build the graph.  The formula and
-    recursion give ``value(route, n)``, which family-table reads from a
-    column.
+    dp always applies, the oracle up to ``--limit-elements`` elements, and
+    a family route to a family spec whose (kind, base) has it.  A named
+    route that does not apply is a usage error, except the oracle past its
+    limit.  The limits are checked after that, on the argument's size, and
+    only dp and the oracle build the graph.  A family route's value is its
+    rows' entry at n, from ``kept`` unless the kept rows lack n.
     """
     p, size, plain, load = _sized_graph(argument)
     if base is not None:
         _check_base(base, p)
     kind, n = plain or ("", 0)
-    formula = _FORMULAS.get((kind, base))
-    recursion = _RECURSIONS.get(kind) if base is None else None
-    table: dict[str, tuple[bool, Callable[[Graph], int]]] = {
-        "dp": (
-            True,
-            lambda g: count_dp(g, max_states=args.limit_states)
-            if base is None
-            else count_based(g, base, max_states=args.limit_states),
-        ),
-        "oracle": (
-            size <= args.limit_elements,
-            lambda g: count_bruteforce(g, base=base, element_limit=args.limit_elements),
-        ),
-        "formula": (formula is not None, lambda g: value(formula, n)),
-        "recursion": (recursion is not None, lambda g: value(recursion, n)),
-    }
+    family = _FAMILY_ROUTES.get((kind, base), {})
     if args.route == "all":
-        routes = {name: compute for name, (applies, compute) in table.items() if applies}
+        names = ["dp", "oracle", *family] if size <= args.limit_elements else ["dp", *family]
+    elif args.route in ("dp", "oracle") or args.route in family:
+        names = [args.route]
     else:
-        applies, compute = table[args.route]
-        if not applies and args.route != "oracle":
-            raise UsageError(f"route {args.route!r} applies only to {_ROUTE_SCOPE[args.route]}")
-        routes = {args.route: compute}
-    if "dp" in routes:
+        raise UsageError(f"route {args.route!r} applies only to {_ROUTE_SCOPE[args.route]}")
+    if "dp" in names:
         LIMITS["count_dp"].check_subsets(p, args.limit_states)
-    if "oracle" in routes:
+    if "oracle" in names:
         LIMITS["oracle"].check(size, args.limit_elements)
-    g = load() if routes.keys() & {"dp", "oracle"} else None
-    return {name: compute(g) for name, compute in routes.items()}
+    g = load() if {"dp", "oracle"} & set(names) else None
+    values = {}
+    for name in names:
+        if name == "dp" and base is None:
+            values[name] = count_dp(g, max_states=args.limit_states)
+        elif name == "dp":
+            values[name] = count_based(g, base, max_states=args.limit_states)
+        elif name == "oracle":
+            values[name] = count_bruteforce(g, base=base, element_limit=args.limit_elements)
+        else:
+            try:
+                values[name] = kept[name][n]
+            except LookupError:
+                kept[name] = family[name](n)
+                values[name] = kept[name][n]
+    return values
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    values = _count_values(args.graph, args.base, args)
+    values = _count_values(args.graph, args.base, args, {})
     agree = len(set(values.values())) == 1
     payload = {
         "graph": args.graph,
@@ -338,19 +333,11 @@ def _cmd_family_table(args: argparse.Namespace) -> int:
     if args.max < 1:
         raise UsageError(f"--max must be >= 1, got {args.max}")
     kind, base = _TABLE_KINDS[args.kind]
-    computed: dict[Callable[[int], int], list[int]] = {}  # per route, its column up to --max
-
-    def value(route: Callable[[int], int], n: int) -> int:
-        if route not in _COLUMNS:
-            return route(n)
-        if route not in computed:  # at the largest row, where route(n) would check the cap
-            computed[route] = _COLUMNS[route](args.max)
-        return computed[route][n]
-
+    kept: dict[str, _Rows] = {}  # per route, its last rows
     rows = []
     # Largest row first, so that a row's cap or limit stops the table at once.
     for n in range(args.max, 0, -1):
-        values = _count_values(f"{FAMILY_PREFIX}{kind}:{n}", base, args, value)
+        values = _count_values(f"{FAMILY_PREFIX}{kind}:{n}", base, args, kept)
         # The oracle column, the only one that depends on size, comes last.
         names = sorted(values, key="oracle".__eq__)
         rows.append(

@@ -12,6 +12,7 @@ package by the integer codes of :meth:`Graph.code`.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import total_ordering
 from typing import Any, Iterator, Sequence
@@ -130,7 +131,7 @@ class Graph:
         normalized = []
         for j, pair in enumerate(self.edges, start=1):
             u, w = pair
-            u, w = int(u), int(w)
+            u, w = operator.index(u), operator.index(w)
             if not (1 <= u <= self.p and 1 <= w <= self.p):
                 raise ValueError(f"edge {j} endpoints {{{u},{w}}} outside 1..{self.p}")
             normalized.append((u, w) if u <= w else (w, u))

@@ -21,6 +21,7 @@ elements appear *earlier* in an extension; no reversed reading is supported.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -55,7 +56,7 @@ class Poset:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"element count must be >= 0, got {self.n}")
-        covers = tuple((int(lo), int(hi)) for lo, hi in self.covers)
+        covers = tuple((operator.index(lo), operator.index(hi)) for lo, hi in self.covers)
         object.__setattr__(self, "covers", covers)
         above: list[list[int]] = [[] for _ in range(self.n)]
         below = [0] * self.n

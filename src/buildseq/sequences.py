@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IsolatedVertexError
-from .graphs import Element, Graph, _UnionFind, build_family
+from .graphs import Element, Graph, _path, _UnionFind
 
 __all__ = [
     "CSeq",
@@ -322,7 +322,7 @@ def is_updown(values: Sequence[int]) -> bool:
 
 def _require_canonical_path(g: Graph) -> int:
     n = g.p
-    if g != build_family(f"path:{n}"):
+    if n < 1 or g != Graph(n, _path(n)):
         raise ValueError("sequence graph is not a canonically labeled path")
     return n
 
@@ -360,7 +360,7 @@ def from_updown_permutation(values: Sequence[int]) -> CSeq:
             Element.vertex((number + 1) // 2) if number % 2 else Element.edge(number // 2)
         )
         sequence[position - 1] = element
-    return CSeq(build_family(f"path:{n}"), tuple(sequence))
+    return CSeq(Graph(n, _path(n)), tuple(sequence))
 
 
 # ---------------------------------------------------------------------------

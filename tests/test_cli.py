@@ -221,7 +221,7 @@ class TestLimitsBeforeTheGraph:
         assert out.splitlines()[-1] == f"30,{b.complete_count(30)},true"
         # complete_count(600) takes seconds and prints 867,769 digits; what
         # matters here is that the route runs without a graph.
-        monkeypatch.setitem(cli._FORMULAS, ("complete", None), lambda n: n)
+        monkeypatch.setitem(cli._FAMILY_ROUTES["complete", None], "formula", lambda n: {n: n})
         assert run(capsys, "count", "family:complete:600", "--route", "formula") == (0, "600\n", "")
 
     @pytest.mark.parametrize("argv, code, err", BAD_COUNT_REQUESTS)
@@ -280,13 +280,60 @@ class TestRouteCaps:
 
     def test_based_star_shift_is_the_exact_quotient(self):
         for n in range(1, 300):
-            assert cli._FORMULAS["star", 1](n) == math.factorial(2 * n) // 2**n
+            assert cli._FAMILY_ROUTES["star", 1]["formula"](n)[n] == math.factorial(2 * n) // 2**n
 
     def test_largest_based_path_matches_the_euler_recurrence(self, capsys):
         code, out, err = run(capsys, "count", "family:path:800", "--base", "1", "--route", "formula")
         assert (code, err) == (0, "")
         for prime in (2**31 - 1, 2**61 - 1):
             assert int(out) % prime == secant_mod(799, prime)
+
+
+# Each family route with the public per-n function its rows must match.
+PER_N = {
+    (("path", None), "formula"): b.path_count_bernoulli,
+    (("path", None), "recursion"): b.path_count_recursive,
+    (("star", None), "formula"): b.star_count,
+    (("star", None), "recursion"): b.star_count_recursive,
+    (("cycle", None), "formula"): b.cycle_count_bernoulli,
+    (("cycle", None), "recursion"): lambda n: n * b.path_count_recursive(n),
+    (("complete", None), "formula"): b.complete_count,
+    (("path", 1), "formula"): lambda n: b.zigzag_numbers(n).secant[n - 1],
+    (("star", 1), "formula"): lambda n: math.factorial(2 * n) // 2**n,
+}
+FAMILY_ROUTES = [
+    (family, route) for family, routes in cli._FAMILY_ROUTES.items() for route in routes
+]
+KIND_NAMES = {family: name for name, family in cli._TABLE_KINDS.items()}  # test ids
+
+
+class TestFamilyRoutes:
+    """Every formula and recursion of count and family-table sits in one
+    (kind, base) -> {route: rows} table, where rows(n)[n] is the value at n."""
+
+    @pytest.mark.parametrize("family, route", FAMILY_ROUTES, ids=lambda v: KIND_NAMES.get(v, v))
+    def test_rows_at_n_match_the_dp(self, family, route):
+        (kind, base), rows = family, cli._FAMILY_ROUTES[family][route]
+        for n in range(1, 7):
+            g = b.build_family(f"{kind}:{n}")
+            assert rows(n)[n] == (b.count_dp(g) if base is None else b.count_based(g, base))
+
+    @pytest.mark.parametrize("family, route", FAMILY_ROUTES, ids=lambda v: KIND_NAMES.get(v, v))
+    def test_every_index_holds_the_per_n_value(self, family, route):
+        rows = cli._FAMILY_ROUTES[family][route](30)
+        indices = range(1, len(rows)) if isinstance(rows, list) else rows.keys()
+        assert 30 in indices
+        for n in indices:
+            assert rows[n] == PER_N[family, route](n)
+
+    @pytest.mark.parametrize("route", ["formula", "recursion"])
+    def test_route_scope_names_the_kinds_that_carry_it(self, route):
+        scope = cli._ROUTE_SCOPE[route]
+        plain = scope[len("family:") : scope.index(" graphs")].split("/")
+        _, _, based = scope.partition("with --base only to ")
+        based = based.removesuffix(" --base 1").split(" or ") if based else []
+        families = [family for family, name in FAMILY_ROUTES if name == route]
+        assert families == [(kind, None) for kind in plain] + [(kind, 1) for kind in based]
 
 
 class TestEnumerate:
@@ -489,7 +536,8 @@ class TestFamilyTable:
         assert "usage error" in err
 
     def test_mismatch_row_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli._FORMULAS, ("path", None), lambda n: 3 if n == 2 else 1)
+        routes = cli._FAMILY_ROUTES["path", None]
+        monkeypatch.setitem(routes, "formula", lambda n: {n: 3 if n == 2 else 1})
         code, out, err = run(capsys, "family-table", "path", "--max", "2", "--route", "all")
         assert code == 1
         assert out.splitlines() == [
@@ -501,15 +549,17 @@ class TestFamilyTable:
 
     def test_largest_row_runs_first(self, capsys, monkeypatch):
         calls = []
-        formula = cli._FORMULAS[("path", None)]
-        monkeypatch.setitem(cli._FORMULAS, ("path", None), lambda n: calls.append(n) or formula(n))
-        code, out, err = run(capsys, "family-table", "path", "--max", "101", "--route", "formula")
-        assert (code, out, calls) == (1, "", [101])
-        assert err == "error: supported range is 1 <= n <= 100, got 101\n"
+        routes = cli._FAMILY_ROUTES["complete", None]
+        formula = routes["formula"]  # a closed form, so one call per row
+        monkeypatch.setitem(routes, "formula", lambda n: calls.append(n) or formula(n))
+        code, out, err = run(capsys, "family-table", "complete", "--max", "701", "--route", "formula")
+        assert (code, out, calls) == (1, "", [701])
+        assert err == "error: supported range is 1 <= n <= 700, got 701\n"
         calls.clear()
-        code, out, _ = run(capsys, "family-table", "path", "--max", "3", "--route", "formula", "--format", "csv")
+        argv = ("family-table", "complete", "--max", "3", "--route", "formula", "--format", "csv")
+        code, out, _ = run(capsys, *argv)
         assert (code, calls) == (0, [3, 2, 1])
-        assert out == "n,formula,agree\n1,1,true\n2,2,true\n3,16,true\n"
+        assert out == "n,formula,agree\n1,1,true\n2,2,true\n3,48,true\n"
 
     def test_largest_row_limit_stops_the_table_at_once(self, capsys, monkeypatch):
         sweeps = []
@@ -543,10 +593,9 @@ class TestFamilyTable:
     @pytest.mark.parametrize("kind, route", [(kind, route) for kind, route, _, _ in COLUMNS])
     def test_a_table_builds_each_column_once(self, capsys, monkeypatch, kind, route):
         calls = []
-        for per_n, column in list(cli._COLUMNS.items()):
-            monkeypatch.setitem(
-                cli._COLUMNS, per_n, lambda n, column=column: calls.append(n) or column(n)
-            )
+        for routes in cli._FAMILY_ROUTES.values():
+            for name, rows in list(routes.items()):
+                monkeypatch.setitem(routes, name, lambda n, rows=rows: calls.append(n) or rows(n))
         assert run(capsys, "family-table", kind, "--max", "7", "--route", route)[0] == 0
         assert calls == [7]
         calls.clear()

@@ -122,6 +122,12 @@ class TestGraphType:
         with pytest.raises(ValueError, match="no vertices"):
             Graph(0).max_degree()
 
+    def test_non_integer_endpoints_are_refused(self):
+        for edge in ((1.5, 2), (1, 2.0), ("1", 2)):
+            with pytest.raises(TypeError):
+                Graph(2, (edge,))
+        assert Graph(2, ((True, 2),)).edges == ((1, 2),)
+
     def test_degree_counts_loops_twice(self):
         g = Graph(1, ((1, 1),), multigraph=True)
         assert g.degree(1) == 2

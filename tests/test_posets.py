@@ -171,6 +171,11 @@ class TestPosetType:
         with pytest.raises(ValueError):
             Poset(2, ((0, 2),))
 
+    def test_non_integer_covers_are_refused(self):
+        for cover in ((0.9, 1), (0, 1.0), ("0", 1)):
+            with pytest.raises(TypeError):
+                Poset(2, (cover,))
+
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(cover_lists())
     def test_one_pass_index_matches_the_two_pass_validator(self, case):

@@ -6,7 +6,7 @@ import pytest
 
 import buildseq as b
 from buildseq import CSeq, Element, TimeAssignment
-from buildseq.errors import IsolatedVertexError
+from buildseq.errors import LIMITS, IsolatedVertexError
 
 
 def seq(graph, text):
@@ -306,6 +306,16 @@ class TestUpDown:
         x = b.vertices_first_sequence(b.build_family("star:3"))
         with pytest.raises(ValueError):
             b.to_updown_permutation(x)
+
+    def test_rejects_the_empty_graph_as_no_path(self):
+        with pytest.raises(ValueError, match="not a canonically labeled path"):
+            b.to_updown_permutation(CSeq(b.Graph(0), ()))
+
+    def test_paths_past_the_family_spec_guard_map_both_ways(self, monkeypatch):
+        monkeypatch.setitem(LIMITS, "family_spec", LIMITS["family_spec"]._replace(value=4))
+        x = seq(b.Graph(3, ((1, 2), (2, 3))), "v1 v2 e1 v3 e2")
+        assert b.to_updown_permutation(x) == (1, 3, 2, 5, 4)
+        assert b.from_updown_permutation((1, 3, 2, 5, 4)) == x
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
