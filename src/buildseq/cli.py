@@ -9,10 +9,14 @@ JSON is the machine format; counts and other potentially large integers are
 emitted as decimal strings, never as floats.  Exit codes: 0 success, 1
 domain error (invalid graph or sequence, route disagreement), 2 usage
 error, 3 resource limit.
+
+``_COMMANDS`` is the one grammar.  A well-formed request is read straight
+from it; argparse, imported only then, parses help, usage errors and any
+request the reader is unsure of, so every help, usage and error byte is
+argparse's.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -21,7 +25,8 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .counting import (
     DEFAULT_DP_STATE_LIMIT,
@@ -60,6 +65,9 @@ from .sequences import (
     validate,
     vertex_cost,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 FAMILY_PREFIX = "family:"
 
@@ -175,7 +183,7 @@ _ROUTE_SCOPE = {
 def _count_values(
     argument: str,
     base: int | None,
-    args: argparse.Namespace,
+    args: SimpleNamespace,
     kept: dict[str, _Rows],
 ) -> dict[str, int]:
     """The value of each count route run for ``--route``: every applicable
@@ -221,7 +229,7 @@ def _count_values(
     return values
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: SimpleNamespace) -> int:
     values = _count_values(args.graph, args.base, args, {})
     agree = len(set(values.values())) == 1
     payload = {
@@ -237,7 +245,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     _, size, _, load = _sized_graph(args.graph)
     LIMITS["enumerators"].check(size, args.limit_elements)
     sequences = (
@@ -252,7 +260,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     g = load_graph(args.graph)
     elements = parse_sequence(args.sequence)
     problems = validate(g, elements)
@@ -270,7 +278,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cost(args: argparse.Namespace) -> int:
+def _cmd_cost(args: SimpleNamespace) -> int:
     g = load_graph(args.graph)
     x = CSeq(g, parse_sequence(args.sequence))
     per_edge = {f"e{j}": edge_cost(x, j) for j in range(1, g.q + 1)}
@@ -293,7 +301,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
+def _cmd_optimize(args: SimpleNamespace) -> int:
     p, _, _, load = _sized_graph(args.graph)
     LIMITS["min_cost"].check_subsets(p, args.limit_states)
     result = min_cost(load(), max_states=args.limit_states, max_witnesses=args.witnesses)
@@ -307,7 +315,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_greedy(args: argparse.Namespace) -> int:
+def _cmd_greedy(args: SimpleNamespace) -> int:
     g = load_graph(args.graph)
     order = None
     if args.order:
@@ -327,7 +335,7 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_family_table(args: argparse.Namespace) -> int:
+def _cmd_family_table(args: SimpleNamespace) -> int:
     if args.kind not in _TABLE_KINDS:
         raise UsageError(f"kind must be one of {tuple(_TABLE_KINDS)}, got {args.kind!r}")
     if args.max < 1:
@@ -383,7 +391,7 @@ def _parse_family_argument(argument: str) -> Family:
     raise UsageError(f"family must be trees:<n> or graphs:<p>:<q>, got {argument!r}")
 
 
-def _cmd_xi(args: argparse.Namespace) -> int:
+def _cmd_xi(args: SimpleNamespace) -> int:
     family = _parse_family_argument(args.family)
     counts = [(index, count_dp(member)) for index, member in enumerate(family)]
     total = sum(c for _, c in counts)
@@ -417,7 +425,7 @@ def _cmd_xi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_conjecture(args: argparse.Namespace) -> int:
+def _cmd_check_conjecture(args: SimpleNamespace) -> int:
     p, size, _, load = _sized_graph(args.graph)
     LIMITS["enumerators"].check(size, args.limit_elements)
     tie: TieBreak | str
@@ -450,19 +458,23 @@ _GRAPH = ("graph", {})
 _JSON = ("--format", {"choices": ("json", "plain"), "default": "json"})
 _PLAIN = ("--format", {"choices": ("json", "plain"), "default": "plain"})
 _ELEMENTS = ("--limit-elements", {"type": int, "default": DEFAULT_ELEMENT_LIMIT})
+# count and family-table: only the oracle reads it, and its limit is lower.
+_ORACLE = ("--limit-elements", {"type": int, "default": LIMITS["oracle"].value})
 _STATES = ("--limit-states", {"type": int, "default": DEFAULT_DP_STATE_LIMIT})
 _SEED = ("--seed", {"type": int, "default": 0})
 
 # The subcommands as (name, help, handler, arguments), where each argument
 # is the name and keywords of one add_argument call, in the order help lists.
-# A command's own parser and its subparser in the full parser are built
-# from the same row, so both print the same help, usage and errors.
+# This table is the one grammar: _read reads a well-formed request straight
+# from a command's row, and a command's own parser and its subparser in the
+# full parser are built from the same row, so both print the same help,
+# usage and errors.
 _COMMANDS = (
     ("count", "count construction sequences", _cmd_count, (
         _GRAPH,
         ("--route", {"choices": _ROUTES, "default": "dp"}),
         ("--base", {"type": int, "help": "count sequences starting at this vertex"}),
-        _PLAIN, _ELEMENTS, _STATES,
+        _PLAIN, _ORACLE, _STATES,
     )),
     ("enumerate", "list every construction sequence", _cmd_enumerate, (_GRAPH, _PLAIN, _ELEMENTS)),
     ("validate", "check a candidate sequence", _cmd_validate, (_GRAPH, ("sequence", {}), _JSON)),
@@ -491,7 +503,7 @@ _COMMANDS = (
         ("--max", {"type": int, "required": True}),
         ("--route", {"choices": _ROUTES, "default": "all"}),
         ("--format", {"choices": ("json", "csv", "plain"), "default": "plain"}),
-        _ELEMENTS, _STATES,
+        _ORACLE, _STATES,
     )),
     ("xi", "constructability over a family", _cmd_xi, (
         ("family", {"help": "trees:<n> or graphs:<p>:<q>"}),
@@ -505,12 +517,78 @@ _COMMANDS = (
 )
 
 
+# The add_argument keywords that _read reads.  An argument with any other
+# keyword (nargs, ...), action (append, ...) or type leaves every request
+# of its command to argparse.
+_READ_KEYWORDS = {"type", "choices", "default", "required", "help", "action"}
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The request in ``argv`` read straight from its command's row of
+    ``_COMMANDS``, or None unless every token is unambiguous: the first
+    names a command, and each other one is an exact flag of that command
+    or a positional that does not start with ``-``.  An option's value is
+    present, does not start with ``-``, passes its ``type`` and is one of
+    its ``choices``; a ``store_true`` flag takes none.  Every required
+    option is given, and the positionals are exactly the row's.  argparse
+    reads such a request alike, a repeated option's last value included.
+    """
+    row = next((row for row in _COMMANDS if argv and argv[0] == row[0]), None)
+    if row is None:
+        return None
+    name, _, handler, arguments = row
+    values, flags, positionals = {}, {}, []
+    for flag, keywords in arguments:
+        if (
+            not keywords.keys() <= _READ_KEYWORDS
+            or keywords.get("action", "store_true") != "store_true"
+            or keywords.get("type", int) is not int
+        ):
+            return None
+        if flag.startswith("-"):
+            dest = flag.lstrip("-").replace("-", "_")
+            flags[flag] = dest, keywords
+            values[dest] = keywords.get("default", False if "action" in keywords else None)
+        else:
+            positionals.append((flag, keywords))
+    given, unread, tokens = set(), iter(positionals), iter(argv[1:])
+    for token in tokens:
+        if token in flags:
+            dest, keywords = flags[token]
+            if "action" in keywords:
+                values[dest] = True
+                continue
+            token = next(tokens, "-")  # a missing value reads as a flag
+        elif token.startswith("-"):
+            return None
+        else:
+            dest, keywords = next(unread, (None, {}))
+            if dest is None:
+                return None
+        if token.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(token)
+        except ValueError:  # argparse words the error
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[dest] = value
+        given.add(dest)
+    required = {dest for dest, keywords in flags.values() if keywords.get("required")}
+    if next(unread, None) is not None or not required <= given:
+        return None
+    return SimpleNamespace(**values, command=name, func=handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser with every subcommand's subparser.
 
     ``main`` builds it only for help, a missing or unknown command and
     arguments that the named command's own parser leaves over.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="buildseq",
         description="Count, enumerate, validate, and cost-optimize graph construction sequences.",
@@ -524,14 +602,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """The request in ``argv``, parsed by the named command's own parser.
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """The request in ``argv``: read by :func:`_read` when it is well formed,
+    else parsed by argparse, which is imported only then.
 
-    That parser prints the same help, usage and errors as the command's
-    subparser in the full parser, and building it costs far less.  Only
-    the full parser words the top-level errors, so it parses whatever the
-    command's parser leaves over, and every request that names no command.
+    argparse first tries the named command's own parser, which prints the
+    same help, usage and errors as the command's subparser in the full
+    parser and costs far less to build.  Only the full parser words the
+    top-level errors, so it parses whatever the command's parser leaves
+    over, and every request that names no command.  Every help, usage and
+    error byte is argparse's.
     """
+    args = _read(argv)
+    if args is not None:
+        return args
+    import argparse
+
     for name, _, handler, arguments in _COMMANDS:
         if argv and argv[0] == name:
             # One terminal query for the whole parser, where the default
@@ -546,9 +632,8 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
                 parser.add_argument(flag, **options)
             args, extra = parser.parse_known_args(argv[1:])
             if not extra:
-                args.command, args.func = name, handler
-                return args
-    return build_parser().parse_args(argv)
+                return SimpleNamespace(**vars(args), command=name, func=handler)
+    return SimpleNamespace(**vars(build_parser().parse_args(argv)))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -58,7 +58,7 @@ __all__ = [
     "DEFAULT_DP_STATE_LIMIT",
 ]
 
-DEFAULT_ELEMENT_LIMIT = LIMITS["oracle"].value
+DEFAULT_ELEMENT_LIMIT = LIMITS["enumerators"].value
 DEFAULT_DP_STATE_LIMIT = LIMITS["count_dp"].value
 # Twin classes are formed for TWIN_MIN_VERTICES <= p <= TWIN_VERTICES, and
 # below that only when 2^p states are over the limit: on smaller graphs the
@@ -75,7 +75,7 @@ _TWIN_VERTICES = 1 << 12
 
 
 def count_bruteforce(
-    g: Graph, *, base: int | None = None, element_limit: int = DEFAULT_ELEMENT_LIMIT
+    g: Graph, *, base: int | None = None, element_limit: int = LIMITS["oracle"].value
 ) -> int:
     """Ground-truth oracle: run through all (p+q)! orderings of the elements
     and count the ones where every edge follows both endpoints.  With

@@ -1,12 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import random
+import subprocess
 import sys
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import buildseq as b
 from buildseq import cli
@@ -164,7 +170,7 @@ OVER_LIMIT = [
     (("count",), f"count DP {OVER_600} 16777216; raise max_states to continue"),
     (("count", "--route", "all", "--format", "json"), f"count DP {OVER_600} 16777216; raise max_states to continue"),
     (("count", "--base", "1"), f"count DP {OVER_600} 16777216; raise max_states to continue"),
-    (("count", "--route", "oracle"), "180300 elements exceed the brute-force limit 11"),
+    (("count", "--route", "oracle"), "180300 elements exceed the brute-force limit 10"),
     (("optimize",), f"optimizer {OVER_600} 4194304; raise max_states to continue"),
     (("enumerate",), "180300 elements exceed the enumeration limit 11"),
     (("check-conjecture",), "180300 elements exceed the enumeration limit 11"),
@@ -761,8 +767,9 @@ COMMANDS = [argv[0] for argv in SUCCESS]
 
 
 class TestParserPerCommand:
-    """main parses a request with only the named command's own parser, and
-    answers every request byte for byte as the parser with all commands
+    """main reads a well-formed request straight from the command table and
+    leaves the rest to argparse, first to the named command's own parser;
+    it answers every request byte for byte as the parser with all commands
     does.  The reference is computed in the same interpreter, since
     argparse's wording differs between Python versions."""
 
@@ -793,6 +800,8 @@ class TestParserPerCommand:
         return built
 
     def test_a_command_gets_only_its_own_subparser(self, capsys, parsers):
+        """A valid request builds no parser; its help builds the command's
+        own parser first, which rejects every other command's flags."""
         assert COMMANDS == [name for name, *_ in cli._COMMANDS]
         flags = {
             name: {flag for flag, _ in arguments if flag.startswith("--")}
@@ -800,7 +809,9 @@ class TestParserPerCommand:
         }
         for argv in SUCCESS:
             del parsers[:]
-            run(capsys, *argv)
+            assert run(capsys, *argv)[0] == 0
+            assert parsers == []
+            assert run(capsys, *argv, "-h")[0] == 0
             (own,) = parsers
             assert own.format_usage().startswith(f"usage: buildseq {argv[0]} [-h]")
             for flag in set().union(*flags.values()) - flags[argv[0]]:
@@ -810,7 +821,11 @@ class TestParserPerCommand:
 
     @pytest.mark.parametrize("argv", SUCCESS)
     def test_a_valid_request_builds_one_parser(self, capsys, parsers, argv):
+        """A valid request is read from the command table and builds no
+        parser; the same request with a bad value builds one, its own."""
         assert run(capsys, *argv)[0] == 0
+        assert parsers == []
+        assert run(capsys, *argv, "--format", "bogus")[0] == 2
         assert [parser.prog for parser in parsers] == [f"buildseq {argv[0]}"]
 
     def test_arguments_left_over_reach_the_full_parser(self, capsys, parsers):
@@ -852,3 +867,121 @@ class TestParserPerCommand:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == full(main)
         assert (code, captured.out, captured.err) == run(capsys, *argv)
+
+    @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+    @given(st.data())
+    def test_whatever_the_reader_accepts_argparse_reads_alike(self, data):
+        row = data.draw(st.sampled_from(cli._COMMANDS))
+        argv = [row[0], *data.draw(well_formed(row))]
+        # Near misses: up to three edits, each dropping a token or putting
+        # in a run of any tokens.
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(1, len(argv)))
+            if at < len(argv) and data.draw(st.booleans()):
+                del argv[at]
+            else:
+                argv[at:at] = data.draw(st.lists(tokens(row), min_size=1, max_size=2))
+        read = cli._read(argv)
+        if read is not None:
+            assert vars(read) == argparse_reads(row, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "family:path:3", "--form", "plain"),
+            ("count", "family:path:3", "--limit", "3"),
+            ("count", "family:path:3", "--format=plain"),
+            ("count", "--", "family:path:3"),
+            ("count", "family:path:3", "--base", "-1"),
+            ("count", "family:path:3", "--base", "x"),
+            ("count", "family:path:3", "--route", "sideways"),
+            ("count", "family:path:3", "-h"),
+            ("count",),
+            ("greedy", "family:path:3", "--order"),
+            ("greedy", "family:path:3", "--order", "--seed", "1"),
+            ("cost", "family:path:3", "v1", "--hub-zero", "x", "y"),
+            ("family-table", "path"),
+            ("frobnicate", "family:path:3"),
+            (),
+        ],
+    )
+    def test_the_reader_leaves_the_rest_to_argparse(self, argv):
+        assert cli._read(argv) is None
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_well_formed_request_is_read(self, data):
+        row = data.draw(st.sampled_from(cli._COMMANDS))
+        argv = [row[0], *data.draw(well_formed(row))]
+        read = cli._read(argv)
+        assert read is not None
+        assert vars(read) == argparse_reads(row, argv)
+
+    def test_a_valid_request_leaves_argparse_unimported(self):
+        root = str(Path(cli.__file__).resolve().parents[1])
+        script = (
+            f"import sys; sys.path.insert(0, {root!r}); from buildseq.cli import main; "
+            "main(['count', 'family:path:3']); print('argparse' in sys.modules); "
+            "main(['count', 'family:path:3', '-h'])"
+        )
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stdout.startswith("16\nFalse\nusage: buildseq count [-h] [--route")
+        assert "--limit-states" in done.stdout
+
+
+# Tokens that argparse reads in other ways than the reader might: values
+# that start with "-", bad ints and choices, ints that int() accepts in
+# other spellings, and the empty string.
+VALUES = ["family:path:3", "path", "3", "0", "-1", "", "x", "sideways", "1_0", " 7", "v1 v2 e1", "-", "a b"]
+ALL_FLAGS = sorted({flag for *_, arguments in cli._COMMANDS for flag, _ in arguments if flag.startswith("-")})
+
+
+def tokens(row):
+    """Any token of a request for the command in ``row``."""
+    flags = [flag for flag, _ in row[3] if flag.startswith("-")]
+    choices = [str(c) for _, keywords in row[3] for c in keywords.get("choices", ())]
+    return st.one_of(
+        st.sampled_from(flags),
+        st.sampled_from(VALUES + choices),
+        st.sampled_from([flag[:k] for flag in flags for k in range(3, len(flag))]),
+        st.builds("{}={}".format, st.sampled_from(flags), st.sampled_from(VALUES + choices)),
+        st.sampled_from(["--", "-h", "--help", *ALL_FLAGS]),
+    )
+
+
+@st.composite
+def well_formed(draw, row):
+    """The tokens after the command name of a request that the reader must
+    accept: each option at most once with a valid value, every required
+    one, the positionals exactly, all in any order."""
+    groups, positionals = [], []
+    for flag, keywords in row[3]:
+        if not flag.startswith("-"):
+            positionals.append([draw(st.sampled_from(["family:path:3", "path", "v1 v2 e1", "", "a b"]))])
+        elif keywords.get("required") or draw(st.booleans()):
+            if keywords.get("action"):
+                groups.append([flag])
+            elif "choices" in keywords:
+                groups.append([flag, draw(st.sampled_from(keywords["choices"]))])
+            elif "type" in keywords:
+                groups.append([flag, str(draw(st.integers(0, 10**30)))])
+            else:
+                groups.append([flag, draw(st.sampled_from(["2,1,3", "", "x y"]))])
+    return [token for group in draw(st.permutations(groups + positionals)) for token in group]
+
+
+def argparse_reads(row, argv):
+    """vars() of the namespace that the command's own argparse parser gives
+    for ``argv``, with the command and its handler, as _parse sets them."""
+    name, _, handler, arguments = row
+    parser = argparse.ArgumentParser(prog=f"buildseq {name}")
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args, extra = parser.parse_known_args(argv[1:])
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv}")
+    assert extra == []
+    return {**vars(args), "command": name, "func": handler}

@@ -25,7 +25,7 @@ class TestBruteforce:
         assert 48 == 3 * b.count_bruteforce(b.build_family("path:3"))
 
     def test_limit(self):
-        with pytest.raises(ResourceLimitError, match="^13 elements exceed the brute-force limit 11$"):
+        with pytest.raises(ResourceLimitError, match="^13 elements exceed the brute-force limit 10$"):
             b.count_bruteforce(b.build_family("path:7"))
         with pytest.raises(ResourceLimitError, match="^5 elements exceed the brute-force limit 4$"):
             b.count_bruteforce(b.build_family("path:3"), element_limit=4)

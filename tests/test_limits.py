@@ -14,7 +14,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # Per record: the CLI exit code, or the exception a Python statement
 # raises, and the exact message of its first refused input.
 REFUSED = {
-    "oracle": (3, "resource limit: 13 elements exceed the brute-force limit 11"),
+    "oracle": (3, "resource limit: 12 elements exceed the brute-force limit 10"),
     "enumerators": (3, "resource limit: 13 elements exceed the enumeration limit 11"),
     "greedy_all": (ResourceLimitError, "9 vertices exceed the greedy-all limit 8"),
     "count_dp": (3, "resource limit: count DP needs 2^25 vertex-subset states, over the limit 16777216; "
@@ -69,7 +69,7 @@ def test_every_record_has_a_refused_case():
 
 
 def test_check_passes_an_admitted_amount_through():
-    assert LIMITS["oracle"].check(11) == 11
+    assert LIMITS["oracle"].check(10) == 10
     assert LIMITS["oracle"].check(12, 12) == 12
     with pytest.raises(ResourceLimitError, match="^13 elements exceed the enumeration limit 12$"):
         LIMITS["enumerators"].check(13, 12)
