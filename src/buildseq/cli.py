@@ -45,7 +45,7 @@ from .counting import (
 )
 from .errors import LIMITS, IsolatedVertexError, ResourceLimitError
 from .families import Family, _graphs_pq_pairs
-from .graphs import Graph, _check_base, _family_size, build_family, parse_graph
+from .graphs import Graph, _build, _check_base, _family_plan, build_family, parse_graph
 from .optimize import (
     DEFAULT_OPT_STATE_LIMIT,
     POLICIES,
@@ -85,12 +85,13 @@ def load_graph(argument: str) -> Graph:
 
 def _sized_graph(argument: str) -> tuple[int, int, tuple[str, int] | None, Callable[[], Graph]]:
     """(p, element count, (family, n) of a plain family spec, loader) of a
-    graph argument.  A family spec is sized from its text, so a command can
-    check its limits before the loader builds the graph; a file is read and
-    parsed here."""
+    graph argument.  A family spec is parsed once: its listed plan gives the
+    size, so a command can check its limits before the loader builds the
+    graph from the same plan; a file is read and parsed here."""
     if argument.startswith(FAMILY_PREFIX):
-        p, q, plain = _family_size(argument[len(FAMILY_PREFIX) :])
-        return p, p + q, plain, lambda: load_graph(argument)
+        plan = list(_family_plan(argument[len(FAMILY_PREFIX) :]))
+        name, n, (p, q) = plan[-1]
+        return p, p + q, (name, n) if len(plan) == 1 else None, lambda: _build(plan)
     g = load_graph(argument)
     return g.p, g.element_count, None, lambda: g
 
@@ -468,7 +469,8 @@ _SEED = ("--seed", {"type": int, "default": 0})
 # This table is the one grammar: _read reads a well-formed request straight
 # from a command's row, and a command's own parser and its subparser in the
 # full parser are built from the same row, so both print the same help,
-# usage and errors.
+# usage and errors.  An argument uses only the keywords _read reads: type
+# (int), choices, default, required, help and action (store_true).
 _COMMANDS = (
     ("count", "count construction sequences", _cmd_count, (
         _GRAPH,
@@ -517,12 +519,6 @@ _COMMANDS = (
 )
 
 
-# The add_argument keywords that _read reads.  An argument with any other
-# keyword (nargs, ...), action (append, ...) or type leaves every request
-# of its command to argparse.
-_READ_KEYWORDS = {"type", "choices", "default", "required", "help", "action"}
-
-
 def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     """The request in ``argv`` read straight from its command's row of
     ``_COMMANDS``, or None unless every token is unambiguous: the first
@@ -539,12 +535,6 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     name, _, handler, arguments = row
     values, flags, positionals = {}, {}, []
     for flag, keywords in arguments:
-        if (
-            not keywords.keys() <= _READ_KEYWORDS
-            or keywords.get("action", "store_true") != "store_true"
-            or keywords.get("type", int) is not int
-        ):
-            return None
         if flag.startswith("-"):
             dest = flag.lstrip("-").replace("-", "_")
             flags[flag] = dest, keywords

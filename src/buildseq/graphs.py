@@ -15,10 +15,10 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import LIMITS
-from .posets import Poset, poset_from_hypergraph
+from .posets import Poset, _text_lines, poset_from_hypergraph
 
 __all__ = [
     "Element",
@@ -241,7 +241,7 @@ _BASE_FAMILIES = {
 
 
 def build_family(spec: str) -> Graph:
-    """Build a graph from a textual constructor.
+    """Build a graph from a textual constructor, folding its plan.
 
     Grammar::
 
@@ -254,13 +254,18 @@ def build_family(spec: str) -> Graph:
     joining {i, i+1}; star hub 1 with edge i joining {1, i+1}; cycle as the
     path plus closing edge n joining {n, 1}; complete with edges in
     lexicographic endpoint order.  ``cycle:1`` and ``cycle:2`` come out as
-    multigraphs (a loop, resp. a doubled edge).  Parts fold as (p, edges)
-    pairs into one :class:`Graph`, validated once; each level relabels the
-    edges below it, so nesting depth d over E edges costs O(d * E).
+    multigraphs (a loop, resp. a doubled edge).
     """
+    return _build(_family_plan(spec))
+
+
+def _build(plan: Iterable[tuple[str, Any, tuple[int, int]]]) -> Graph:
+    """The graph of a :func:`_family_plan`, listed or not.  Parts fold as
+    (p, edges) pairs into one :class:`Graph`, validated once; each level
+    relabels the edges below it, so depth d over E edges costs O(d * E)."""
     stack: list[tuple[int, tuple[tuple[int, int], ...]]] = []  # (p, edges) per part
     multigraph = False
-    for name, arg, (p, _) in _family_plan(spec):
+    for name, arg, (p, _) in plan:
         if name in _BASE_FAMILIES:
             stack.append((p, _BASE_FAMILIES[name][0](arg)))
             multigraph = multigraph or (name == "cycle" and arg <= 2)
@@ -269,24 +274,16 @@ def build_family(spec: str) -> Graph:
     return Graph(*stack[0], multigraph=multigraph)
 
 
-def _family_size(spec: str) -> tuple[int, int, tuple[str, int] | None]:
-    """(p, q) of ``build_family(spec)``, and (family, n) if the spec is one
-    base part, without building the graph; a spec that ``build_family``
-    rejects raises the same ``ValueError``."""
-    for steps, (name, arg, (p, q)) in enumerate(_family_plan(spec), start=1):
-        pass
-    return p, q, (name, arg) if steps == 1 else None
-
-
 def _family_plan(spec: str) -> Iterator[tuple[str, Any, tuple[int, int]]]:
     """The spec in postfix order, each step with the (p, q) it makes:
     ``(family, n, shape)`` for a base part and ``(kind, base points, shape)``
     for a union (all 1) or wedge once its parts are out and its base points
-    are checked, as :func:`wedge` checks them.  A step is yielded, after the
-    element budget check for a base part, as soon as its text is read, so a
-    fold raises in the same order as one pass over the text.  The parse
-    moves one index through the text and slices it only for a name, a
-    number or an error message: it is linear."""
+    are checked, as :func:`wedge` checks them.  The last step's shape is
+    the graph's, and a plan of one step is one base part.  A step is
+    yielded, after the element budget check for a base part, as soon as its
+    text is read, so a fold raises in the same order as one pass over the
+    text.  The parse moves one index through the text and slices it only
+    for a name, a number or an error message: it is linear."""
     calls: list[tuple[str, list[int], list[tuple[int, int]]]] = []
     elements = 0
     text = spec.strip()
@@ -434,13 +431,7 @@ def parse_graph(text: str) -> Graph:
 
     Files containing loops or parallel edges come back in multigraph mode.
     """
-    lines = [
-        stripped
-        for raw in text.splitlines()
-        if (stripped := raw.strip()) and not stripped.startswith("#")
-    ]
-    if not lines:
-        raise ValueError("empty graph description")
+    lines = _text_lines(text, "graph")
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"first line must be 'p q', got {lines[0]!r}")

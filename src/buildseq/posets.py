@@ -227,13 +227,7 @@ def relabel_poset(poset: Poset, perm: Sequence[int]) -> Poset:
 def parse_poset(text: str) -> Poset:
     """Read the poset text format: first line ``n``, then one ``l u`` cover
     pair per line, 0-based.  ``#`` starts a comment line."""
-    lines = [
-        stripped
-        for raw in text.splitlines()
-        if (stripped := raw.strip()) and not stripped.startswith("#")
-    ]
-    if not lines:
-        raise ValueError("empty poset description")
+    lines = _text_lines(text, "poset")
     try:
         n = int(lines[0])
     except ValueError:
@@ -245,6 +239,15 @@ def parse_poset(text: str) -> Poset:
             raise ValueError(f"cover line must be 'l u', got {line!r}")
         covers.append((int(parts[0]), int(parts[1])))
     return Poset(n, tuple(covers))
+
+
+def _text_lines(text: str, what: str) -> list[str]:
+    """The stripped lines of a text format, blank and ``#`` lines dropped;
+    none left is an ``empty <what> description``."""
+    lines = [line for raw in text.splitlines() if (line := raw.strip()) and line[0] != "#"]
+    if not lines:
+        raise ValueError(f"empty {what} description")
+    return lines
 
 
 def format_poset(poset: Poset) -> str:

@@ -235,6 +235,35 @@ class TestLimitsBeforeTheGraph:
         assert run(capsys, "count", *argv) == (code, "", err)
 
 
+class TestOneParsePerSpec:
+    """The CLI parses each family spec once: the plan that sizes it for the
+    limits is the plan its graph is built from."""
+
+    @pytest.mark.parametrize(
+        "argv, parses",
+        [
+            (("count", "family:path:3"), 1),
+            (("count", "family:path:3", "--route", "all"), 1),
+            (("optimize", "family:path:3"), 1),
+            (("enumerate", "family:path:3"), 1),
+            (("check-conjecture", "family:path:3"), 1),
+            (("family-table", "path", "--max", "3"), 3),
+        ],
+    )
+    def test_each_spec_is_parsed_once(self, capsys, monkeypatch, argv, parses):
+        plans = []
+        plan = b.graphs._family_plan
+
+        def counted(spec):
+            plans.append(spec)
+            return plan(spec)
+
+        monkeypatch.setattr(b.graphs, "_family_plan", counted)
+        monkeypatch.setattr(cli, "_family_plan", counted)
+        assert run(capsys, *argv)[0] == 0
+        assert len(plans) == parses
+
+
 def secant_mod(m: int, prime: int) -> int:
     """The secant number S_m modulo a prime above 2m, by the recurrence
     sum over k <= m of (-1)^(m-k) C(2m, 2k) S_k = 0 (cos x sec x = 1)."""
@@ -928,6 +957,17 @@ class TestParserPerCommand:
         assert done.returncode == 0
         assert done.stdout.startswith("16\nFalse\nusage: buildseq count [-h] [--route")
         assert "--limit-states" in done.stdout
+
+
+class TestCommandTableGrammar:
+    def test_every_argument_uses_only_what_the_reader_reads(self):
+        """_read trusts the table: a row with nargs, another action or
+        another type must fail here, not reach argparse at run time."""
+        for name, _, _, arguments in cli._COMMANDS:
+            for flag, keywords in arguments:
+                assert keywords.keys() <= {"type", "choices", "default", "required", "help", "action"}, (name, flag)
+                assert keywords.get("action", "store_true") == "store_true", (name, flag)
+                assert keywords.get("type", int) is int, (name, flag)
 
 
 # Tokens that argparse reads in other ways than the reader might: values

@@ -5,23 +5,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import buildseq as b
-from buildseq import Element, Graph, graphs
+from buildseq import Element, Graph, cli, graphs
 from buildseq.errors import LIMITS
 
 
 def assert_shape_agrees(spec):
-    """_family_size gives build_family's (p, q), and (family, n) for a spec
-    that is one base part, or raises build_family's ValueError."""
+    """The last step of the listed _family_plan has build_family's (p, q),
+    and the plan has one step, (family, n, shape), just when the spec is one
+    base part; or listing the plan raises build_family's ValueError."""
     try:
         g = b.build_family(spec)
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
-            graphs._family_size(spec)
+            list(graphs._family_plan(spec))
         assert str(info.value) == str(exc)
     else:
-        name, _, n = spec.partition(":")
-        plain = None if "(" in spec else (name, int(n))
-        assert graphs._family_size(spec) == (g.p, g.q, plain)
+        plan = list(graphs._family_plan(spec))
+        assert plan[-1][2] == (g.p, g.q)
+        assert (len(plan) == 1) == ("(" not in spec)
+        if len(plan) == 1:
+            name, _, n = spec.partition(":")
+            assert plan[0][:2] == (name, int(n))
 
 
 def reference_family(spec):
@@ -252,8 +256,8 @@ class TestFamilyShape:
             raise AssertionError("a Graph was built")
 
         monkeypatch.setattr(Graph, "__post_init__", no_graph)
-        assert graphs._family_size("complete:1413") == (1413, 997_578, ("complete", 1413))
-        assert graphs._family_size("wedge(union(star:3,cycle:2)@6,complete:4@2)") == (9, 11, None)
+        assert cli._sized_graph("family:complete:1413")[:3] == (1413, 998_991, ("complete", 1413))
+        assert cli._sized_graph("family:wedge(union(star:3,cycle:2)@6,complete:4@2)")[:3] == (9, 20, None)
 
 
 class TestFamilyEdges:
