@@ -15,13 +15,13 @@ one another:
 
 The subset kernel serves ``count_dp`` and ``optimize.min_cost``;
 ``count_based`` is the ``count_dp`` of the graph left after its base.
-``_quotient`` builds the table, ``_free_steps`` plans the sweeps over it,
-and ``_scaled_completions`` is the count sweep.  The kernel's one limit,
-``max_states``, bounds the class-count vectors, prod(n_i + 1), which is 2^p
-when no two vertices are twins.  All counts are exact Python integers: the
-DP's entries are the count scaled by N!/h(S)! and divided by the orders of
-the unplaced twins, which keeps its divisions exact, and the Bernoulli
-route asserts that its final division is.
+``_quotient`` builds the table, ``_free_steps`` plans the sweeps and
+``_descending`` walks them; ``_scaled_completions`` is the count sweep.
+The kernel's one limit, ``max_states``, bounds the class-count vectors,
+prod(n_i + 1), 2^p when no two vertices are twins.  All counts are exact
+Python integers: the DP's entries are the count scaled by N!/h(S)! and
+divided by the orders of the unplaced twins, which keeps its divisions
+exact, and the Bernoulli route asserts that its final division is.
 """
 from __future__ import annotations
 
@@ -251,6 +251,18 @@ def _free_steps(q: _Quotient, weights: list[int] | None = None) -> tuple[list[tu
     return low, _doubled(q.sizes[s:], items[s:])
 
 
+def _descending(low: list[tuple], high: list[tuple]) -> Iterator[tuple[Iterator, tuple]]:
+    """Both subset sweeps' walk over a :func:`_free_steps` plan: per block of
+    low digits, pairs (x, low[x % L]) with x decreasing and L = len(low), and
+    high[x // L]; the full state, which each sweep sets, is left out."""
+    down = low[::-1]
+    block = down[1:]
+    for hi in range(len(high) - 1, -1, -1):
+        start = hi * len(down)
+        yield zip(range(start + len(block) - 1, start - 1, -1), block), high[hi]
+        block = down
+
+
 def _scaled_completions(q: _Quotient) -> list[int]:
     """Ã(x) = A(x) / prod over j of (n_j - k_j)! for every state x, with
     n = N = p + q = placed[-1].
@@ -269,27 +281,20 @@ def _scaled_completions(q: _Quotient) -> list[int]:
     Ã(x) = (sum over free i of Ã(x + r_i)) / h(x), with Ã(full) = N!.  The
     division is exact: permuting the unplaced members of each class acts
     freely on the completions, so prod (n_j - k_j)! divides C(S).  States go
-    in decreasing order, a block of low digits at a time.
+    in decreasing order, by :func:`_descending`.
     """
     placed = q.placed
     n = placed[-1]
-    low, high = _free_steps(q)
-    size = len(low)
     a = [0] * len(placed)
     a[-1] = math.factorial(n)
-    down = low[::-1]
-    block = down[1:]  # the full state is set
-    for hi in range(len(high) - 1, -1, -1):
-        up = high[hi]
-        start = hi * size
-        for x, steps in zip(range(start + len(block) - 1, start - 1, -1), block):
+    for states, up in _descending(*_free_steps(q)):
+        for x, steps in states:
             total = 0
             for r in steps:
                 total += a[x + r]
             for r in up:
                 total += a[x + r]
             a[x] = total // (n - placed[x])
-        block = down
     return a
 
 

@@ -39,6 +39,7 @@ from .sequences import CSeq, _from_codes
 from .counting import (
     DEFAULT_ELEMENT_LIMIT,
     _Quotient,
+    _descending,
     _free_steps,
     _iter_codes,
     _quotient,
@@ -174,13 +175,12 @@ def _edge_order(
 
 
 def greedy_all(g: Graph, tie_break: TieBreak = TieBreak()) -> set[CSeq]:
-    """Deduplicated greedy outputs over every vertex order (p! runs), for
-    at most ``DEFAULT_GREEDY_VERTEX_LIMIT`` vertices."""
+    """Deduplicated greedy outputs over every vertex order (p! runs), for at
+    most ``DEFAULT_GREEDY_VERTEX_LIMIT`` vertices: each run goes straight to
+    the kernel, and one :func:`_from_codes` pass makes the sequences."""
     LIMITS["greedy_all"].check(g.p)
-    return {
-        greedy(g, order, tie_break)
-        for order in itertools.permutations(range(1, g.p + 1))
-    }
+    orders = itertools.permutations(range(1, g.p + 1))
+    return set(_from_codes(g, (_greedy_codes(g, order, tie_break) for order in orders)))
 
 
 def exhaustive_greedy_set(
@@ -266,9 +266,9 @@ def min_cost(
 
 
 def _least_costs(g: Graph, max_states: int) -> tuple[_Quotient, list[tuple], list[tuple], list[int]]:
-    """:func:`min_cost`'s sweep: the twin quotient, its free steps
-    (r_i, 2 + deg_i), and best[x], the least -sum of (2 + deg v) * pos(v)
-    over the completions of every state x."""
+    """:func:`min_cost`'s sweep, by :func:`counting._descending`: the twin
+    quotient, its free steps (r_i, 2 + deg_i), and best[x], the least -sum
+    of (2 + deg v) * pos(v) over the completions of every state x."""
     q = _quotient(g.p, g.edges, max_states=max_states, kernel=LIMITS["min_cost"])
     placed = q.placed
     # Adding a member of class i at pos adds -(2 + deg_i) * pos.
@@ -276,14 +276,9 @@ def _least_costs(g: Graph, max_states: int) -> tuple[_Quotient, list[tuple], lis
     for c, d in zip(q.vertex_class, g.degrees()):
         weights[c] = 2 + d
     low, high = _free_steps(q, weights)
-    size = len(low)
-    best = [0] * len(placed)
-    down = low[::-1]
-    block = down[1:]  # the full state adds nothing
-    for hi in range(len(high) - 1, -1, -1):
-        up = high[hi]
-        start = hi * size
-        for x, free in zip(range(start + len(block) - 1, start - 1, -1), block):
+    best = [0] * len(placed)  # the full state adds nothing
+    for states, up in _descending(low, high):
+        for x, free in states:
             pos = placed[x] + 1
             least = 0  # every step adds a negative amount
             for r, weight in free:
@@ -295,7 +290,6 @@ def _least_costs(g: Graph, max_states: int) -> tuple[_Quotient, list[tuple], lis
                 if branch < least:
                     least = branch
             best[x] = least
-        block = down
     return q, low, high, best
 
 

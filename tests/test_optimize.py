@@ -178,6 +178,27 @@ class TestGreedyAll:
         with pytest.raises(ResourceLimitError, match="^9 vertices exceed the greedy-all limit 8$"):
             b.greedy_all(b.build_family("path:9"))
 
+    @pytest.mark.parametrize(
+        "tie",
+        [TieBreak(), TieBreak("cycle-avoiding"), TieBreak("seeded-random", 3), TieBreak("seeded-random", 71)],
+        ids=lambda tie: f"{tie.policy}-{tie.seed}",
+    )
+    @pytest.mark.parametrize(
+        "g",
+        [
+            b.build_family("complete:4"),
+            b.build_family("star:4"),
+            b.build_family("cycle:4"),
+            b.Graph(3, ((1, 1), (1, 2), (1, 2), (2, 3)), multigraph=True),
+            b.Graph(0),
+            b.Graph(3),
+        ],
+        ids=["complete:4", "star:4", "cycle:4", "loop-and-parallel", "empty", "edgeless:3"],
+    )
+    def test_is_greedy_over_every_order(self, g, tie):
+        orders = itertools.permutations(range(1, g.p + 1))
+        assert b.greedy_all(g, tie) == {b.greedy(g, order, tie) for order in orders}
+
 
 class TestMinCost:
     def test_paths(self):

@@ -1,4 +1,9 @@
-"""The package republishes the public names of its modules, each once."""
+"""The package republishes the public names of its modules, each once,
+and has every name the benchmark's tracer rebinds or calls."""
+import ast
+import importlib
+from pathlib import Path
+
 import buildseq
 from buildseq import counting, errors, families, graphs, optimize, posets, sequences
 
@@ -22,3 +27,17 @@ def test_the_limits_are_package_attributes():
     assert buildseq.DEFAULT_STATE_LIMIT == 1 << 18
     assert buildseq.MAX_FAMILY_SIZE == 1_000_000
     assert buildseq.POLICIES == ("lexicographic", "cycle-avoiding", "seeded-random")
+
+
+def test_the_tracer_names_exist():
+    # perfbench/run.py --trace 1 looks each of these up with getattr.
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") in ("REBIND", "ENTRY_POINTS")
+    }
+    names = list(tables["REBIND"]) + [(module, name) for module, name, _ in tables["ENTRY_POINTS"].values()]
+    assert tables.keys() == {"REBIND", "ENTRY_POINTS"} and all(tables.values())
+    for module, name in names:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
