@@ -18,7 +18,6 @@ argparse's.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import shutil
 import sys
@@ -96,9 +95,16 @@ def _sized_graph(argument: str) -> tuple[int, int, tuple[str, int] | None, Calla
     return g.p, g.element_count, None, lambda: g
 
 
+def _print_json(payload: dict) -> None:
+    """Print ``payload`` as one line of JSON; ``json`` is imported on first use."""
+    import json
+
+    print(json.dumps(payload))
+
+
 def _emit(payload: dict, fmt: str, plain: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(plain)
 
@@ -240,7 +246,7 @@ def _cmd_count(args: SimpleNamespace) -> int:
     }
     if not agree:
         print(f"count routes disagree: {payload['counts']}", file=sys.stderr)
-        print(json.dumps(payload))
+        _print_json(payload)
         return 1
     _emit(payload, args.format, next(iter(payload["counts"].values())))
     return 0
@@ -257,7 +263,7 @@ def _cmd_enumerate(args: SimpleNamespace) -> int:
         sys.stdout.writelines(f"{line}\n" for line in sequences)
         return 0
     sequences = list(sequences)
-    print(json.dumps({"graph": args.graph, "count": str(len(sequences)), "sequences": sequences}))
+    _print_json({"graph": args.graph, "count": str(len(sequences)), "sequences": sequences})
     return 0
 
 
@@ -360,7 +366,7 @@ def _cmd_family_table(args: SimpleNamespace) -> int:
     payload = {"kind": args.kind, "rows": rows}
     columns = sorted({name for row in rows for name in row["counts"]})
     if args.format == "json":
-        print(json.dumps(payload))
+        _print_json(payload)
     elif args.format == "csv":
         print(",".join(["n", *columns, "agree"]))
         for row in rows:
@@ -418,7 +424,7 @@ def _cmd_xi(args: SimpleNamespace) -> int:
         "graphs": entries,
     }
     if args.format == "json":
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(f"family {payload['family']} size {size} alpha {payload['alpha']}")
         for entry in entries:

@@ -1,10 +1,50 @@
-"""Shared exception types and ``LIMITS``, the one table of caps, which every limit check reads."""
+"""Shared exception types, ``LIMITS``, the one table of caps, which every
+limit check reads, and ``_Record``, the base of the package's value types."""
 
 import math
+import operator
 import re
 from typing import NamedTuple
 
 __all__ = ["ResourceLimitError", "IsolatedVertexError"]
+
+
+class _Record:
+    """Base of the immutable value types.  A subclass names its fields in
+    ``_fields``, lists its slots in ``__slots__`` and sets them in its own
+    ``__init__`` with ``object.__setattr__``.  Equality and hashing read the
+    fields through one ``attrgetter``; ``repr`` is ``Name(field=value, ...)``;
+    assignment and deletion raise ``AttributeError``; copies and pickles call
+    the class on the fields, so they are validated again."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        key = operator.attrgetter(*cls._fields)
+
+        def __eq__(self, other: object) -> bool:
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return key(self) == key(other)
+
+        def __hash__(self) -> int:
+            return hash(key(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class ResourceLimitError(RuntimeError):

@@ -11,12 +11,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .counting import count_dp
-from .errors import LIMITS
+from .errors import LIMITS, _Record
 from .graphs import Graph
 
 __all__ = [
@@ -75,16 +74,18 @@ def graphs_pq(p: int, q: int) -> Iterator[Graph]:
         yield Graph(p, chosen)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Record):
     """A duplicate-free exhaustive family of labeled graphs.
 
     Built through :meth:`trees`, :meth:`fixed_size`, or :meth:`explicit`;
     iterating streams the members.
     """
 
-    kind: str
-    params: tuple = ()
+    __slots__ = _fields = ("kind", "params")
+
+    def __init__(self, kind: str, params: tuple = ()) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def trees(cls, n: int) -> "Family":

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Any, Iterable, Iterator, Sequence
 
-from .errors import LIMITS
+from .errors import LIMITS, _Record
 from .posets import Poset, _text_lines, poset_from_hypergraph
 
 __all__ = [
@@ -38,8 +37,7 @@ MAX_FAMILY_SIZE = LIMITS["family_spec"].value
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Element:
+class Element(_Record):
     """A vertex or edge reference: kind ``"v"`` with index in 1..p, or
     kind ``"e"`` with index in 1..q.
 
@@ -47,14 +45,16 @@ class Element:
     is the lexicographic element order used by the enumerators.
     """
 
-    kind: str
-    index: int
+    __slots__ = _fields = ("kind", "index")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("v", "e"):
-            raise ValueError(f"element kind must be 'v' or 'e', got {self.kind!r}")
-        if self.index < 1:
-            raise ValueError(f"element index must be >= 1, got {self.index}")
+    def __init__(self, kind: str, index: int) -> None:
+        if kind not in ("v", "e"):
+            raise ValueError(f"element kind must be 'v' or 'e', got {kind!r}")
+        index = operator.index(index)
+        if index < 1:
+            raise ValueError(f"element index must be >= 1, got {index}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
 
     @classmethod
     def vertex(cls, i: int) -> "Element":
@@ -113,19 +113,23 @@ class _UnionFind:
         return True
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """Labeled graph with vertex set {1..p} and an ordered edge list.
 
     Edge endpoints are normalized to (min, max) pairs; a loop repeats its
     endpoint.  Edge j refers to ``edges[j-1]``.
     """
 
-    p: int
-    edges: tuple[tuple[int, int], ...] = ()
-    multigraph: bool = False
+    __slots__ = _fields = ("p", "edges", "multigraph")
+
+    def __init__(self, p: int, edges: tuple[tuple[int, int], ...] = (), multigraph: bool = False) -> None:
+        object.__setattr__(self, "p", operator.index(p))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "multigraph", multigraph)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Check and normalize the edges: every construction passes here once."""
         if self.p < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.p}")
         normalized = []

@@ -30,10 +30,9 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import LIMITS
+from .errors import LIMITS, _Record
 from .graphs import Graph, _UnionFind, build_family
 from .sequences import CSeq, _from_codes
 from .counting import (
@@ -68,39 +67,45 @@ DEFAULT_OPT_STATE_LIMIT = LIMITS["min_cost"].value
 DEFAULT_GREEDY_VERTEX_LIMIT = LIMITS["greedy_all"].value
 
 
-@dataclass(frozen=True)
-class TieBreak:
+class TieBreak(_Record):
     """Deterministic rule for picking among several available edges."""
 
-    policy: str = "lexicographic"
-    seed: int = 0
+    __slots__ = _fields = ("policy", "seed")
 
-    def __post_init__(self) -> None:
-        if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+    def __init__(self, policy: str = "lexicographic", seed: int = 0) -> None:
+        if policy not in POLICIES:
+            raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
+        object.__setattr__(self, "policy", policy)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(_Record):
     """Exact minimum total cost, the number of sequences attaining it, and
     optionally some minimum-cost witnesses (in lexicographic order)."""
 
-    min_cost: int
-    num_optimal: int
-    witnesses: tuple[CSeq, ...] = ()
+    __slots__ = _fields = ("min_cost", "num_optimal", "witnesses")
+
+    def __init__(self, min_cost: int, num_optimal: int, witnesses: tuple[CSeq, ...] = ()) -> None:
+        object.__setattr__(self, "min_cost", min_cost)
+        object.__setattr__(self, "num_optimal", num_optimal)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(_Record):
     """Outcome of checking that greedy runs reach every minimum-cost
     sequence.  ``counterexamples`` lists minimum-cost sequences no greedy
     run produces; empty means the inclusion holds."""
 
-    holds: bool
-    policy: str
-    num_min_cost: int
-    num_greedy: int
-    counterexamples: tuple[CSeq, ...]
+    __slots__ = _fields = ("holds", "policy", "num_min_cost", "num_greedy", "counterexamples")
+
+    def __init__(
+        self, holds: bool, policy: str, num_min_cost: int, num_greedy: int, counterexamples: tuple[CSeq, ...]
+    ) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "policy", policy)
+        object.__setattr__(self, "num_min_cost", num_min_cost)
+        object.__setattr__(self, "num_greedy", num_greedy)
+        object.__setattr__(self, "counterexamples", counterexamples)
 
 
 # ---------------------------------------------------------------------------

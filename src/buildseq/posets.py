@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .errors import LIMITS
+from .errors import LIMITS, _Record
 
 __all__ = [
     "Poset",
@@ -41,8 +40,7 @@ __all__ = [
 DEFAULT_STATE_LIMIT = LIMITS["poset_sweep"].value
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(_Record):
     """A finite order on elements 0..n-1 described by its cover pairs.
 
     Construction validates that the cover relation is acyclic and
@@ -50,19 +48,18 @@ class Poset:
     cover index that the poset then keeps.
     """
 
-    n: int
-    covers: tuple[tuple[int, int], ...] = ()
+    _fields = ("n", "covers")
+    __slots__ = (*_fields, "_index")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"element count must be >= 0, got {self.n}")
-        covers = tuple((operator.index(lo), operator.index(hi)) for lo, hi in self.covers)
-        object.__setattr__(self, "covers", covers)
-        above: list[list[int]] = [[] for _ in range(self.n)]
-        below = [0] * self.n
+    def __init__(self, n: int, covers: tuple[tuple[int, int], ...] = ()) -> None:
+        if n < 0:
+            raise ValueError(f"element count must be >= 0, got {n}")
+        covers = tuple((operator.index(lo), operator.index(hi)) for lo, hi in covers)
+        above: list[list[int]] = [[] for _ in range(n)]
+        below = [0] * n
         for lo, hi in covers:
-            if not (0 <= lo < self.n and 0 <= hi < self.n):
-                raise ValueError(f"cover ({lo},{hi}) out of range for n={self.n}")
+            if not (0 <= lo < n and 0 <= hi < n):
+                raise ValueError(f"cover ({lo},{hi}) out of range for n={n}")
             if lo == hi:
                 raise ValueError(f"cover ({lo},{hi}) relates an element to itself")
             if below[hi] >> lo & 1:
@@ -71,13 +68,13 @@ class Poset:
             above[lo].append(hi)
         # Kahn's check: an element joins the order once its lower covers have.
         indeg = [mask.bit_count() for mask in below]
-        order = [x for x in range(self.n) if not below[x]]
+        order = [x for x in range(n) if not below[x]]
         for x in order:
             for y in above[x]:
                 indeg[y] -= 1
                 if not indeg[y]:
                     order.append(y)
-        if len(order) != self.n:
+        if len(order) != n:
             raise ValueError("cover relation contains a cycle")
         # A cover (lo, hi) is redundant when hi also lies two or more covers
         # above lo, which takes two upper covers of lo: one walk per such lo.
@@ -96,6 +93,8 @@ class Poset:
         if redundant:
             lo, hi = next(cover for cover in covers if cover in redundant)
             raise ValueError(f"cover ({lo},{hi}) is implied by transitivity and must be omitted")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "covers", covers)
         object.__setattr__(self, "_index", (above, below))
 
     def upper_adjacency(self) -> list[list[int]]:

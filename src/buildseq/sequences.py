@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import IsolatedVertexError
+from .errors import IsolatedVertexError, _Record
 from .graphs import Element, Graph, _path, _UnionFind
 
 __all__ = [
@@ -42,14 +40,17 @@ __all__ = [
 _NAMED_MISSING = 20  # missing elements a not-permutation message names
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One reason a candidate sequence fails to be a construction sequence."""
+class Violation(_Record):
+    """One reason a candidate sequence fails to be a construction sequence:
+    ``kind`` is ``"not-permutation"`` or ``"edge-before-endpoint"``."""
 
-    kind: str  # "not-permutation" | "edge-before-endpoint"
-    message: str
-    edge: int | None = None
-    vertex: int | None = None
+    __slots__ = _fields = ("kind", "message", "edge", "vertex")
+
+    def __init__(self, kind: str, message: str, edge: int | None = None, vertex: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "vertex", vertex)
 
     def __str__(self) -> str:
         return self.message
@@ -115,8 +116,7 @@ def validate(graph: Graph, elements: Sequence[Element]) -> list[Violation]:
     return violations
 
 
-@dataclass(frozen=True)
-class CSeq:
+class CSeq(_Record):
     """A validated construction sequence.
 
     Construction raises ``ValueError`` describing every violation when the
@@ -124,16 +124,18 @@ class CSeq:
     immutable and hashable.
     """
 
-    graph: Graph
-    elements: tuple[Element, ...]
+    _fields = ("graph", "elements")
+    __slots__ = (*_fields, "_positions")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
-        problems = validate(self.graph, self.elements)
+    def __init__(self, graph: Graph, elements: Sequence[Element]) -> None:
+        elements = tuple(elements)
+        problems = validate(graph, elements)
         if problems:
             raise ValueError(
                 "invalid construction sequence: " + "; ".join(str(v) for v in problems)
             )
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "elements", elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -144,13 +146,18 @@ class CSeq:
     def __str__(self) -> str:
         return format_sequence(self.elements)
 
-    @cached_property
+    @property
     def _code_positions(self) -> list[int]:
-        """1-based position of each element code (see :meth:`Graph.code`)."""
-        pos = [0] * len(self.elements)
-        for i, el in enumerate(self.elements, start=1):
-            pos[self.graph.code(el)] = i
-        return pos
+        """1-based position of each element code (see :meth:`Graph.code`),
+        computed on first use and kept."""
+        try:
+            return self._positions
+        except AttributeError:
+            pos = [0] * len(self.elements)
+            for i, el in enumerate(self.elements, start=1):
+                pos[self.graph.code(el)] = i
+            object.__setattr__(self, "_positions", pos)
+            return pos
 
     def position(self, element: Element) -> int:
         """1-based position of an element."""
@@ -180,11 +187,13 @@ def _from_codes(graph: Graph, code_seqs: Iterable[Sequence[int]]) -> Iterator[CS
 # Component profile
 
 
-@dataclass(frozen=True)
-class ComponentProfile:
+class ComponentProfile(_Record):
     """Connected-component counts of the placed subgraph after each prefix."""
 
-    counts: tuple[int, ...]
+    __slots__ = _fields = ("counts",)
+
+    def __init__(self, counts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "counts", counts)
 
     @property
     def peak(self) -> int:
@@ -263,24 +272,21 @@ def vertex_cost(x: CSeq) -> Fraction:
     return sum(map(Fraction, sums, degs), Fraction(0))
 
 
-@dataclass(frozen=True)
-class TimeAssignment:
+class TimeAssignment(_Record):
     """Continuous placement times in [0,1] for every element, with each edge
     strictly later than both endpoints."""
 
-    graph: Graph
-    times: Mapping[Element, Fraction]
+    __slots__ = _fields = ("graph", "times")
 
-    def __post_init__(self) -> None:
-        coerced = {el: Fraction(t) for el, t in self.times.items()}
-        object.__setattr__(self, "times", coerced)
-        expected = set(self.graph.elements())
+    def __init__(self, graph: Graph, times: Mapping[Element, Fraction]) -> None:
+        coerced = {el: Fraction(t) for el, t in times.items()}
+        expected = set(graph.elements())
         if set(coerced) != expected:
             raise ValueError("times must cover exactly the graph's elements")
         for el, t in coerced.items():
             if not 0 <= t <= 1:
                 raise ValueError(f"time of {el} is {t}, outside [0,1]")
-        for j, (u, w) in enumerate(self.graph.edges, start=1):
+        for j, (u, w) in enumerate(graph.edges, start=1):
             edge_time = coerced[Element.edge(j)]
             endpoint_time = max(coerced[Element.vertex(u)], coerced[Element.vertex(w)])
             if edge_time <= endpoint_time:
@@ -288,6 +294,8 @@ class TimeAssignment:
                     f"edge e{j} at time {edge_time} is not strictly after its "
                     f"endpoints (latest endpoint at {endpoint_time})"
                 )
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "times", coerced)
 
     def time(self, element: Element) -> Fraction:
         return self.times[element]

@@ -92,6 +92,17 @@ class TestElement:
         with pytest.raises(ValueError, match="^bad element token 'v²'; expected v<i> or e<j>$"):
             Element.from_token("v²")
 
+    def test_non_integer_indices_are_refused(self):
+        # A float index is refused as a float edge endpoint is; True is 1.
+        for index in (1.0, 2.5, "1"):
+            with pytest.raises(TypeError):
+                Element("v", index)
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            Element("e", 1.0)
+        one = Element("v", True)
+        assert one == Element.vertex(1) and type(one.index) is int
+        assert str(one) == "v1" and repr(one) == "Element(kind='v', index=1)"
+
     def test_ordering_vertices_before_edges(self):
         assert Element.vertex(2) < Element.edge(1)
         assert Element.vertex(1) < Element.vertex(2)
@@ -131,6 +142,18 @@ class TestGraphType:
             with pytest.raises(TypeError):
                 Graph(2, (edge,))
         assert Graph(2, ((True, 2),)).edges == ((1, 2),)
+
+    def test_non_integer_vertex_counts_are_refused(self):
+        with pytest.raises(TypeError) as endpoint:
+            Graph(2, ((1.0, 2),))
+        for p in (2.0, 1.5, "2"):
+            with pytest.raises(TypeError):
+                Graph(p, ((1, 2),))
+        with pytest.raises(TypeError) as count:
+            Graph(2.0, ((1, 2),))
+        assert str(count.value) == str(endpoint.value)
+        g = Graph(True)
+        assert g == Graph(1) and type(g.p) is int and b.count_dp(g) == 1
 
     def test_degree_counts_loops_twice(self):
         g = Graph(1, ((1, 1),), multigraph=True)

@@ -2,6 +2,8 @@
 and has every name the benchmark's tracer rebinds or calls."""
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import buildseq
@@ -41,3 +43,14 @@ def test_the_tracer_names_exist():
     assert tables.keys() == {"REBIND", "ENTRY_POINTS"} and all(tables.values())
     for module, name in names:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect_nor_json():
+    # -S: no site hook imports anything first.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import buildseq.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json'} & sys.modules.keys()))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -65,6 +65,14 @@ class TestValidate:
         with pytest.raises(ValueError, match="edge e1"):
             seq(PATH3, "v1 v3 e1 v2 e2")
 
+    def test_elements_with_non_integer_indices_never_reach_a_sequence(self):
+        # Element("v", 1.0) once built and crashed inside validate; now the
+        # constructor refuses it, and Element("v", True) is v1.
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            CSeq(PATH2, (Element("v", 1.0), Element.vertex(2), Element.edge(1)))
+        x = CSeq(PATH2, (Element("v", True), Element.vertex(2), Element("e", True)))
+        assert str(x) == "v1 v2 e1" and x == seq(PATH2, "v1 v2 e1")
+
     def test_positions(self):
         x = seq(PATH3, "v1 v2 e1 v3 e2")
         assert x.position(Element.edge(1)) == 3
