@@ -15,8 +15,12 @@ one another:
 
 The subset kernel serves ``count_dp`` and ``optimize.min_cost``;
 ``count_based`` is the ``count_dp`` of the graph left after its base.
-``_quotient`` builds the table, ``_free_steps`` plans the sweeps and
-``_descending`` walks them; ``_scaled_completions`` is the count sweep.
+``_quotient`` builds the table from integer neighbour rows, one per vertex
+with the edge multiplicities as digits, which also key the twin classes; a
+twin-free table of simple edges past 2^8 states grows by doubling lists.
+``_free_steps`` plans the sweeps and ``_descending`` walks them, a block of
+low digits at a time; ``_scaled_completions`` is the count sweep, which adds
+the whole blocks that a block's high steps lead to at once.
 The kernel's one limit, ``max_states``, bounds the class-count vectors,
 prod(n_i + 1), 2^p when no two vertices are twins.  All counts are exact
 Python integers: the DP's entries are the count scaled by N!/h(S)! and
@@ -127,11 +131,16 @@ def _quotient(
     them, with all endpoints in S, so loops and parallel edges count with
     multiplicity.
 
-    Twins u and v with no edge between them have the same neighbours, with
-    the same multiplicities; joined by m edges, they have the same ones once
-    each counts itself as its own neighbour by m edges.  So each vertex gets
-    a key for its neighbours as they are and one for each multiplicity m at
-    it, each with its loops, and the vertices that share a key form a class.
+    One pass over the distinct pairs of ``edges`` gives each vertex v its
+    loops and an integer row, the multiplicity m_vw of each other vertex w
+    as digit w in base B, a power of two above the largest multiplicity of
+    an edge that is not a loop (B = 2 without parallel edges).  Twins u and
+    v with no edge between them have the same neighbours, with the same
+    multiplicities, so the same row; joined by m edges, they have the same
+    ones once each counts itself as its own neighbour by m edges, row + m *
+    B^v.  So each vertex is keyed by its loops with its row, and with row +
+    m * B^v for each multiplicity m at it, and the vertices that share a key
+    form a class.
     The classes are formed from ``_TWIN_MIN_VERTICES`` up to
     ``_TWIN_VERTICES`` vertices, and on fewer vertices only when 2^p states
     are over the limit; otherwise every vertex is a class of its own.
@@ -144,32 +153,41 @@ def _quotient(
     their loops, the C(k, 2) * m_ii edges among them, and k times opened[x],
     the edges from one member to the vertices of state x, which adds m_ij
     for each member of class j in x.  With no twins and no parallel edges a
-    state is the bit mask of its vertices, and opened[x] is one popcount.
-    The classes come from counting the edges between each pair of vertices,
-    so the limit is checked before any table, however many are parallel.
+    state is the bit mask of its vertices, and opened[x] counts the bits it
+    shares with the vertex's row: one popcount per state up to 2^8 states,
+    and past that a list doubled once per earlier vertex, by C-level list
+    operations.  The rows come from the distinct pairs, never once per
+    parallel edge, so the limit is checked before any table, however many
+    are parallel.
     """
     if p > _TWIN_VERTICES:
         kernel.check_subsets(p, max_states)
     counts = dict.fromkeys(edges, 1)  # per pair u <= w
-    parallel = len(counts) < len(edges)
-    if parallel:
+    bits = 1  # per digit of a row
+    at: list[set[int]] | None = None  # with parallel edges, the multiplicities at each vertex
+    if len(counts) < len(edges):
         counts = Counter(edges)
+        at = [set() for _ in range(p)]
+        for (u, w), k in counts.items():
+            if u != w:
+                at[u - 1].add(k)
+                at[w - 1].add(k)
+        bits = max(map(max, filter(None, at)), default=1).bit_length()
     loops = [0] * p
+    rows = [0] * p  # row v: the edges joining v and w as digit w, in base 2^bits
     for (u, w), k in counts.items():
         if u == w:
             loops[u - 1] = k
+        else:
+            rows[u - 1] += k << bits * (w - 1)
+            rows[w - 1] += k << bits * (u - 1)
     classes: list[list[int]] = []  # the classes of two or more, by smallest vertex
     if p <= _TWIN_VERTICES and (p >= _TWIN_MIN_VERTICES or 1 << p > max_states):
-        near: list[dict[int, int]] = [{} for _ in range(p)]  # near[v][w]: the edges joining v and w
-        for (u, w), k in counts.items():
-            if u != w:
-                near[u - 1][w - 1] = near[w - 1][u - 1] = k
-        shared: dict[tuple[int, frozenset], list[int]] = {}
-        for v, row in enumerate(near):
-            key = frozenset(row.items())
-            shared.setdefault((loops[v], key), []).append(v)
-            for m in set(row.values()):
-                shared.setdefault((loops[v], key | {(v, m)}), []).append(v)
+        shared: dict[tuple[int, int], list[int]] = {}
+        for v, row in enumerate(rows):
+            shared.setdefault((loops[v], row), []).append(v)
+            for m in at[v] if at else (1,) if row else ():
+                shared.setdefault((loops[v], row + (m << bits * v)), []).append(v)
         classes = sorted(members for members in shared.values() if len(members) > 1)
     if classes:
         twins = {v for members in classes for v in members}
@@ -184,17 +202,23 @@ def _quotient(
     kernel.check_classes(sizes, max_states)
     radix = [1, *itertools.accumulate([n + 1 for n in sizes], operator.mul)]
     placed = [0]
-    if len(sizes) == p and not (parallel and any(k > 1 for (u, w), k in counts.items() if u != w)):
-        # No twins and no parallel edges: a state is the bit mask of its
-        # vertices in class order, and the edges from v into it one popcount.
-        rows = [0] * p
-        for u, w in counts:
-            u, w = vertex_class[u - 1], vertex_class[w - 1]
-            rows[u] |= 1 << w
-            rows[w] |= 1 << u
-        for (v,), row in zip(classes, rows):
+    if len(sizes) == p and bits == 1:
+        # Vertex v doubles the table of vertices 0..v-1.  Up to 2^8 states a
+        # comprehension is faster; past that, one list per state doubled
+        # per earlier vertex, and a map adding it to the table.
+        for v, row in enumerate(rows):
             step = 1 + loops[v]
-            placed += [z + step + (row & s).bit_count() for s, z in enumerate(placed)]
+            if v < 8:
+                placed += [z + step + (row & s).bit_count() for s, z in enumerate(placed)]
+                continue
+            opened = [step]  # per state so far: step and the edges from v into it
+            for w in range(v):
+                if row >> w & 1:
+                    opened += [y + 1 for y in opened]
+                else:
+                    opened *= 2
+            # opened is as long as the table was, so the map stops there.
+            placed += map(operator.add, placed, opened)
     else:
         for i, members in enumerate(classes):
             u = members[0] + 1
@@ -251,15 +275,16 @@ def _free_steps(q: _Quotient, weights: list[int] | None = None) -> tuple[list[tu
     return low, _doubled(q.sizes[s:], items[s:])
 
 
-def _descending(low: list[tuple], high: list[tuple]) -> Iterator[tuple[Iterator, tuple]]:
+def _descending(low: list[tuple], high: list[tuple]) -> Iterator[tuple[int, Iterator, tuple]]:
     """Both subset sweeps' walk over a :func:`_free_steps` plan: per block of
-    low digits, pairs (x, low[x % L]) with x decreasing and L = len(low), and
-    high[x // L]; the full state, which each sweep sets, is left out."""
+    low digits, its first state start = hi * L, the pairs (x, low[x % L])
+    with x decreasing and L = len(low), and high[hi]; the full state, which
+    each sweep sets, is left out."""
     down = low[::-1]
     block = down[1:]
     for hi in range(len(high) - 1, -1, -1):
         start = hi * len(down)
-        yield zip(range(start + len(block) - 1, start - 1, -1), block), high[hi]
+        yield start, zip(range(start + len(block) - 1, start - 1, -1), block), high[hi]
         block = down
 
 
@@ -287,12 +312,24 @@ def _scaled_completions(q: _Quotient) -> list[int]:
     n = placed[-1]
     a = [0] * len(placed)
     a[-1] = math.factorial(n)
-    for states, up in _descending(*_free_steps(q)):
-        for x, steps in states:
-            total = 0
+    low, high = _free_steps(q)
+    size = len(low)
+    for start, states, up in _descending(low, high):
+        if not up:
+            for x, steps in states:
+                total = 0
+                for r in steps:
+                    total += a[x + r]
+                a[x] = total // (n - placed[x])
+            continue
+        # A high step leads the whole block to a whole block above it, a
+        # slice of the table: add those first, then the low steps per state.
+        r, *others = up
+        sums = a[start + r : start + r + size]
+        for r in others:
+            sums = list(map(operator.add, sums, a[start + r : start + r + size]))
+        for (x, steps), total in zip(states, reversed(sums)):
             for r in steps:
-                total += a[x + r]
-            for r in up:
                 total += a[x + r]
             a[x] = total // (n - placed[x])
     return a

@@ -115,8 +115,8 @@ LIMITS = {
     "oracle": Limit(10, "elements", "brute-force", "count family:cycle:5 --route oracle", 1.5),
     "enumerators": Limit(11, "elements", "enumeration", "enumerate family:path:6", 1.8),
     "greedy_all": Limit(8, "vertices", "greedy-all", "b.greedy_all(b.build_family('complete:8'))", 1.0),
-    "count_dp": Limit(1 << 24, "states", "count DP", "count family:path:24", 11.3, message=_STATES),
-    "min_cost": Limit(1 << 22, "states", "optimizer", "optimize family:path:22", 2.6, message=_STATES),
+    "count_dp": Limit(1 << 24, "states", "count DP", "count family:path:24", 14.6, message=_STATES),
+    "min_cost": Limit(1 << 22, "states", "optimizer", "optimize family:path:22", 3.5, message=_STATES),
     "poset_sweep": Limit(1 << 18, "states", "linear-extension sweep",
                          "b.count_linear_extensions(b.incidence_poset(b.build_family('complete:18')))", 1.0,
                          message="{kernel} exceeded {limit} {unit}; raise max_states to continue"),

@@ -77,32 +77,44 @@ def graphs_pq(p: int, q: int) -> Iterator[Graph]:
 class Family(_Record):
     """A duplicate-free exhaustive family of labeled graphs.
 
-    Built through :meth:`trees`, :meth:`fixed_size`, or :meth:`explicit`;
-    iterating streams the members.
+    ``kind`` is ``"trees"`` with params (n,), ``"graphs"`` with (p, q), or
+    ``"explicit"`` with the member graphs; :meth:`trees`,
+    :meth:`fixed_size` and :meth:`explicit` build each.  Construction
+    checks the params as those do; iterating streams the members.
     """
 
     __slots__ = _fields = ("kind", "params")
 
     def __init__(self, kind: str, params: tuple = ()) -> None:
+        if kind == "trees":
+            if len(params) != 1:
+                raise ValueError(f"a trees family takes params (n,), got {params!r}")
+            LIMITS["trees"].check(params[0])
+        elif kind == "graphs":
+            if len(params) != 2:
+                raise ValueError(f"a graphs family takes params (p, q), got {params!r}")
+            _check_pq(*params)
+        elif kind == "explicit":
+            if not all(isinstance(g, Graph) for g in params):
+                raise TypeError("explicit family members must be Graphs")
+            if len(set(params)) != len(params):
+                raise ValueError("explicit family contains duplicates")
+        else:
+            raise ValueError(f"family kind must be 'trees', 'graphs' or 'explicit', got {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
 
     @classmethod
     def trees(cls, n: int) -> "Family":
-        LIMITS["trees"].check(n)
         return cls("trees", (n,))
 
     @classmethod
     def fixed_size(cls, p: int, q: int) -> "Family":
-        _check_pq(p, q)
         return cls("graphs", (p, q))
 
     @classmethod
     def explicit(cls, graphs: Sequence[Graph]) -> "Family":
-        members = tuple(graphs)
-        if len(set(members)) != len(members):
-            raise ValueError("explicit family contains duplicates")
-        return cls("explicit", members)
+        return cls("explicit", tuple(graphs))
 
     @property
     def label(self) -> str:

@@ -282,7 +282,7 @@ def _least_costs(g: Graph, max_states: int) -> tuple[_Quotient, list[tuple], lis
         weights[c] = 2 + d
     low, high = _free_steps(q, weights)
     best = [0] * len(placed)  # the full state adds nothing
-    for states, up in _descending(low, high):
+    for _, states, up in _descending(low, high):
         for x, free in states:
             pos = placed[x] + 1
             least = 0  # every step adds a negative amount

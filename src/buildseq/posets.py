@@ -52,6 +52,7 @@ class Poset(_Record):
     __slots__ = (*_fields, "_index")
 
     def __init__(self, n: int, covers: tuple[tuple[int, int], ...] = ()) -> None:
+        n = operator.index(n)
         if n < 0:
             raise ValueError(f"element count must be >= 0, got {n}")
         covers = tuple((operator.index(lo), operator.index(hi)) for lo, hi in covers)

@@ -174,9 +174,12 @@ def _from_codes(graph: Graph, code_seqs: Iterable[Sequence[int]]) -> Iterator[CS
     """CSeqs from sequences of element codes, built without :func:`validate`:
     every caller passes code sequences its kernel constructed valid.
     Everything read from outside the package goes through the validating
-    ``CSeq(...)`` instead."""
-    elements = graph.elements()
+    ``CSeq(...)`` instead.  The graph's elements are listed at the first
+    code sequence, so an empty stream builds none."""
+    elements = None
     for codes in code_seqs:
+        if elements is None:
+            elements = graph.elements()
         x = object.__new__(CSeq)
         object.__setattr__(x, "graph", graph)
         object.__setattr__(x, "elements", tuple(map(elements.__getitem__, codes)))

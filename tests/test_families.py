@@ -117,6 +117,22 @@ class TestFamilyType:
         with pytest.raises(ValueError):
             Family.explicit((g, g))
 
+    def test_the_constructor_checks_what_the_classmethods_check(self):
+        g = b.build_family("path:2")
+        for kind, params, error, words in (
+            ("x", (), ValueError, "^family kind must be 'trees', 'graphs' or 'explicit', got 'x'$"),
+            ("trees", (40,), ValueError, "^supported range is 2 <= n <= 8, got 40$"),
+            ("trees", (), ValueError, "^a trees family takes params \\(n,\\), got \\(\\)$"),
+            ("graphs", (8, 1), ValueError, "^supported range is 1 <= p <= 7, got 8$"),
+            ("graphs", (3,), ValueError, "^a graphs family takes params \\(p, q\\), got \\(3,\\)$"),
+            ("explicit", (g, g), ValueError, "^explicit family contains duplicates$"),
+            ("explicit", ("path:2",), TypeError, "^explicit family members must be Graphs$"),
+        ):
+            with pytest.raises(error, match=words):
+                Family(kind, params)
+        assert Family("trees", (5,)) == Family.trees(5)
+        assert Family("explicit") == Family.explicit(())
+
     def test_labels(self):
         assert Family.trees(5).label == "trees:5"
         assert Family.fixed_size(4, 3).label == "graphs:4:3"

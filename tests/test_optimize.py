@@ -210,11 +210,25 @@ class TestMinCost:
         # The minimum matches 6n-4; the number of minimizers is n * 2^(n-1):
         # pick the starting edge and its orientation, grow the arc from
         # either end, and swap the final two edges freely.  Confirmed by
-        # full enumeration below and hand-checked witnesses.
-        for n in range(3, 9):
+        # full enumeration below and hand-checked witnesses.  From n = 9 on
+        # the sweep runs over several blocks of its plan.
+        for n in range(3, 15):
             result = b.min_cost(b.build_family(f"cycle:{n}"))
             assert result.min_cost == 6 * n - 4
             assert result.num_optimal == n * 2 ** (n - 1)
+
+    def test_no_element_list_without_a_sequence(self, monkeypatch):
+        g = b.build_family("cycle:5")
+        expected = b.min_cost(g), b.check_conjecture(g)
+        assert expected[1].holds
+
+        def refuse(self):
+            raise AssertionError("listed the elements for no sequence")
+
+        monkeypatch.setattr(b.Graph, "elements", refuse)
+        assert (b.min_cost(g), b.check_conjecture(g)) == expected
+        monkeypatch.undo()
+        assert b.min_cost(g, max_witnesses=1).witnesses == (b.enumerate_min_cost(g)[0],)
 
     def test_cycle_counts_match_enumeration(self):
         for n in (3, 4, 5):

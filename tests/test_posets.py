@@ -175,6 +175,12 @@ class TestPosetType:
             with pytest.raises(TypeError):
                 Poset(2, (cover,))
 
+    def test_element_count_is_an_index(self):
+        assert repr(Poset(True)) == "Poset(n=1, covers=())"
+        for n in (2.0, "2"):
+            with pytest.raises(TypeError):
+                Poset(n)
+
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(cover_lists())
     def test_one_pass_index_matches_the_two_pass_validator(self, case):

@@ -83,10 +83,10 @@ CASES = {
     ),
     "Family": (
         b.Family,
-        {"kind": "trees", "params": (4,)},
+        {"kind": "explicit", "params": (G,)},
         {"params": ()},
-        "Family(kind='trees', params=(4,))",
-        {"kind": "trees", "params": (5,)},
+        "Family(kind='explicit', params=(Graph(p=2, edges=((1, 2),), multigraph=False),))",
+        {"kind": "explicit", "params": ()},
     ),
 }
 

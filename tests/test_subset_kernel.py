@@ -216,11 +216,18 @@ def state(q, s: int) -> int:
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(st.one_of(bundled_multigraphs(), simple_graphs()))
+# Twin-free tables past 2^8 states, which grow by doubling, without and with loops.
+@example(b.build_family("path:9"))
+@example(b.Graph(11, tuple((v, v % 11 + 1) for v in range(1, 12)) + ((1, 5), (2, 7), (3, 9), (4, 11), (6, 10))))
+@example(b.Graph(9, b.build_family("cycle:9").edges + ((1, 1), (1, 1), (4, 4), (1, 5)), multigraph=True))
+# Rows in base 4: 1 and 2 are twins joined by a bundle of 3 edges, and 4 and
+# 5 have the one neighbour 6, by 1 and 2 edges, so they are not twins.
+@example(b.Graph(9, ((1, 2),) * 3 + ((1, 3), (2, 3), (4, 6), (5, 6), (5, 6), (6, 7), (7, 8), (8, 9), (3, 9)), multigraph=True))
 def test_edge_table_counts_the_edges_inside_every_subset(g):
     # At the twin-class state count as the limit the kernel must group the
     # twins; under a roomy limit it groups them from 8 vertices on.
     tight = twin_states(g)
-    for limit, grouped in ((tight, True), (1 << 10, g.p >= 8)):
+    for limit, grouped in ((tight, True), (1 << 12, g.p >= 8)):
         q = _quotient(g.p, g.edges, max_states=limit, kernel=LIMITS["count_dp"])
         for u in range(1, g.p + 1):
             for v in range(u + 1, g.p + 1):
@@ -237,7 +244,7 @@ def test_edge_table_counts_the_edges_inside_every_subset(g):
         _quotient(g.p, g.edges, max_states=tight - 1, kernel=LIMITS["count_dp"])
     # Bundles and loops give a vertex many edges to open in one step.
     if g.p:
-        for limit in (tight, 1 << 10):
+        for limit in (tight, 1 << 12):
             based = [b.count_based(g, v, max_states=limit) for v in range(1, g.p + 1)]
             assert sum(based) == b.count_dp(g, max_states=limit)
 
