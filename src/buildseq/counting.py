@@ -160,6 +160,7 @@ def _quotient(
     parallel edge, so the limit is checked before any table, however many
     are parallel.
     """
+    max_states = operator.index(max_states)
     if p > _TWIN_VERTICES:
         kernel.check_subsets(p, max_states)
     counts = dict.fromkeys(edges, 1)  # per pair u <= w

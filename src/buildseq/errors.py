@@ -91,18 +91,23 @@ class Limit(NamedTuple):
         return ResourceLimitError(text) if self.low is None else ValueError(text)
 
     def check(self, amount: int, limit: int | None = None) -> int:
-        """``amount``, unless it is over ``limit``, by default the cap, or under ``low``."""
-        if amount > (self.value if limit is None else limit) or self.low is not None and amount < self.low:
+        """``amount``, unless it is over ``limit``, by default the cap, or under ``low``.
+        A ``limit`` goes through ``operator.index``: a float or a str raises
+        ``TypeError``, and ``True`` is 1, as in every check below."""
+        limit = self.value if limit is None else operator.index(limit)
+        if amount > limit or self.low is not None and amount < self.low:
             raise self.error(amount, limit)
         return amount
 
     def check_subsets(self, p: int, max_states: int) -> None:
         """2^p subset states at most ``max_states``, compared by bit length: no 2^p integer is built."""
+        max_states = operator.index(max_states)
         if p >= max(max_states, 0).bit_length():
             raise self.error(f"2^{p} vertex-subset", max_states)
 
     def check_classes(self, sizes: list[int], max_states: int) -> None:
         """prod(n_i + 1) twin-class states at most ``max_states``, as 2^p if every n_i is 1."""
+        max_states = operator.index(max_states)
         if sum(sizes) == len(sizes):
             return self.check_subsets(len(sizes), max_states)
         states = math.prod(n + 1 for n in sizes)

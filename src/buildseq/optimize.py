@@ -263,9 +263,10 @@ def min_cost(
     Witness extraction is optional and capped by ``max_witnesses``; the
     witnesses are the first minimizers of :func:`_minimizers`' walk.
     """
+    max_witnesses = max(operator.index(max_witnesses), 0)
     q, low, high, best = _least_costs(g, max_states)
     minimizers = _minimizers(g, q, best)
-    witnesses = tuple(_from_codes(g, itertools.islice(minimizers, max(max_witnesses, 0))))
+    witnesses = tuple(_from_codes(g, itertools.islice(minimizers, max_witnesses)))
     n = q.placed[-1]
     return OptResult(n * (n + 1) + best[0], _count_optimal(q, low, high, best), witnesses)
 

@@ -10,7 +10,10 @@ core elements (the minimal elements of its complement in the core) and to
 a(D), the number of maximal elements whose lower covers all lie in D.  A
 step D -> D+x that makes d maximal elements available multiplies the count
 by perm(h(D) - 1, d), where h(D) = n - |D| - a(D).  ``max_states`` bounds
-the states stored, one per core downset, as in the subset kernels.
+the states stored, one per core downset, as in the subset kernels.  A
+level of one D with one addable core element is a forced run, as in Kahn's
+algorithm: the sweep steps it by element index, and builds no level table
+and no n-bit mask until a step leaves several addable elements.
 
 A :class:`Poset` validates its covers on a cover index built in one pass,
 upper-cover lists and lower-cover masks, and keeps it for the sweep.
@@ -115,20 +118,70 @@ def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIM
     perm(h(D) - 1, d) ways.  The isolated elements start the count at
     perm(n, isolated), and it ends at the one D that is the whole core.
 
+    While a level holds one D with one addable core element x, each step is
+    forced, and the run keeps x's index, not D's masks.  An upper cover y
+    first reached from x has its other unplaced lower covers outside the
+    run's starting D, so one mask operation counts them; each later step to
+    a lower cover of y decrements the count, and y is addable, or available
+    if maximal, at zero.  The run ends when a step leaves several addable
+    elements, and builds D's masks once, or when it completes the core.
+    Each forced state is stored and checked as any other.
+
     ``max_states`` bounds the states stored, one per core downset, the empty
     one included.  Raises :class:`ResourceLimitError` at the first D past
     ``max_states``, or earlier, as soon as some D has c addable core elements
     with 2^c > ``max_states``: D plus any subset of them is a core downset,
     so the limit would be hit.
     """
+    max_states = operator.index(max_states)
     n, (above, below) = poset.n, poset._index
-    core = sum(1 << x for x in range(n) if above[x])
-    minimal = sum(1 << x for x in range(n) if above[x] and not below[x])
-    isolated = sum(not above[x] and not below[x] for x in range(n))
+    cores, minimal, isolated = 0, [], 0
+    for x, ups in enumerate(above):
+        if ups:
+            cores += 1
+            if not below[x]:
+                minimal.append(x)
+        elif not below[x]:
+            isolated += 1
     stored = 1
-    LIMITS["poset_sweep"].check(1 << minimal.bit_count(), max_states)
-    level = {0: [math.perm(n, isolated), minimal, isolated]}
-    for size in range(core.bit_count()):
+    LIMITS["poset_sweep"].check(1 << len(minimal), max_states)
+    level = {0: [math.perm(n, isolated), _mask(minimal, n), isolated]}
+    size = 0
+    while size < cores:
+        if len(level) == 1:
+            (downset, (count, mask, avail)), = level.items()
+            if not mask & (mask - 1):  # one addable core element: a forced run
+                x, placed, waiting = mask.bit_length() - 1, [], {}
+                while True:
+                    placed.append(x)
+                    opened, ready = 0, []
+                    for y in above[x]:
+                        # waiting holds no zeros, so ``or`` falls back on a first reach
+                        left = waiting.get(y) or below[y].bit_count() - (below[y] & downset).bit_count()
+                        left -= 1
+                        if left:
+                            waiting[y] = left
+                        elif above[y]:
+                            ready.append(y)
+                        else:
+                            opened += 1
+                    if opened:
+                        count *= math.perm(n - size - avail - 1, opened)
+                        avail += opened
+                    size += 1
+                    stored += 1
+                    if len(ready) == 1:  # 2^1 <= stored, so one check covers both
+                        if stored > max_states:
+                            raise LIMITS["poset_sweep"].error(stored, max_states)
+                        x = ready[0]
+                        continue
+                    if stored > max_states or 1 << len(ready) > max_states:
+                        raise LIMITS["poset_sweep"].error(stored, max_states)
+                    break
+                if size == cores:  # no masks to build for the whole core
+                    return count
+                level = {downset | _mask(placed, n): [count, _mask(ready, n), avail]}
+                continue
         grown_level: dict[int, list[int]] = {}
         for downset, (count, mask, avail) in level.items():
             free = n - size - avail - 1  # h(D) - 1
@@ -154,7 +207,18 @@ def count_linear_extensions(poset: Poset, *, max_states: int = DEFAULT_STATE_LIM
                 opened = entry[2] - avail
                 entry[0] += count * math.perm(free, opened) if opened else count
         level = grown_level
-    return level[core][0]
+        size += 1
+    (count, _, _), = level.values()
+    return count
+
+
+def _mask(elements: Iterable[int], n: int) -> int:
+    """The bit mask of ``elements``, all below ``n``, packed in a bytearray:
+    O(n) in all, where summing 1 << x costs O(x) per element."""
+    bits = bytearray(n // 8 + 1)
+    for x in elements:
+        bits[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(bits, "little")
 
 
 def poset_from_hypergraph(p: int, hyperedges: Sequence[Iterable[int]]) -> Poset:

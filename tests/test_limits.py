@@ -75,3 +75,31 @@ def test_check_passes_an_admitted_amount_through():
         LIMITS["enumerators"].check(13, 12)
     with pytest.raises(ValueError, match="^supported range is 1 <= n <= 350, got 0$"):
         LIMITS["path_recursion"].check(0)
+
+
+KERNEL_LIMITS = {
+    "count_dp": (buildseq.count_dp, "max_states"),
+    "count_based": (lambda g, **k: buildseq.count_based(g, 1, **k), "max_states"),
+    "min_cost": (buildseq.min_cost, "max_states"),
+    "min_cost witnesses": (buildseq.min_cost, "max_witnesses"),
+    "count_linear_extensions": (lambda g, **k: buildseq.count_linear_extensions(buildseq.incidence_poset(g), **k),
+                                "max_states"),
+    "count_bruteforce": (buildseq.count_bruteforce, "element_limit"),
+    "enumerate_csequences": (lambda g, **k: list(buildseq.enumerate_csequences(g, **k)), "element_limit"),
+}
+
+
+@pytest.mark.parametrize("kernel", list(KERNEL_LIMITS))
+def test_limit_keywords_are_integers(kernel):
+    # A limit goes through operator.index before any work: a float or a str
+    # is refused rather than compared, and True is the limit 1.
+    run, keyword = KERNEL_LIMITS[kernel]
+    g = buildseq.build_family("path:3")
+    for bad in (1e9, 20.5, "64"):
+        with pytest.raises(TypeError):
+            run(g, **{keyword: bad})
+    if keyword == "max_witnesses":
+        assert len(run(g, max_witnesses=True).witnesses) == 1
+    else:
+        with pytest.raises(ResourceLimitError, match=r"(limit|exceeded) 1\b"):
+            run(g, **{keyword: True})

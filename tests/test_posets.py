@@ -87,6 +87,41 @@ def cover_lists(draw) -> tuple[int, list[tuple[int, int]]]:
     return n, covers
 
 
+@st.composite
+def narrow_posets(draw) -> tuple[Poset, int | None]:
+    """(poset, count) on posets whose sweep is mostly forced runs, randomly
+    relabelled.  A chain from a bottom to a top with side elements, each
+    strictly between two chain elements w apart in disjoint windows, counts
+    the product of the w; a chain with pendant maximal elements counts, with
+    the pendants taken from the highest attachment down, L - i + j for the
+    j-th one at chain index i; two chains of a and b elements between a
+    bottom and a top count C(a + b, a).  Windows and pendants together have
+    no closed form here, and count None."""
+    if draw(st.booleans()):
+        a, b = draw(st.integers(1, 12)), draw(st.integers(0, 12))
+        n, count = a + b + 2, math.comb(a + b, a)
+        ends = [(0, 1), (a, n - 1)] + ([(0, a + 1), (a + b, n - 1)] if b else [])
+        covers = ends + [(i, i + 1) for i in (*range(1, a), *range(a + 1, a + b))]
+    else:
+        length = draw(st.integers(1, 40))
+        covers, count, n = [(i, i + 1) for i in range(length - 1)], 1, length
+        start = draw(st.integers(0, 3))
+        while start + 2 < length and draw(st.booleans()):
+            w = draw(st.integers(2, min(5, length - 1 - start)))
+            covers += [(start, n), (n, start + w)]
+            count, n = count * w, n + 1
+            start += w + draw(st.integers(0, 3))
+        windows = n - length
+        pendants = sorted(draw(st.lists(st.integers(0, length - 1), max_size=4)), reverse=True)
+        for j, i in enumerate(pendants):
+            covers.append((i, n))
+            count, n = count * (length - i + j), n + 1
+        if windows and pendants:
+            count = None
+    perm = draw(st.permutations(range(n)))
+    return Poset(n, tuple((perm[lo], perm[hi]) for lo, hi in covers)), count
+
+
 def two_pass_validation(n: int, covers: list[tuple[int, int]]) -> list[list[int]]:
     """The reference validator: range, self and duplicate checks against a
     set, then Kahn's check and the irredundancy walk, each on upper-cover
@@ -356,6 +391,25 @@ class TestCounting:
         assert b.count_linear_extensions(poset, max_states=downsets) == count
         with pytest.raises(ResourceLimitError):
             b.count_linear_extensions(poset, max_states=downsets - 1)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(narrow_posets(), st.data())
+    def test_forced_runs_match_the_oracle_closed_forms_and_the_limit(self, case, data):
+        poset, count = case
+        if poset.n <= 9:
+            oracle = count_extensions_by_permutation_filter(poset)
+            assert count in (None, oracle)
+            count = oracle
+        if count is not None:
+            assert b.count_linear_extensions(poset) == count
+        if poset.n <= 13:
+            # Every limit under the core downsets raises, wherever the sweep
+            # reaches it, the middle of a forced run included.
+            downsets = core_downsets_by_brute_force(poset)
+            assert b.count_linear_extensions(poset, max_states=downsets) == b.count_linear_extensions(poset)
+            for limit in {downsets - 1, data.draw(st.integers(0, downsets - 1))}:
+                with pytest.raises(ResourceLimitError, match=f"exceeded {limit} states"):
+                    b.count_linear_extensions(poset, max_states=limit)
 
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     @given(multigraphs())
