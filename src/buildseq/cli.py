@@ -299,7 +299,7 @@ def _cmd_cost(args: SimpleNamespace) -> int:
         "sequence": format_sequence(x.elements),
         "short": short_form(x.elements, hub_zero=args.hub_zero),
         "per_edge": per_edge,
-        "total": total_cost(x),
+        "total": sum(per_edge.values()),
         "vertex_cost": vertex_total,
         "components": list(profile.counts),
         "peak_components": profile.peak,

@@ -16,8 +16,8 @@ one another:
 The subset kernel serves ``count_dp`` and ``optimize.min_cost``;
 ``count_based`` is the ``count_dp`` of the graph left after its base.
 ``_quotient`` builds the table from integer neighbour rows, one per vertex
-with the edge multiplicities as digits, which also key the twin classes; a
-twin-free table of simple edges past 2^8 states grows by doubling lists.
+with the edge multiplicities as digits, which also key the twin classes and
+give each class, in one loop, the edges it opens into the states before it.
 ``_free_steps`` plans the sweeps and ``_descending`` walks them, a block of
 low digits at a time; ``_scaled_completions`` is the count sweep, which adds
 the whole blocks that a block's high steps lead to at once.
@@ -152,13 +152,15 @@ def _quotient(
     Class i extends the table by placed[x + k * radix[i]]: k members with
     their loops, the C(k, 2) * m_ii edges among them, and k times opened[x],
     the edges from one member to the vertices of state x, which adds m_ij
-    for each member of class j in x.  With no twins and no parallel edges a
-    state is the bit mask of its vertices, and opened[x] counts the bits it
-    shares with the vertex's row: one popcount per state up to 2^8 states,
-    and past that a list doubled once per earlier vertex, by C-level list
-    operations.  The rows come from the distinct pairs, never once per
-    parallel edge, so the limit is checked before any table, however many
-    are parallel.
+    for each member of class j in x.  Class i reads m_ij from its first
+    member's row, at the digit of class j's first member, and m_ii at the
+    digit of its own last member; opened grows once per earlier class j,
+    repeated n_j + 1 times with 0, m_ij, ..., n_j * m_ij added, by C-level
+    list operations.  With no twins and no parallel edges a state is the bit
+    mask of its vertices, and up to 2^8 states opened[x] is a popcount of
+    the state and the row.  The rows come from the distinct pairs, never
+    once per parallel edge, so the limit is checked before any table,
+    however many are parallel.
     """
     max_states = operator.index(max_states)
     if p > _TWIN_VERTICES:
@@ -203,39 +205,31 @@ def _quotient(
     kernel.check_classes(sizes, max_states)
     radix = [1, *itertools.accumulate([n + 1 for n in sizes], operator.mul)]
     placed = [0]
-    if len(sizes) == p and bits == 1:
-        # Vertex v doubles the table of vertices 0..v-1.  Up to 2^8 states a
-        # comprehension is faster; past that, one list per state doubled
-        # per earlier vertex, and a map adding it to the table.
-        for v, row in enumerate(rows):
-            step = 1 + loops[v]
-            if v < 8:
-                placed += [z + step + (row & s).bit_count() for s, z in enumerate(placed)]
-                continue
-            opened = [step]  # per state so far: step and the edges from v into it
-            for w in range(v):
-                if row >> w & 1:
-                    opened += [y + 1 for y in opened]
-                else:
-                    opened *= 2
+    digit = (1 << bits) - 1
+    bitmasks = len(sizes) == p and bits == 1  # state s is then the bit mask of its vertices
+    for i, members in enumerate(classes):
+        v = members[0]
+        row, step = rows[v], 1 + loops[v]
+        if bitmasks and i < 8:  # up to 2^8 states a popcount is faster
+            placed += [z + step + (row & s).bit_count() for s, z in enumerate(placed)]
+            continue
+        # Per state of classes 0..i-1: the edges from one member of class i
+        # into it, and for a class of one its step too.
+        opened = [step if len(members) == 1 else 0]
+        for j in range(i):
+            m = row >> bits * classes[j][0] & digit
+            if m:
+                opened += [y + t for t in range(m, (sizes[j] + 1) * m, m) for y in opened]
+            else:
+                opened *= sizes[j] + 1
+        if len(members) == 1:
             # opened is as long as the table was, so the map stops there.
             placed += map(operator.add, placed, opened)
-    else:
-        for i, members in enumerate(classes):
-            u = members[0] + 1
-            step = 1 + loops[u - 1]
-            inner = counts.get((u, members[-1] + 1), 0)  # m_ii; with one member, k <= 1 leaves it out
-            opened = [0]  # per state of classes 0..i-1: the edges from one member of class i into it
-            for j in range(i):
-                w = classes[j][0] + 1
-                m = counts.get((u, w) if u < w else (w, u), 0)
-                if m:
-                    opened += [y + t for t in range(m, (sizes[j] + 1) * m, m) for y in opened]
-                else:
-                    opened *= sizes[j] + 1
-            for k in range(1, len(members) + 1):
-                a = k * step + k * (k - 1) // 2 * inner
-                placed += [z + a + k * y for z, y in zip(placed, opened)]
+            continue
+        inner = row >> bits * members[-1] & digit  # m_ii
+        for k in range(1, len(members) + 1):
+            a = k * step + k * (k - 1) // 2 * inner
+            placed += [z + a + k * y for z, y in zip(placed, opened)]
     scale = math.prod(map(math.factorial, sizes))
     return _Quotient(sizes, radix, vertex_class, placed, scale)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -80,7 +81,8 @@ class Family(_Record):
     ``kind`` is ``"trees"`` with params (n,), ``"graphs"`` with (p, q), or
     ``"explicit"`` with the member graphs; :meth:`trees`,
     :meth:`fixed_size` and :meth:`explicit` build each.  Construction
-    checks the params as those do; iterating streams the members.
+    checks the params as those do, and stores the sizes through
+    ``operator.index``; iterating streams the members.
     """
 
     __slots__ = _fields = ("kind", "params")
@@ -89,10 +91,12 @@ class Family(_Record):
         if kind == "trees":
             if len(params) != 1:
                 raise ValueError(f"a trees family takes params (n,), got {params!r}")
-            LIMITS["trees"].check(params[0])
+            params = tuple(map(operator.index, params))
+            LIMITS["trees"].check(*params)
         elif kind == "graphs":
             if len(params) != 2:
                 raise ValueError(f"a graphs family takes params (p, q), got {params!r}")
+            params = tuple(map(operator.index, params))
             _check_pq(*params)
         elif kind == "explicit":
             if not all(isinstance(g, Graph) for g in params):

@@ -123,26 +123,21 @@ class Graph(_Record):
     __slots__ = _fields = ("p", "edges", "multigraph")
 
     def __init__(self, p: int, edges: tuple[tuple[int, int], ...] = (), multigraph: bool = False) -> None:
-        object.__setattr__(self, "p", operator.index(p))
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "multigraph", multigraph)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        """Check and normalize the edges: every construction passes here once."""
-        if self.p < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.p}")
+        """Check and normalize the edges: every construction, copy and pickle
+        passes here.  Every range error comes before any loop or duplicate."""
+        p = operator.index(p)
+        if p < 0:
+            raise ValueError(f"vertex count must be >= 0, got {p}")
         normalized = []
-        for j, pair in enumerate(self.edges, start=1):
+        for j, pair in enumerate(edges, start=1):
             u, w = pair
             u, w = operator.index(u), operator.index(w)
-            if not (1 <= u <= self.p and 1 <= w <= self.p):
-                raise ValueError(f"edge {j} endpoints {{{u},{w}}} outside 1..{self.p}")
+            if not (1 <= u <= p and 1 <= w <= p):
+                raise ValueError(f"edge {j} endpoints {{{u},{w}}} outside 1..{p}")
             normalized.append((u, w) if u <= w else (w, u))
-        object.__setattr__(self, "edges", tuple(normalized))
-        if not self.multigraph:
+        if not multigraph:
             seen: set[tuple[int, int]] = set()
-            for j, (u, w) in enumerate(self.edges, start=1):
+            for j, (u, w) in enumerate(normalized, start=1):
                 if u == w:
                     raise ValueError(f"edge {j} is a loop at {u}; requires multigraph mode")
                 if (u, w) in seen:
@@ -150,6 +145,9 @@ class Graph(_Record):
                         f"edge {j} duplicates {{{u},{w}}}; requires multigraph mode"
                     )
                 seen.add((u, w))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "multigraph", multigraph)
 
     @property
     def q(self) -> int:

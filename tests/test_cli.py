@@ -192,10 +192,10 @@ class TestLimitsBeforeTheGraph:
 
     @pytest.fixture(autouse=True)
     def no_graph(self, monkeypatch):
-        def refuse(self):
+        def refuse(*args, **kwargs):
             raise AssertionError("a Graph was built")
 
-        monkeypatch.setattr(b.Graph, "__post_init__", refuse)
+        monkeypatch.setattr(b.Graph, "__init__", refuse)
 
     @pytest.mark.parametrize("argv, err", OVER_LIMIT)
     def test_over_limit_exits_three(self, capsys, argv, err):

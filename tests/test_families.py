@@ -127,10 +127,19 @@ class TestFamilyType:
             ("graphs", (3,), ValueError, "^a graphs family takes params \\(p, q\\), got \\(3,\\)$"),
             ("explicit", (g, g), ValueError, "^explicit family contains duplicates$"),
             ("explicit", ("path:2",), TypeError, "^explicit family members must be Graphs$"),
+            # Sizes are integers: a float or a str is refused at once.
+            ("graphs", (3, 1.0), TypeError, "'float' object cannot be interpreted as an integer"),
+            ("trees", (3.0,), TypeError, "'float' object cannot be interpreted as an integer"),
+            ("trees", ("3",), TypeError, "'str' object cannot be interpreted as an integer"),
         ):
             with pytest.raises(error, match=words):
                 Family(kind, params)
         assert Family("trees", (5,)) == Family.trees(5)
+        # True is the size 1, and the family stores and prints it so.
+        assert Family("graphs", (3, True)).params == (3, 1)
+        assert type(Family("graphs", (3, True)).params[1]) is int
+        assert Family("graphs", (3, True)).label == "graphs:3:1"
+        assert Family("graphs", (3, True)) == Family.fixed_size(3, 1)
         assert Family("explicit") == Family.explicit(())
 
     def test_labels(self):

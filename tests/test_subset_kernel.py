@@ -223,6 +223,9 @@ def state(q, s: int) -> int:
 # Rows in base 4: 1 and 2 are twins joined by a bundle of 3 edges, and 4 and
 # 5 have the one neighbour 6, by 1 and 2 edges, so they are not twins.
 @example(b.Graph(9, ((1, 2),) * 3 + ((1, 3), (2, 3), (4, 6), (5, 6), (5, 6), (6, 7), (7, 8), (8, 9), (3, 9)), multigraph=True))
+# A twin-free table in base 4 past 2^8 states: bundles of 3 and 2 edges and a
+# loop on path:10, each vertex a class of one whose row digits go past 1.
+@example(b.Graph(10, b.build_family("path:10").edges + ((3, 4),) * 2 + ((7, 8),) + ((5, 5),), multigraph=True))
 def test_edge_table_counts_the_edges_inside_every_subset(g):
     # At the twin-class state count as the limit the kernel must group the
     # twins; under a roomy limit it groups them from 8 vertices on.
