@@ -42,9 +42,9 @@ from .counting import (
     _path_counts_bernoulli,
     _path_counts_recursive,
 )
-from .errors import LIMITS, IsolatedVertexError, ResourceLimitError
+from .errors import LIMITS, IsolatedVertexError, ResourceLimitError, _index
 from .families import Family, _graphs_pq_pairs
-from .graphs import Graph, _build, _check_base, _family_plan, build_family, parse_graph
+from .graphs import Graph, _build, _family_plan, build_family, parse_graph
 from .optimize import (
     DEFAULT_OPT_STATE_LIMIT,
     POLICIES,
@@ -205,7 +205,7 @@ def _count_values(
     """
     p, size, plain, load = _sized_graph(argument)
     if base is not None:
-        _check_base(base, p)
+        _index(base, p, "base vertex")
     kind, n = plain or ("", 0)
     family = _FAMILY_ROUTES.get((kind, base), {})
     if args.route == "all":
@@ -324,14 +324,13 @@ def _cmd_optimize(args: SimpleNamespace) -> int:
 
 def _cmd_greedy(args: SimpleNamespace) -> int:
     g = load_graph(args.graph)
-    order = None
-    if args.order:
-        order = tuple(int(tok) for tok in args.order.replace(",", " ").split())
-    tie = TieBreak(args.tie_break, args.seed)
-    x = greedy(g, order, tie)
+    order = range(1, g.p + 1)
+    if args.order is not None:
+        order = [int(tok) for tok in args.order.replace(",", " ").split()]
+    x = greedy(g, order, TieBreak(args.tie_break, args.seed))
     payload = {
         "graph": args.graph,
-        "order": list(order) if order else list(range(1, g.p + 1)),
+        "order": list(order),
         "policy": args.tie_break,
         "seed": args.seed,
         "sequence": format_sequence(x.elements),

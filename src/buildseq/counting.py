@@ -37,8 +37,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import LIMITS, Limit
-from .graphs import Graph, _check_base
+from .errors import LIMITS, Limit, _index
+from .graphs import Graph
 from .sequences import CSeq, _from_codes
 
 __all__ = [
@@ -85,7 +85,7 @@ def count_bruteforce(
     and count the ones where every edge follows both endpoints.  With
     ``base``, only the orderings that start with that vertex."""
     if base is not None:
-        _check_base(base, g.p)
+        base = _index(base, g.p, "base vertex")
     total_elements = g.element_count
     LIMITS["oracle"].check(total_elements, element_limit)
     need = g.endpoint_masks()
@@ -351,7 +351,7 @@ def count_based(g: Graph, base: int, *, max_states: int = DEFAULT_DP_STATE_LIMIT
     kernel gets the rest's edges as they are, without a ``Graph`` built for
     them.
     """
-    _check_base(base, g.p)
+    base = _index(base, g.p, "base vertex")
     shift = [0, *range(1, base), 0, *range(base, g.p)]
     edges = [(shift[u] or shift[w], shift[w] or shift[u]) for u, w in g.edges]
     rest = [e for e in edges if e[0]]

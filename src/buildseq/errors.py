@@ -1,10 +1,12 @@
 """Shared exception types, ``LIMITS``, the one table of caps, which every
-limit check reads, and ``_Record``, the base of the package's value types."""
+limit check reads, ``_Record``, the base of the package's value types, and
+the one rule for index arguments: ``_index`` reads a 1-based index and
+``_permutation`` a permutation, each item through ``operator.index``."""
 
 import math
 import operator
 import re
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 __all__ = ["ResourceLimitError", "IsolatedVertexError"]
 
@@ -45,6 +47,23 @@ class _Record:
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+def _index(value: int, high: int, what: str) -> int:
+    """``value`` through ``operator.index``, unless it is outside 1..``high``."""
+    value = operator.index(value)
+    if not 1 <= value <= high:
+        raise ValueError(f"{what} {value} outside 1..{high}")
+    return value
+
+
+def _permutation(items: Iterable[int] | None, low: int, high: int, message: str) -> tuple[int, ...]:
+    """``items``, by default ``low``..``high``, through ``operator.index``, unless they
+    are not ``low``..``high`` in some order; a wrong length fails before any sort."""
+    items = tuple(range(low, high + 1) if items is None else map(operator.index, items))
+    if len(items) != high - low + 1 or sorted(items) != list(range(low, high + 1)):
+        raise ValueError(message)
+    return items
 
 
 class ResourceLimitError(RuntimeError):
@@ -92,8 +111,9 @@ class Limit(NamedTuple):
 
     def check(self, amount: int, limit: int | None = None) -> int:
         """``amount``, unless it is over ``limit``, by default the cap, or under ``low``.
-        A ``limit`` goes through ``operator.index``: a float or a str raises
+        Both go through ``operator.index``: a float or a str raises
         ``TypeError``, and ``True`` is 1, as in every check below."""
+        amount = operator.index(amount)
         limit = self.value if limit is None else operator.index(limit)
         if amount > limit or self.low is not None and amount < self.low:
             raise self.error(amount, limit)

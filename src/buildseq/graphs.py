@@ -16,7 +16,7 @@ import operator
 from functools import total_ordering
 from typing import Any, Iterable, Iterator, Sequence
 
-from .errors import LIMITS, _Record
+from .errors import LIMITS, _index, _permutation, _Record
 from .posets import Poset, _text_lines, poset_from_hypergraph
 
 __all__ = [
@@ -158,14 +158,11 @@ class Graph(_Record):
         return self.p + len(self.edges)
 
     def endpoints(self, edge_id: int) -> tuple[int, int]:
-        if not 1 <= edge_id <= self.q:
-            raise ValueError(f"edge id {edge_id} outside 1..{self.q}")
-        return self.edges[edge_id - 1]
+        return self.edges[_index(edge_id, self.q, "edge id") - 1]
 
     def degree(self, v: int) -> int:
         """Standard degree; a loop contributes 2."""
-        if not 1 <= v <= self.p:
-            raise ValueError(f"vertex {v} outside 1..{self.p}")
+        v = _index(v, self.p, "vertex")
         return sum((u == v) + (w == v) for u, w in self.edges)
 
     def degrees(self) -> list[int]:
@@ -177,8 +174,7 @@ class Graph(_Record):
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Ids of edges touching v; a loop appears once."""
-        if not 1 <= v <= self.p:
-            raise ValueError(f"vertex {v} outside 1..{self.p}")
+        v = _index(v, self.p, "vertex")
         return tuple(j for j, (u, w) in enumerate(self.edges, start=1) if v in (u, w))
 
     def max_degree(self) -> int:
@@ -330,7 +326,7 @@ def _family_plan(spec: str) -> Iterator[tuple[str, Any, tuple[int, int]]]:
             at += 1
             calls.pop()
             for (p, _), base in zip(shapes, bases):
-                _check_base(base, p)  # a union's base points are all 1
+                _index(base, p, "base vertex")  # a union's base points are all 1
             merged = len(shapes) - 1 if kind == "wedge" else 0  # base points become one vertex
             shape = (sum(p for p, _ in shapes) - merged, sum(q for _, q in shapes))
             yield kind, bases, shape
@@ -377,9 +373,8 @@ def wedge(parts: Sequence[tuple[Graph, int]]) -> Graph:
     """
     if not parts:
         raise ValueError("wedge needs at least one part")
-    for g, base in parts:
-        _check_base(base, g.p)
-    composed = _compose([(g.p, g.edges) for g, _ in parts], [base for _, base in parts])
+    bases = [_index(base, g.p, "base vertex") for g, base in parts]
+    composed = _compose([(g.p, g.edges) for g, _ in parts], bases)
     return Graph(*composed, multigraph=any(g.multigraph for g, _ in parts))
 
 
@@ -398,15 +393,9 @@ def _compose(
     return top, tuple(edges)
 
 
-def _check_base(base: int, p: int) -> None:
-    if not 1 <= base <= p:
-        raise ValueError(f"base vertex {base} outside 1..{p}")
-
-
 def relabel(g: Graph, sigma: Sequence[int]) -> Graph:
     """Rename vertex i to sigma[i-1]; edge ids are preserved."""
-    if sorted(sigma) != list(range(1, g.p + 1)):
-        raise ValueError("sigma is not a permutation of 1..p")
+    sigma = _permutation(sigma, 1, g.p, "sigma is not a permutation of 1..p")
     return Graph(
         g.p,
         tuple((sigma[u - 1], sigma[w - 1]) for u, w in g.edges),

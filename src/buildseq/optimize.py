@@ -32,7 +32,7 @@ import operator
 import random
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import LIMITS, _Record
+from .errors import LIMITS, _permutation, _Record
 from .graphs import Graph, _UnionFind, build_family
 from .sequences import CSeq, _from_codes
 from .counting import (
@@ -76,7 +76,7 @@ class TieBreak(_Record):
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
         object.__setattr__(self, "policy", policy)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", operator.index(seed))
 
 
 class OptResult(_Record):
@@ -125,10 +125,7 @@ def greedy(
     among the edges that do not close a cycle (if any), or a seeded uniform
     pick.
     """
-    p = g.p
-    order = tuple(vertex_order) if vertex_order is not None else tuple(range(1, p + 1))
-    if sorted(order) != list(range(1, p + 1)):
-        raise ValueError("vertex_order is not a permutation of 1..p")
+    order = _permutation(vertex_order, 1, g.p, "vertex_order is not a permutation of 1..p")
     return next(_from_codes(g, [_greedy_codes(g, order, tie_break)]))
 
 

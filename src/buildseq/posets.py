@@ -27,7 +27,7 @@ import math
 import operator
 from typing import Hashable, Iterable, Sequence
 
-from .errors import LIMITS, _Record
+from .errors import LIMITS, _permutation, _Record
 
 __all__ = [
     "Poset",
@@ -283,8 +283,7 @@ def poset_from_faces(faces: Sequence[tuple[Hashable, Iterable[int]]]) -> Poset:
 
 def relabel_poset(poset: Poset, perm: Sequence[int]) -> Poset:
     """Isomorphic copy with element x renamed to perm[x]."""
-    if sorted(perm) != list(range(poset.n)):
-        raise ValueError("perm is not a permutation of 0..n-1")
+    perm = _permutation(perm, 0, poset.n - 1, "perm is not a permutation of 0..n-1")
     return Poset(poset.n, tuple((perm[lo], perm[hi]) for lo, hi in poset.covers))
 
 

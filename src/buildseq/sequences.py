@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import IsolatedVertexError, _Record
+from .errors import IsolatedVertexError, _permutation, _Record
 from .graphs import Element, Graph, _path, _UnionFind
 
 __all__ = [
@@ -67,7 +67,9 @@ def validate(graph: Graph, elements: Sequence[Element]) -> list[Violation]:
     seq = tuple(elements)
     codes = [graph.code(el) for el in seq]
     p, n = graph.p, graph.element_count
-    if len(codes) != n or sorted(codes) != list(range(n)):
+    try:
+        _permutation(codes, 0, n - 1, "sequence is not a permutation")
+    except ValueError:
         counts = Counter(seq)
         present = set(codes) - {-1}
         # Name the first few missing elements only: a short sequence
@@ -216,7 +218,7 @@ def component_profile(x: CSeq) -> ComponentProfile:
         if el.is_vertex:
             current += 1
         else:
-            u, w = x.graph.endpoints(el.index)
+            u, w = x.graph.edges[el.index - 1]
             if u != w and uf.union(u, w):
                 current -= 1
         counts.append(current)
@@ -360,8 +362,7 @@ def from_updown_permutation(values: Sequence[int]) -> CSeq:
     length = len(values)
     if length % 2 == 0:
         raise ValueError("up-down input must have odd length")
-    if sorted(values) != list(range(1, length + 1)):
-        raise ValueError(f"input is not a permutation of 1..{length}")
+    values = _permutation(values, 1, length, f"input is not a permutation of 1..{length}")
     if not is_updown(values):
         raise ValueError("input permutation is not up-down")
     n = (length + 1) // 2
@@ -389,16 +390,8 @@ def vertices_first_sequence(
     edge order: swapping adjacent edges moves one cost down by 2 and the
     other up by 2.
     """
-    vertex_order = tuple(vertex_order) if vertex_order is not None else tuple(
-        range(1, g.p + 1)
-    )
-    edge_order = tuple(edge_order) if edge_order is not None else tuple(
-        range(1, g.q + 1)
-    )
-    if sorted(vertex_order) != list(range(1, g.p + 1)):
-        raise ValueError("vertex_order is not a permutation of 1..p")
-    if sorted(edge_order) != list(range(1, g.q + 1)):
-        raise ValueError("edge_order is not a permutation of 1..q")
+    vertex_order = _permutation(vertex_order, 1, g.p, "vertex_order is not a permutation of 1..p")
+    edge_order = _permutation(edge_order, 1, g.q, "edge_order is not a permutation of 1..q")
     elements = [Element.vertex(v) for v in vertex_order] + [
         Element.edge(j) for j in edge_order
     ]

@@ -497,6 +497,16 @@ class TestGreedy:
         second = run(capsys, "greedy", "family:cycle:4", "--tie-break", "seeded-random", "--seed", "5")
         assert first == second
 
+    def test_an_empty_order_is_checked_not_defaulted(self, capsys, tmp_path):
+        # An empty --order is the empty order, a permutation of 1..p only when p = 0.
+        assert run(capsys, "greedy", "family:path:3", "--order", "") == (
+            1, "", "error: vertex_order is not a permutation of 1..p\n"
+        )
+        empty = tmp_path / "empty.txt"
+        empty.write_text("0 0\n")
+        code, out, _ = run(capsys, "greedy", str(empty), "--order", "")
+        assert (code, json.loads(out)["order"]) == (0, [])
+
 
 class TestFamilyTable:
     def test_star_rows_agree(self, capsys):

@@ -134,6 +134,9 @@ class TestGraphType:
         for lookup in (g.endpoints, g.degree, g.incident_edges):
             with pytest.raises(ValueError, match="outside 1.."):
                 lookup(0)
+            with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+                lookup(1.0)
+            assert lookup(True) == lookup(1)
         with pytest.raises(ValueError, match="no vertices"):
             Graph(0).max_degree()
 

@@ -1,5 +1,6 @@
 """The limits registry: README's Limits table states every record, and each
-record's first refused input fails at once with its exact message."""
+record's first refused input fails at once with its exact message.  Every
+index, permutation, seed and capped size is read through operator.index."""
 import shlex
 from pathlib import Path
 
@@ -103,3 +104,64 @@ def test_limit_keywords_are_integers(kernel):
     else:
         with pytest.raises(ResourceLimitError, match=r"(limit|exceeded) 1\b"):
             run(g, **{keyword: True})
+
+
+P3 = buildseq.build_family("path:3")
+
+# Per entry point: a call with x in the place of one index, permutation item,
+# seed or capped size, where x = 1 is valid, and a bad integer, or for the
+# seed None, with the exact error it raises.
+INDEX_ARGUMENTS = {
+    "Graph.endpoints": (P3.endpoints, 3, ValueError, "edge id 3 outside 1..2"),
+    "Graph.degree": (P3.degree, 4, ValueError, "vertex 4 outside 1..3"),
+    "Graph.incident_edges": (P3.incident_edges, 0, ValueError, "vertex 0 outside 1..3"),
+    "count_bruteforce": (lambda x: buildseq.count_bruteforce(P3, base=x), 4, ValueError,
+                         "base vertex 4 outside 1..3"),
+    "count_based": (lambda x: buildseq.count_based(P3, x), 0, ValueError, "base vertex 0 outside 1..3"),
+    "wedge": (lambda x: buildseq.wedge([(P3, 2), (P3, x)]), 4, ValueError, "base vertex 4 outside 1..3"),
+    "greedy": (lambda x: buildseq.greedy(P3, (x, 3, 2)), 4, ValueError,
+               "vertex_order is not a permutation of 1..p"),
+    "vertices_first_sequence vertex_order": (lambda x: buildseq.vertices_first_sequence(P3, (2, x, 3)), 0,
+                                             ValueError, "vertex_order is not a permutation of 1..p"),
+    "vertices_first_sequence edge_order": (lambda x: buildseq.vertices_first_sequence(P3, None, (2, x)), 2,
+                                           ValueError, "edge_order is not a permutation of 1..q"),
+    "relabel": (lambda x: buildseq.relabel(P3, (2, x, 3)), 2, ValueError, "sigma is not a permutation of 1..p"),
+    "relabel_poset": (lambda x: buildseq.relabel_poset(buildseq.incidence_poset(P3), (x, 0, 2, 3, 4)), 5,
+                      ValueError, "perm is not a permutation of 0..n-1"),
+    "from_updown_permutation": (lambda x: buildseq.from_updown_permutation((x, 3, 2)), 3, ValueError,
+                                "input is not a permutation of 1..3"),
+    "TieBreak": (lambda x: buildseq.TieBreak("seeded-random", x), None, TypeError,
+                 "'NoneType' object cannot be interpreted as an integer"),
+    "star_count": (buildseq.star_count, 120_001, ValueError, "supported range is 0 <= n <= 120000, got 120001"),
+    "star_count_recursive": (buildseq.star_count_recursive, 30_001, ValueError,
+                             "supported range is 0 <= n <= 30000, got 30001"),
+    "complete_count": (buildseq.complete_count, 0, ValueError, "supported range is 1 <= n <= 700, got 0"),
+    "path_count_recursive": (buildseq.path_count_recursive, 0, ValueError,
+                             "supported range is 1 <= n <= 350, got 0"),
+    "zigzag_numbers": (buildseq.zigzag_numbers, 801, ValueError, "supported range is 1 <= n_max <= 800, got 801"),
+    "cycle_count_bernoulli": (buildseq.cycle_count_bernoulli, 101, ValueError,
+                              "supported range is 1 <= n <= 100, got 101"),
+    "labeled_trees": (lambda x: list(buildseq.labeled_trees(x)), 9, ValueError,
+                      "supported range is 2 <= n <= 8, got 9"),
+}
+
+
+def outcome(call, x):
+    """What ``call(x)`` returns, or the type and text of what it raises."""
+    try:
+        return call(x)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("entry", list(INDEX_ARGUMENTS))
+def test_index_arguments_follow_one_rule(entry):
+    # Each goes through operator.index before any work: a float is refused,
+    # True is 1, and an integer out of range keeps its ValueError text.
+    call, bad, error, message = INDEX_ARGUMENTS[entry]
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        call(1.0)
+    assert outcome(call, True) == outcome(call, 1)
+    with pytest.raises(error) as info:
+        call(bad)
+    assert str(info.value) == message
