@@ -434,10 +434,7 @@ def star_count_recursive(n: int) -> int:
     2n slots and any of the n edges can be last.
     """
     LIMITS["star_recursion"].check(n)
-    value = 1
-    for k in range(1, n + 1):
-        value *= 2 * k * k
-    return value
+    return math.prod(2 * k * k for k in range(1, n + 1))
 
 
 def complete_count(n: int) -> int:
@@ -501,18 +498,11 @@ def zigzag_numbers(n_max: int) -> ZigzagNumbers:
     secant numbers secant[n] = a(2n).
     """
     LIMITS["zigzag"].check(n_max)
-    highest = 2 * n_max
-    zigzag = [1]
-    row = [1]
-    for k in range(1, highest + 1):
-        previous = row
-        row = [0]
-        for i in range(k):
-            row.append(row[-1] + previous[k - 1 - i])
+    zigzag, row = [1], [1]
+    for _ in range(2 * n_max):  # row k: 0, then the running sums of row k - 1 read backwards
+        row = [0, *itertools.accumulate(reversed(row))]
         zigzag.append(row[-1])
-    tangent = [0] + [zigzag[2 * n - 1] for n in range(1, n_max + 1)]
-    secant = [zigzag[2 * n] for n in range(0, n_max + 1)]
-    return ZigzagNumbers(tangent, secant)
+    return ZigzagNumbers([0, *zigzag[1::2]], zigzag[::2])
 
 
 def bernoulli_number(m: int) -> Fraction:
@@ -529,10 +519,7 @@ def _bernoulli_numbers(m_max: int) -> list[Fraction]:
     (irrelevant to even indices beyond the shared recurrence)."""
     values = [Fraction(1)]
     for k in range(1, m_max + 1):
-        acc = Fraction(0)
-        for j in range(k):
-            acc += math.comb(k + 1, j) * values[j]
-        values.append(-acc / (k + 1))
+        values.append(-sum(math.comb(k + 1, j) * values[j] for j in range(k)) / (k + 1))
     return values
 
 
@@ -547,13 +534,8 @@ def path_count_bernoulli(n: int) -> int:
 
 def _path_counts_bernoulli(n_max: int) -> list[int]:
     """[0, path count at 1, ..., at n_max] by ``path_count_bernoulli``."""
-    counts = [0]
-    for n, cycles in enumerate(_cycle_counts_bernoulli(n_max)[1:], 1):
-        value = Fraction(cycles, n)
-        if value.denominator != 1:
-            raise ArithmeticError(f"path count for n={n} did not divide exactly: {value}")
-        counts.append(value.numerator)
-    return counts
+    cycles = _cycle_counts_bernoulli(n_max)
+    return [0] + [_exact(cycles[n], n, f"path count for n={n}") for n in range(1, n_max + 1)]
 
 
 def cycle_count_bernoulli(n: int) -> int:
@@ -567,14 +549,19 @@ def cycle_count_bernoulli(n: int) -> int:
 def _cycle_counts_bernoulli(n_max: int) -> list[int]:
     """[0, cycle count at 1, ..., at n_max] by ``cycle_count_bernoulli``."""
     LIMITS["bernoulli"].check(n_max)
-    bernoulli = _bernoulli_numbers(2 * n_max)
-    counts = [0]
-    for n in range(1, n_max + 1):
-        value = Fraction(math.comb(2 ** (2 * n), 2)) * abs(bernoulli[2 * n])
-        if value.denominator != 1:
-            raise ArithmeticError(f"cycle count for n={n} did not divide exactly: {value}")
-        counts.append(value.numerator)
-    return counts
+    even = _bernoulli_numbers(2 * n_max)[2::2]  # B_2, B_4, ..., B_(2 n_max)
+    return [0] + [
+        _exact(math.comb(2 ** (2 * n), 2) * abs(b.numerator), b.denominator, f"cycle count for n={n}")
+        for n, b in enumerate(even, 1)
+    ]
+
+
+def _exact(numerator: int, denominator: int, what: str) -> int:
+    """numerator / denominator; a remainder, a bug, raises naming ``what``."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"{what} did not divide exactly: {Fraction(numerator, denominator)}")
+    return quotient
 
 
 def tremolo_numbers(r_max: int) -> list[int]:
@@ -587,6 +574,7 @@ def tremolo_numbers(r_max: int) -> list[int]:
     """
     if r_max < 0:
         raise ValueError(f"r_max must be >= 0, got {r_max}")
+    LIMITS["tremolo"].check(r_max)
     values = [0, 1, 0]
     for r in range(3, r_max + 1):
         values.append(
@@ -624,13 +612,15 @@ def wedge_count(parts: Iterable[tuple[int, int]]) -> int:
 
 def _shuffle_count(parts: Iterable[tuple[int, int]], shift: int, name: str) -> int:
     """The product of the counts and the multinomial of the element counts
-    minus ``shift``, the elements placed before the parts shuffle."""
+    minus ``shift``, the elements placed before the parts shuffle, as binomials:
+    C(placed, length - shift) per part, ``placed`` the running sum of length - shift."""
     parts = list(parts)
     if not parts:
         raise ValueError(f"{name} needs at least one part")
     if any(length < 1 for _, length in parts):
         raise ValueError("part element counts must be >= 1")
-    value = math.factorial(sum(length - shift for _, length in parts))
+    value, placed = 1, 0
     for count, length in parts:
-        value = value // math.factorial(length - shift) * count
+        placed += length - shift
+        value *= count * math.comb(placed, length - shift)
     return value

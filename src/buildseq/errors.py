@@ -140,6 +140,7 @@ LIMITS = {
     "oracle": Limit(10, "elements", "brute-force", "count family:cycle:5 --route oracle", 1.5),
     "enumerators": Limit(11, "elements", "enumeration", "enumerate family:path:6", 1.8),
     "greedy_all": Limit(8, "vertices", "greedy-all", "b.greedy_all(b.build_family('complete:8'))", 1.0),
+    "builders": Limit(160_000, "elements", "sequence builder", "greedy family:path:80000", 1.0),
     "count_dp": Limit(1 << 24, "states", "count DP", "count family:path:24", 14.6, message=_STATES),
     "min_cost": Limit(1 << 22, "states", "optimizer", "optimize family:path:22", 3.5, message=_STATES),
     "poset_sweep": Limit(1 << 18, "states", "linear-extension sweep",
@@ -150,6 +151,7 @@ LIMITS = {
     "path_recursion": Limit(350, "n", "path recursion", "count family:path:350 --route recursion", 0.4, 1),
     "star_recursion": Limit(30_000, "n", "star recursion", "count family:star:30000 --route recursion", 0.4, 0),
     "zigzag": Limit(800, "n_max", "zigzag triangle", "count family:path:800 --base 1 --route formula", 0.4, 1),
+    "tremolo": Limit(500, "r_max", "tremolo numbers", "b.tremolo_numbers(500)", 0.6, 0),
     "star_formula": Limit(120_000, "n", "star forms", "count family:star:120000 --base 1 --route formula",
                           0.8, 0),
     "trees": Limit(8, "n", "labeled trees", "xi trees:8", 24.0, 2),

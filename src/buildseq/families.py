@@ -139,8 +139,7 @@ class Family(_Record):
     def contains(self, g: Graph) -> bool:
         """Membership by labeled identity."""
         if self.kind == "trees":
-            (n,) = self.params
-            return not g.multigraph and g.p == n and g.q == n - 1 and g.is_connected()
+            return g.p == self.params[0] and _is_tree(g)
         if self.kind == "graphs":
             p, q = self.params
             return not g.multigraph and g.p == p and g.q == q
@@ -199,15 +198,16 @@ def constructability(g: Graph, family: Family) -> Fraction:
     return Fraction(count_dp(g)) / family_average(family)
 
 
+def _is_tree(g: Graph) -> bool:
+    """Simple, connected and with q = p - 1 edges, so acyclic."""
+    return not g.multigraph and g.q == g.p - 1 and g.is_connected()
+
+
 def is_path_graph(g: Graph) -> bool:
     """Connected, acyclic, and no vertex of degree above 2."""
-    if g.multigraph or g.q != g.p - 1 or not g.is_connected():
-        return False
-    return g.p == 1 or g.max_degree() <= 2
+    return _is_tree(g) and (g.p == 1 or g.max_degree() <= 2)
 
 
 def is_star_graph(g: Graph) -> bool:
     """Connected with every edge sharing one hub vertex (single vertex counts)."""
-    if g.multigraph or g.q != g.p - 1 or not g.is_connected():
-        return False
-    return g.p <= 2 or g.max_degree() == g.p - 1
+    return _is_tree(g) and (g.p <= 2 or g.max_degree() == g.p - 1)

@@ -409,7 +409,7 @@ def incidence_poset(g: Graph) -> Poset:
     A loop yields a single cover.  Poset elements are the element codes of
     :meth:`Graph.code`: 0..p-1 the vertices, p..p+q-1 the edges.
     """
-    return poset_from_hypergraph(g.p, [set(pair) for pair in g.edges])
+    return poset_from_hypergraph(g.p, g.edges)
 
 
 # ---------------------------------------------------------------------------

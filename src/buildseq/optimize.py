@@ -123,8 +123,10 @@ def greedy(
     An edge is available once both endpoints are placed.  Ties among
     available edges fall to the tie-break rule: smallest id, or smallest id
     among the edges that do not close a cycle (if any), or a seeded uniform
-    pick.
+    pick.  The graph's elements are capped by ``LIMITS["builders"]`` before
+    any order is listed.
     """
+    LIMITS["builders"].check(g.element_count)
     order = _permutation(vertex_order, 1, g.p, "vertex_order is not a permutation of 1..p")
     return next(_from_codes(g, [_greedy_codes(g, order, tie_break)]))
 
@@ -420,14 +422,17 @@ def star_schedule(n: int) -> CSeq:
     A minimizer places each edge as soon as it is available (see
     min_cost), so only j, the number of leaves before the hub, matters:
     the greedy run on the vertex order of j leaves, the hub, then the
-    remaining leaves.  That costs n^2 + 2n + (3j^2 - j)/2 - nj, and j is
-    the least minimizer, near (2n + 1)/6; j = 0 is the hub-first order.
+    remaining leaves.  That costs n^2 + 2n + (3j^2 - j)/2 - nj, so
+    cost(j + 1) - cost(j) = 3j + 1 - n grows with j, and the least
+    minimizer is the first j where it is not negative: j = (n + 1) // 3,
+    j = 0 being the hub-first order.  The star is built first, so that the
+    family-spec guard refuses a large n before any order is listed.
     """
     if n < 1:
         raise ValueError(f"star size must be >= 1, got {n}")
-    before = min(range(n + 1), key=lambda j: 3 * j * j - j - 2 * n * j)
-    order = (*range(2, before + 2), 1, *range(before + 2, n + 2))
-    return greedy(build_family(f"star:{n}"), order)
+    g = build_family(f"star:{n}")
+    before = (n + 1) // 3
+    return greedy(g, (*range(2, before + 2), 1, *range(before + 2, n + 2)))
 
 
 def economy_vs_count(graphs: Iterable[Graph]) -> list[dict]:

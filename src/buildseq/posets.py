@@ -248,8 +248,10 @@ def poset_from_faces(faces: Sequence[tuple[Hashable, Iterable[int]]]) -> Poset:
 
     ``faces`` lists (face id, member vertices); vertices themselves must be
     present as singleton faces.  The i-th face becomes element i, and covers
-    are the immediate strict containments.  Faces with identical vertex sets
-    (parallel cells) are allowed and stay incomparable.
+    are the immediate strict containments, sorted.  Faces with identical
+    vertex sets (parallel cells) are allowed and stay incomparable.  The
+    faces below b are found among those filed under b's vertices, one vertex
+    per face, and b covers each that no other of them contains.
     """
     ids = [fid for fid, _ in faces]
     if len(set(ids)) != len(ids):
@@ -267,18 +269,14 @@ def poset_from_faces(faces: Sequence[tuple[Hashable, Iterable[int]]]) -> Poset:
                 raise ValueError(
                     f"face {fid!r} uses vertex {v} but the singleton face is missing"
                 )
-    covers: list[tuple[int, int]] = []
-    m = len(faces)
-    for a in range(m):
-        for b in range(m):
-            if a == b or not vertex_sets[a] < vertex_sets[b]:
-                continue
-            immediate = not any(
-                vertex_sets[a] < vertex_sets[c] < vertex_sets[b] for c in range(m)
-            )
-            if immediate:
-                covers.append((a, b))
-    return Poset(m, tuple(covers))
+    filed: dict[int, list[int]] = {}
+    for a, fs in enumerate(vertex_sets):
+        filed.setdefault(next(iter(fs)), []).append(a)
+    covers = []
+    for b, fs in enumerate(vertex_sets):
+        below = [a for v in fs for a in filed.get(v, ()) if vertex_sets[a] < fs]
+        covers += [(a, b) for a in below if not any(vertex_sets[a] < vertex_sets[c] for c in below)]
+    return Poset(len(faces), tuple(sorted(covers)))
 
 
 def relabel_poset(poset: Poset, perm: Sequence[int]) -> Poset:

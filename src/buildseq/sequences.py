@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import IsolatedVertexError, _permutation, _Record
+from .errors import LIMITS, IsolatedVertexError, _permutation, _Record
 from .graphs import Element, Graph, _path, _UnionFind
 
 __all__ = [
@@ -285,8 +285,7 @@ class TimeAssignment(_Record):
 
     def __init__(self, graph: Graph, times: Mapping[Element, Fraction]) -> None:
         coerced = {el: Fraction(t) for el, t in times.items()}
-        expected = set(graph.elements())
-        if set(coerced) != expected:
+        if len(coerced) != graph.element_count or set(coerced) != set(graph.elements()):
             raise ValueError("times must cover exactly the graph's elements")
         for el, t in coerced.items():
             if not 0 <= t <= 1:
@@ -388,8 +387,10 @@ def vertices_first_sequence(
 
     Once the vertex block is fixed, the total cost does not depend on the
     edge order: swapping adjacent edges moves one cost down by 2 and the
-    other up by 2.
+    other up by 2.  The graph's elements are capped by ``LIMITS["builders"]``
+    before any order is listed.
     """
+    LIMITS["builders"].check(g.element_count)
     vertex_order = _permutation(vertex_order, 1, g.p, "vertex_order is not a permutation of 1..p")
     edge_order = _permutation(edge_order, 1, g.q, "edge_order is not a permutation of 1..q")
     elements = [Element.vertex(v) for v in vertex_order] + [

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import buildseq as b
-from buildseq import cli
+from buildseq import cli, optimize
 from buildseq.cli import main
 
 
@@ -506,6 +506,17 @@ class TestGreedy:
         empty.write_text("0 0\n")
         code, out, _ = run(capsys, "greedy", str(empty), "--order", "")
         assert (code, json.loads(out)["order"]) == (0, [])
+
+    def test_a_billion_vertices_are_refused_before_any_order(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an order was listed")
+
+        monkeypatch.setattr(optimize, "_permutation", refuse)
+        huge = tmp_path / "huge.txt"
+        huge.write_text("1000000000 0\n")
+        assert run(capsys, "greedy", str(huge)) == (
+            3, "", "resource limit: 1000000000 elements exceed the sequence builder limit 160000\n"
+        )
 
 
 class TestFamilyTable:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -272,7 +273,33 @@ class TestTremolo:
             assert values[2 * n - 1] == b.path_count_recursive(n)
 
 
+def shuffle_by_factorials(parts: list[tuple[int, int]], shift: int) -> int:
+    """The composition laws' former form, kept as a reference: the factorial
+    of all the shuffled elements divided by each part's factorial."""
+    value = math.factorial(sum(length - shift for _, length in parts))
+    for count, length in parts:
+        value = value // math.factorial(length - shift) * count
+    return value
+
+
 class TestCompositionLaws:
+    def test_binomials_match_the_factorial_quotient(self):
+        rng = random.Random(37)
+        cases = [[(0, 5), (3, 4)], [(7, 1)], [(2, 1), (5, 1), (1, 2)], [(1, 10**4), (9, 10**4)]]
+        for _ in range(80):
+            lengths = (1, 2, rng.randint(1, 40), rng.randint(1, 10**4))
+            cases.append([(rng.randint(0, 10**6), rng.choice(lengths)) for _ in range(rng.randint(1, 4))])
+        for parts in cases:
+            assert b.union_count(parts) == shuffle_by_factorials(parts, 0)
+            assert b.wedge_count(parts) == shuffle_by_factorials(parts, 1)
+
+    def test_a_million_elements_answer_at_once(self):
+        start = time.perf_counter()
+        assert b.union_count([(1, 10**6)]) == 1
+        assert b.wedge_count([(5, 10**6)]) == 5
+        assert b.union_count([(1, 10**6), (1, 1)]) == 10**6 + 1
+        assert time.perf_counter() - start < 0.5
+
     def test_two_single_edges(self):
         value = b.union_count([(2, 3), (2, 3)])
         assert value == 2 * 2 * math.comb(6, 3) == 80

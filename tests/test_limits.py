@@ -18,6 +18,7 @@ REFUSED = {
     "oracle": (3, "resource limit: 12 elements exceed the brute-force limit 10"),
     "enumerators": (3, "resource limit: 13 elements exceed the enumeration limit 11"),
     "greedy_all": (ResourceLimitError, "9 vertices exceed the greedy-all limit 8"),
+    "builders": (3, "resource limit: 160001 elements exceed the sequence builder limit 160000"),
     "count_dp": (3, "resource limit: count DP needs 2^25 vertex-subset states, over the limit 16777216; "
                     "raise max_states to continue"),
     "min_cost": (3, "resource limit: optimizer needs 2^23 vertex-subset states, over the limit 4194304; "
@@ -28,6 +29,7 @@ REFUSED = {
     "path_recursion": (1, "error: supported range is 1 <= n <= 350, got 351"),
     "star_recursion": (1, "error: supported range is 0 <= n <= 30000, got 30001"),
     "zigzag": (1, "error: supported range is 1 <= n_max <= 800, got 801"),
+    "tremolo": (ValueError, "supported range is 0 <= r_max <= 500, got 501"),
     "star_formula": (1, "error: supported range is 0 <= n <= 120000, got 120001"),
     "trees": (1, "error: supported range is 2 <= n <= 8, got 9"),
     "graphs_pq": (1, "error: supported range is 1 <= p <= 7, got 8"),
@@ -139,6 +141,7 @@ INDEX_ARGUMENTS = {
     "path_count_recursive": (buildseq.path_count_recursive, 0, ValueError,
                              "supported range is 1 <= n <= 350, got 0"),
     "zigzag_numbers": (buildseq.zigzag_numbers, 801, ValueError, "supported range is 1 <= n_max <= 800, got 801"),
+    "tremolo_numbers": (buildseq.tremolo_numbers, 501, ValueError, "supported range is 0 <= r_max <= 500, got 501"),
     "cycle_count_bernoulli": (buildseq.cycle_count_bernoulli, 101, ValueError,
                               "supported range is 1 <= n <= 100, got 101"),
     "labeled_trees": (lambda x: list(buildseq.labeled_trees(x)), 9, ValueError,

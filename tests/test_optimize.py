@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -28,6 +29,14 @@ class TestGreedy:
             g = b.build_family(f"star:{n}")
             x = b.greedy(g)  # natural order places the hub first
             assert b.total_cost(x) == (n + 1) ** 2 - 1
+
+    def test_elements_are_capped_before_any_order(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an order was listed")
+
+        monkeypatch.setattr(optimize, "_permutation", refuse)
+        with pytest.raises(ResourceLimitError, match="^1000000000 elements exceed the sequence builder limit 160000$"):
+            b.greedy(b.Graph(10**9))
 
     def test_reversed_single_edge(self):
         x = b.greedy(b.build_family("path:2"), (2, 1))
@@ -483,6 +492,25 @@ class TestStarSchedule:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             b.star_schedule(0)
+
+    def test_closed_form_matches_the_scan(self, monkeypatch):
+        # The former form, a scan of the cost over every j, as a reference for
+        # the order star_schedule hands to greedy, here without a graph.
+        monkeypatch.setattr(optimize, "build_family", lambda spec: None)
+        monkeypatch.setattr(optimize, "greedy", lambda g, order: order)
+        for n in range(1, 3001):
+            j = min(range(n + 1), key=lambda j: 3 * j * j - j - 2 * n * j)
+            assert b.star_schedule(n) == (*range(2, j + 2), 1, *range(j + 2, n + 2))
+
+    def test_the_spec_guard_refuses_before_any_order(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("greedy was called")
+
+        monkeypatch.setattr(optimize, "greedy", refuse)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^family spec needs 20000001 elements, over the guard 1000000$"):
+            b.star_schedule(10**7)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestEconomyVsCount:

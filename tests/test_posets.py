@@ -508,7 +508,40 @@ TRIANGLE_BOUNDARY = [
 ]
 
 
+def face_covers_by_triple_loop(faces) -> tuple[tuple[int, int], ...]:
+    """The face poset's former cover search, kept as a reference: every pair
+    (a, b) with a strictly below b, tested against every face c between."""
+    sets = [frozenset(members) for _, members in faces]
+    m = len(sets)
+    return tuple(
+        (a, b)
+        for a in range(m)
+        for b in range(m)
+        if sets[a] < sets[b] and not any(sets[a] < sets[c] < sets[b] for c in range(m))
+    )
+
+
+def random_complex(rng: random.Random) -> list[tuple[str, set[int]]]:
+    """Singletons on 1..k and random larger faces, without their
+    intermediate faces and some of them repeated (parallel cells), shuffled."""
+    k = rng.randint(1, 9)
+    sets = [{v} for v in range(1, k + 1)]
+    for _ in range(rng.randint(0, 25)):
+        face = set(rng.sample(range(1, k + 1), rng.randint(1, k)))
+        sets += [face] * rng.choice((1, 1, 1, 2))
+    rng.shuffle(sets)
+    return [(f"f{i}", face) for i, face in enumerate(sets)]
+
+
 class TestFacePosets:
+    def test_covers_match_the_triple_loop(self):
+        rng = random.Random(11)
+        complexes = [random_complex(rng) for _ in range(150)]
+        simplex = [(str(s), set(s)) for r in range(1, 7) for s in itertools.combinations(range(1, 7), r)]
+        complexes += [simplex, simplex[::-1], TRIANGLE_BOUNDARY * 1]
+        for faces in complexes:
+            assert b.poset_from_faces(faces).covers == face_covers_by_triple_loop(faces)
+
     def test_triangle_boundary_matches_three_cycle(self):
         poset = b.poset_from_faces(TRIANGLE_BOUNDARY)
         cycle_poset = b.incidence_poset(b.build_family("cycle:3"))

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 import buildseq as b
-from buildseq import CSeq, Element, TimeAssignment
-from buildseq.errors import LIMITS, IsolatedVertexError
+from buildseq import CSeq, Element, TimeAssignment, sequences
+from buildseq.errors import LIMITS, IsolatedVertexError, ResourceLimitError
 
 
 def seq(graph, text):
@@ -265,6 +265,14 @@ class TestContinuousCost:
         with pytest.raises(ValueError):
             TimeAssignment(PATH2, {Element.vertex(1): Fraction(0)})
 
+    def test_sizes_are_compared_before_the_elements_are_listed(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the graph's elements were listed")
+
+        monkeypatch.setattr(b.Graph, "elements", refuse)
+        with pytest.raises(ValueError, match="^times must cover exactly the graph's elements$"):
+            TimeAssignment(b.Graph(5_000_000), {})
+
 
 class TestUpDown:
     def test_is_updown(self):
@@ -360,6 +368,14 @@ class TestVerticesFirst:
             b.vertices_first_sequence(PATH3, vertex_order=(1, 2))
         with pytest.raises(ValueError):
             b.vertices_first_sequence(PATH3, edge_order=(2, 2))
+
+    def test_elements_are_capped_before_any_order(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an order was listed")
+
+        monkeypatch.setattr(sequences, "_permutation", refuse)
+        with pytest.raises(ResourceLimitError, match="^1000000000 elements exceed the sequence builder limit 160000$"):
+            b.vertices_first_sequence(b.Graph(10**9))
 
 
 class TestTextForms:
